@@ -43,14 +43,10 @@ from .evaluate import (
 )
 from .metric import (
     ClusterProfile,
-    DistanceTable,
     ObjectiveReport,
-    build_distance_table,
     compute_profile,
     objective,
-    order_distance_vector,
     pairwise_distance_matrix,
-    sample_cluster_distance,
 )
 from .order import (
     LinkDensityTable,

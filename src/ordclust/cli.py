@@ -310,7 +310,7 @@ def cmd_bench(args) -> int:
     print(f"benchmark matrix written to {outdir / 'benchmark_matrix.csv'}")
     for name, msg in failures:
         print(f"warning: {name} failed: {msg}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_ablate(args) -> int:

@@ -115,33 +115,33 @@ def assign(d: Dataset, prof: metric.ClusterProfile, o: order.OrderSet) -> Partit
     if not (prof.sizes > 0).any():
         raise ValueError("every cluster is empty")
     matrices = metric.value_distance_matrices(d, o)
-    dist = metric.cluster_distances(d.cat, matrices, prof)
+    dist = metric.cluster_distances(d.onehot, matrices, prof)
     return Partition(assign=dist.argmin(axis=1).astype(np.int32), k=prof.k)
 
 
-def _distances(cat, matrices, prof, form):
+def _distances(enc, matrices, prof, form):
     if form == "mode":
-        return metric.mode_distances(cat, matrices, prof)
-    return metric.cluster_distances(cat, matrices, prof)
+        return metric.mode_distances(enc, matrices, prof)
+    return metric.cluster_distances(enc, matrices, prof)
 
 
-def _inner_segment(cat, cards, matrices, form, assign0, k, l_base, trace, max_inner):
+def _inner_segment(enc, cards, matrices, form, assign0, k, l_base, trace, max_inner):
     """Alternate assignment and profile refresh until L stops strictly decreasing.
 
     Returns the last strictly-improving state (or the start state when the
     first step already fails to improve).
     """
     cur_assign = assign0
-    prof = metric.profile_from_assignment(cat, cards, cur_assign, k)
+    prof = metric.profile_from_assignment(enc, cards, cur_assign, k)
     l_prev = l_base
     trace.epoch_baselines.append(l_base)
     iters = 0
     converged = False
     while iters < max_inner:
-        dist = _distances(cat, matrices, prof, form)
+        dist = _distances(enc, matrices, prof, form)
         new_assign = dist.argmin(axis=1).astype(np.int32)
-        new_prof = metric.profile_from_assignment(cat, cards, new_assign, k)
-        l_new = metric.objective_total(cat, matrices, new_prof, new_assign, form)
+        new_prof = metric.profile_from_assignment(enc, cards, new_assign, k)
+        l_new = metric.objective_total(enc, matrices, new_prof, new_assign, form)
         iters += 1
         trace.objective_values.append(l_new)
         if l_new >= l_prev:
@@ -190,7 +190,7 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
-    cat, cards, k = d.cat, d.cardinalities, cfg.k
+    enc, cards, k = d.onehot, d.cardinalities, cfg.k
     init_seed, order_seed = np.random.SeedSequence(cfg.seed).spawn(2)
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
@@ -208,14 +208,14 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
 
     trace = FitTrace()
     matrices = metric.value_distance_matrices(d, orders)
-    prof0 = metric.profile_from_assignment(cat, cards, assign0, k)
-    l0 = metric.objective_total(cat, matrices, prof0, assign0, form)
+    prof0 = metric.profile_from_assignment(enc, cards, assign0, k)
+    l0 = metric.objective_total(enc, matrices, prof0, assign0, form)
     trace.init_objective = l0
     best = (assign0, orders, l0)
 
     def run_segment(a, orders_now, l_base):
         mats = metric.value_distance_matrices(d, orders_now)
-        return _inner_segment(cat, cards, mats, form, a, k, l_base, trace, cfg.max_inner)
+        return _inner_segment(enc, cards, mats, form, a, k, l_base, trace, cfg.max_inner)
 
     if not learning:
         a1, l1, converged = run_segment(assign0, orders, l0)
@@ -236,17 +236,17 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
 
 def _epoch_flow(d, cfg, form, frozen, assign0, orders0, l0, best, trace):
     """Full alternation: each epoch refreshes orders, then reconverges the partition."""
-    cat, cards, k = d.cat, d.cardinalities, cfg.k
+    enc, cards, k = d.onehot, d.cardinalities, cfg.k
     cur_assign, cur_orders = assign0, orders0
     l_prev_epoch = l0
     for _ in range(cfg.max_outer):
         trace.epochs += 1
         new_orders = order.learn_orders(d, Partition(cur_assign, k), cur_orders, form=form, frozen=frozen)
         matrices = metric.value_distance_matrices(d, new_orders)
-        prof = metric.profile_from_assignment(cat, cards, cur_assign, k)
-        l_base = metric.objective_total(cat, matrices, prof, cur_assign, form)
+        prof = metric.profile_from_assignment(enc, cards, cur_assign, k)
+        l_base = metric.objective_total(enc, matrices, prof, cur_assign, form)
         trace.order_update_iterations.append(trace.total_inner_iterations)
-        a_new, l_new, _ = _inner_segment(cat, cards, matrices, form, cur_assign, k, l_base, trace, cfg.max_inner)
+        a_new, l_new, _ = _inner_segment(enc, cards, matrices, form, cur_assign, k, l_base, trace, cfg.max_inner)
         if l_new < best[2]:
             best = (a_new, new_orders, l_new)
         if l_new >= l_prev_epoch:
@@ -259,7 +259,7 @@ def _epoch_flow(d, cfg, form, frozen, assign0, orders0, l0, best, trace):
 
 def _single_update_flow(d, cfg, form, assign0, orders0, l0, best, trace, run_segment):
     """One inner convergence, one order refresh, one more inner convergence."""
-    cat, cards, k = d.cat, d.cardinalities, cfg.k
+    enc, cards, k = d.onehot, d.cardinalities, cfg.k
     a1, l1, conv1 = run_segment(assign0, orders0, l0)
     if l1 < best[2]:
         best = (a1, orders0, l1)
@@ -268,11 +268,11 @@ def _single_update_flow(d, cfg, form, assign0, orders0, l0, best, trace, run_seg
         frozen = tuple(kind == "ordinal" for kind in d.cat_kinds)
     new_orders = order.learn_orders(d, Partition(a1, k), orders0, form=form, frozen=frozen)
     matrices = metric.value_distance_matrices(d, new_orders)
-    prof = metric.profile_from_assignment(cat, cards, a1, k)
-    l_base = metric.objective_total(cat, matrices, prof, a1, form)
+    prof = metric.profile_from_assignment(enc, cards, a1, k)
+    l_base = metric.objective_total(enc, matrices, prof, a1, form)
     trace.order_update_iterations.append(trace.total_inner_iterations)
     trace.epochs += 1
-    a2, l2, conv2 = _inner_segment(cat, cards, matrices, form, a1, k, l_base, trace, cfg.max_inner)
+    a2, l2, conv2 = _inner_segment(enc, cards, matrices, form, a1, k, l_base, trace, cfg.max_inner)
     if l2 < best[2]:
         best = (a2, new_orders, l2)
         trace.accepted_order_updates = 1

@@ -9,11 +9,13 @@ encoded table but reported as degenerate metadata.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 KINDS = ("nominal", "ordinal", "numerical", "label", "ignore")
 CATEGORICAL_KINDS = ("nominal", "ordinal")
@@ -61,6 +63,32 @@ class DegenerateColumn:
 
 
 @dataclass(frozen=True)
+class OneHot:
+    """Categorical table as a one-hot matrix with one column per (attribute, value).
+
+    Attribute r owns columns ``offsets[r]:offsets[r + 1]``. Row i of ``X`` holds
+    exactly s ones, at columns ``offsets[r] + cat[i, r]`` in attribute order;
+    ``codes[r]`` holds those columns for attribute r as one contiguous row.
+    """
+
+    X: sparse.csr_matrix  # (n, sum of cardinalities) float64
+    offsets: np.ndarray  # (s_cat + 1,) int64
+    codes: np.ndarray  # (s_cat, n) int32
+
+    @classmethod
+    def encode(cls, cat: np.ndarray, cards) -> OneHot:
+        n, s = cat.shape
+        offsets = np.concatenate([[0], np.cumsum(cards, dtype=np.int64)])
+        cols = (cat + offsets[:-1]).astype(np.int32)
+        indptr = np.arange(n + 1) * s
+        X = sparse.csr_matrix((np.ones(n * s), cols.ravel(), indptr), shape=(n, int(offsets[-1])))
+        codes = np.ascontiguousarray(cols.T)
+        for arr in (X.data, X.indices, X.indptr, offsets, codes):
+            arr.flags.writeable = False
+        return cls(X=X, offsets=offsets, codes=codes)
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Immutable encoded table.
 
@@ -100,6 +128,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.cat.shape[0]
+
+    @functools.cached_property
+    def onehot(self) -> OneHot:
+        """One-hot encoding of ``cat``, built on first use and kept as long as the Dataset."""
+        return OneHot.encode(self.cat, self.cardinalities)
 
     @property
     def s_categorical(self) -> int:

@@ -5,6 +5,23 @@ between any two values: the absolute rank difference divided by the largest
 possible difference. A sample's distance to a cluster on one attribute is the
 probability-weighted mean of its value's distances to every value observed in
 that cluster; the overall distance averages the per-attribute terms.
+
+The kernels work on the Dataset's one-hot encoding (``Dataset.onehot``): a
+CSR matrix X with one column per (attribute, value) and exactly s ones per
+row, stored in attribute order. A profile becomes one table W that stacks,
+per attribute, each value's cost against each cluster: ``mat_r @ probs_r.T``,
+or ``mat_r[:, modes_r]`` for the mode form. Then
+
+- distances are ``X @ W / s``, with empty clusters set to +inf;
+- the profile is one ``bincount`` over ``assign * sum(l) + column``;
+- the objective gathers, per attribute, each sample's row of W at its own
+  cluster and sums those rows attribute by attribute.
+
+The results are bit-identical to evaluating each attribute separately and
+summing in attribute order. Every stored value of X is 1.0, and the sparse
+product accumulates each row's s terms from zero in storage order, which is
+attribute order. The objective keeps one contiguous per-attribute cost row
+summed by numpy, so its summation order is unchanged as well.
 """
 
 from __future__ import annotations
@@ -13,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, OneHot
 
 
 @dataclass(frozen=True)
@@ -31,23 +48,6 @@ class ClusterProfile:
     def empty(self) -> np.ndarray:
         """Boolean mask of clusters that currently hold no samples."""
         return self.sizes == 0
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """Per-attribute value-to-value distances plus the encoded sample table.
-
-    ``matrices[r][a, g]`` is the distance between values ``a`` and ``g`` of
-    attribute ``r``. Row lookups give the per-sample difference vectors
-    without materializing an (n, s, l) tensor.
-    """
-
-    matrices: tuple  # per attribute: (l_r, l_r) float64
-    cat: np.ndarray  # (n, s_cat) int32
-
-    def vector(self, i: int, r: int) -> np.ndarray:
-        """Distance from sample i's value on attribute r to every value of r."""
-        return self.matrices[r][self.cat[i, r]]
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,6 @@ def value_distance_matrices(d: Dataset, orders) -> tuple:
     return tuple(out)
 
 
-def build_distance_table(d: Dataset, orders) -> DistanceTable:
-    return DistanceTable(matrices=value_distance_matrices(d, orders), cat=d.cat)
-
-
-def order_distance_vector(value_index: int, ranks: np.ndarray) -> np.ndarray:
-    """Distances from one value to every value of its attribute, given ranks."""
-    l = ranks.shape[0]
-    if l < 2:
-        raise ValueError("attributes with a single value have no distance structure")
-    if sorted(ranks.tolist()) != list(range(1, l + 1)):
-        raise ValueError("ranks must be a bijection onto 1..l")
-    return np.abs(ranks[value_index] - np.asarray(ranks, dtype=np.float64)) / (l - 1)
-
-
 def compute_profile(d: Dataset, q) -> ClusterProfile:
     """Within-cluster relative value frequencies for a partition.
 
@@ -107,53 +93,50 @@ def compute_profile(d: Dataset, q) -> ClusterProfile:
     ``ClusterProfile.empty``.
     """
     assign = np.asarray(q.assign)
-    return profile_from_assignment(d.cat, d.cardinalities, assign, q.k)
+    return profile_from_assignment(d.onehot, d.cardinalities, assign, q.k)
 
 
-def profile_from_assignment(cat: np.ndarray, cards, assign: np.ndarray, k: int) -> ClusterProfile:
+def profile_from_assignment(enc: OneHot, cards, assign: np.ndarray, k: int) -> ClusterProfile:
     sizes = np.bincount(assign, minlength=k).astype(np.int64)
     nonzero = np.where(sizes > 0, sizes, 1).astype(np.float64)
-    probs = []
-    for r, l in enumerate(cards):
-        counts = np.bincount(assign * l + cat[:, r], minlength=k * l).astype(np.float64)
-        probs.append(counts.reshape(k, l) / nonzero[:, None])
-    return ClusterProfile(probs=tuple(probs), sizes=sizes)
+    width = int(enc.offsets[-1])
+    counts = np.bincount((assign * width + enc.codes).ravel(), minlength=k * width)
+    counts = counts.reshape(k, width).astype(np.float64)
+    probs = tuple(counts[:, a : a + l] / nonzero[:, None] for a, l in zip(enc.offsets, cards))
+    return ClusterProfile(probs=probs, sizes=sizes)
 
 
-def sample_cluster_distance(i: int, m: int, dist: DistanceTable, prof: ClusterProfile) -> float:
-    """Mean over attributes of the profile-weighted value distance; in [0, 1]."""
-    if prof.sizes[m] == 0:
-        raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
-    s = len(dist.matrices)
-    total = 0.0
-    for r in range(s):
-        total += float(dist.vector(i, r) @ prof.probs[r][m])
-    return total / s
+def _weights(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
+    """(sum of cardinalities, k) cost of each value against each cluster, attributes stacked."""
+    if form == "profile":
+        return np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
+    if form == "mode":
+        return np.vstack([mat[:, probs.argmax(axis=1)] for mat, probs in zip(matrices, prof.probs)])
+    raise ValueError(f"unknown form {form!r}")
 
 
-def cluster_distances(cat: np.ndarray, matrices, prof: ClusterProfile) -> np.ndarray:
+def _distances(enc: OneHot, matrices, prof: ClusterProfile, form: str) -> np.ndarray:
+    dist = enc.X @ _weights(matrices, prof, form)
+    dist /= max(len(matrices), 1)
+    dist[:, prof.empty] = np.inf
+    return dist
+
+
+def cluster_distances(enc: OneHot, matrices, prof: ClusterProfile) -> np.ndarray:
     """(n, k) profile-weighted distances; empty clusters are +inf columns."""
-    n = cat.shape[0]
-    k = prof.k
-    dist = np.zeros((n, k))
-    for r, mat in enumerate(matrices):
-        dist += (mat @ prof.probs[r].T)[cat[:, r]]
-    dist /= max(len(matrices), 1)
-    dist[:, prof.empty] = np.inf
-    return dist
+    return _distances(enc, matrices, prof, "profile")
 
 
-def mode_distances(cat: np.ndarray, matrices, prof: ClusterProfile) -> np.ndarray:
+def mode_distances(enc: OneHot, matrices, prof: ClusterProfile) -> np.ndarray:
     """(n, k) distances to each cluster's most frequent value; empty -> +inf."""
-    n = cat.shape[0]
-    k = prof.k
-    dist = np.zeros((n, k))
-    for r, mat in enumerate(matrices):
-        modes = prof.probs[r].argmax(axis=1)
-        dist += mat[np.ix_(cat[:, r], modes)]
-    dist /= max(len(matrices), 1)
-    dist[:, prof.empty] = np.inf
-    return dist
+    return _distances(enc, matrices, prof, "mode")
+
+
+def _cost_rows(enc: OneHot, matrices, prof: ClusterProfile, assign, form: str):
+    """Per attribute, every sample's cost against its own cluster, as one contiguous row."""
+    w = _weights(matrices, prof, form).ravel()
+    for cells in enc.codes * prof.k + assign:
+        yield w.take(cells)
 
 
 def objective(d: Dataset, q, orders, form: str = "profile") -> ObjectiveReport:
@@ -166,42 +149,30 @@ def objective(d: Dataset, q, orders, form: str = "profile") -> ObjectiveReport:
     matrices = value_distance_matrices(d, orders)
     prof = compute_profile(d, q)
     assign = np.asarray(q.assign)
-    return objective_report(d.cat, matrices, prof, assign, form)
+    return objective_report(d.onehot, matrices, prof, assign, form)
 
 
-def objective_report(cat, matrices, prof: ClusterProfile, assign, form: str = "profile") -> ObjectiveReport:
-    if form not in ("profile", "mode"):
-        raise ValueError(f"unknown form form {form!r}")
+def objective_report(enc: OneHot, matrices, prof: ClusterProfile, assign, form: str = "profile") -> ObjectiveReport:
     k = prof.k
     s = len(matrices)
     per_value = []
     per_ca = np.zeros((k, s))
-    for r, mat in enumerate(matrices):
-        if form == "profile":
-            per_cluster_value = mat @ prof.probs[r].T  # (l, k)
-            per_sample_cost = per_cluster_value[cat[:, r], assign]
-        else:
-            modes = prof.probs[r].argmax(axis=1)
-            per_sample_cost = mat[cat[:, r], modes[assign]]
+    rows = _cost_rows(enc, matrices, prof, assign, form)
+    for r, (mat, cost) in enumerate(zip(matrices, rows)):
         l = mat.shape[0]
-        cell = np.bincount(assign * l + cat[:, r], weights=per_sample_cost, minlength=k * l)
-        cell = cell.reshape(k, l)
+        local = enc.codes[r] - enc.offsets[r]
+        cell = np.bincount(assign * l + local, weights=cost, minlength=k * l).reshape(k, l)
         per_value.append(cell)
         per_ca[:, r] = cell.sum(axis=1)
     total = float(per_ca.sum()) / max(s, 1)
     return ObjectiveReport(total=total, per_cluster_attribute=per_ca, per_value=tuple(per_value))
 
 
-def objective_total(cat, matrices, prof: ClusterProfile, assign, form: str = "profile") -> float:
+def objective_total(enc: OneHot, matrices, prof: ClusterProfile, assign, form: str = "profile") -> float:
     """Objective value only; the fast path for iteration loops."""
     total = 0.0
-    for r, mat in enumerate(matrices):
-        if form == "profile":
-            per_cluster_value = mat @ prof.probs[r].T
-            total += float(per_cluster_value[cat[:, r], assign].sum())
-        else:
-            modes = prof.probs[r].argmax(axis=1)
-            total += float(mat[cat[:, r], modes[assign]].sum())
+    for cost in _cost_rows(enc, matrices, prof, assign, form):
+        total += float(cost.sum())
     return total / max(len(matrices), 1)
 
 

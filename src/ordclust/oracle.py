@@ -20,6 +20,58 @@ from . import cluster, evaluate, metric, order
 from .data import Dataset, synthesize
 
 
+@dataclass(frozen=True)
+class DistanceTable:
+    """Per-attribute value-to-value distances plus the encoded sample table.
+
+    ``matrices[r][a, g]`` is the distance between values ``a`` and ``g`` of
+    attribute ``r``.
+    """
+
+    matrices: tuple  # per attribute: (l_r, l_r) float64
+    cat: np.ndarray  # (n, s_cat) int32
+
+    def vector(self, i: int, r: int) -> np.ndarray:
+        """Distance from sample i's value on attribute r to every value of r."""
+        return self.matrices[r][self.cat[i, r]]
+
+
+def build_distance_table(d: Dataset, orders) -> DistanceTable:
+    return DistanceTable(matrices=metric.value_distance_matrices(d, orders), cat=d.cat)
+
+
+def order_distance_vector(value_index: int, ranks: np.ndarray) -> np.ndarray:
+    """Distances from one value to every value of its attribute, given ranks."""
+    l = ranks.shape[0]
+    if l < 2:
+        raise ValueError("attributes with a single value have no distance structure")
+    if sorted(ranks.tolist()) != list(range(1, l + 1)):
+        raise ValueError("ranks must be a bijection onto 1..l")
+    return np.abs(ranks[value_index] - np.asarray(ranks, dtype=np.float64)) / (l - 1)
+
+
+def sample_cluster_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
+    """Mean over attributes of the profile-weighted value distance; in [0, 1]."""
+    if prof.sizes[m] == 0:
+        raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
+    s = len(dist.matrices)
+    total = 0.0
+    for r in range(s):
+        total += float(dist.vector(i, r) @ prof.probs[r][m])
+    return total / s
+
+
+def sample_mode_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
+    """Mean over attributes of the distance to cluster m's most frequent value."""
+    if prof.sizes[m] == 0:
+        raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
+    s = len(dist.matrices)
+    total = 0.0
+    for r in range(s):
+        total += float(dist.vector(i, r)[int(np.argmax(prof.probs[r][m]))])
+    return total / s
+
+
 def exhaustive_order_search(d: Dataset, q, r: int, m: int):
     """Try every rank bijection of attribute r within cluster m.
 

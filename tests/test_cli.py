@@ -105,12 +105,26 @@ def test_bench_suite(tmp_path):
         "bench", "--suite", str(suite), "--methods", "main,kmd",
         "--runs", "2", "--out", str(out),
     ])
-    assert code == 0
+    assert code == 4  # the BAD entry failed; the matrix is still written
     with open(out / "benchmark_matrix.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     names = [r[0] for r in rows]
     assert names.count("DS") == 2 and names.count("CS") == 2
     assert any(r[0] == "BAD" and r[1] == "ERROR" for r in rows)
+
+
+def test_bench_unreadable_entry_exits_runtime(tmp_path, capsys):
+    unreadable = tmp_path / "data_dir"
+    unreadable.mkdir()
+    suite = tmp_path / "suite.csv"
+    suite.write_text(f"name,data,schema,k\nDS,fixture:DS,,2\nDIR,{unreadable},{unreadable},2\n")
+    out = tmp_path / "bench"
+    code = run(["bench", "--suite", str(suite), "--methods", "main", "--runs", "1", "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    with open(out / "benchmark_matrix.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[:2] for r in rows] == [["DS", "main"], ["DIR", "ERROR"]]
+    assert "DIR failed" in capsys.readouterr().err
 
 
 def test_bench_deterministic(tmp_path):
