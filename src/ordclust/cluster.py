@@ -359,13 +359,21 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def _squared_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, one center at a time: no (n, k, dim) temporary."""
+    out = np.empty((data.shape[0], centers.shape[0]))
+    for m, center in enumerate(centers):
+        out[:, m] = ((data - center) ** 2).sum(axis=1)
+    return out
+
+
 def lloyd_kmeans(data: np.ndarray, k: int, seed=0, max_iter: int = 100) -> np.ndarray:
     """Plain seeded k-means (k-means++ init); returns the assignment."""
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(data, k, rng)
     assign_prev = None
     for _ in range(max_iter):
-        d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(data, centers)
         a = d2.argmin(axis=1).astype(np.int32)
         if assign_prev is not None and np.array_equal(a, assign_prev):
             break
@@ -426,7 +434,7 @@ def fit_kprototypes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Pa
     prev_assign = None
     cur_assign = np.zeros(n, dtype=np.int32)
     for _ in range(max_iter):
-        dist = ((num[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        dist = _squared_distances(num, means)
         for r in range(d.s_categorical):
             dist += cat[:, r, None] != modes[None, :, r]
         a = dist.argmin(axis=1).astype(np.int32)

@@ -4,11 +4,17 @@ Categorical cells are encoded as integer indices into per-column value
 dictionaries ordered by first appearance. Columns whose observed value set is
 a single literal are useless for clustering; they are dropped from the
 encoded table but reported as degenerate metadata.
+
+CSV files are read as bytes and split into one array of cells per column with
+numpy, so only distinct literals and numerical cells become Python objects.
+Files with quotes, carriage returns or NUL bytes are tokenized by
+``csv.reader`` instead; both tokenizers feed the same column encoder.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 from dataclasses import dataclass
@@ -20,6 +26,7 @@ from scipy import sparse
 KINDS = ("nominal", "ordinal", "numerical", "label", "ignore")
 CATEGORICAL_KINDS = ("nominal", "ordinal")
 MISSING_POLICIES = ("drop_row", "error")
+_NEWLINE, _COMMA = ord("\n"), ord(",")
 
 
 class SchemaError(ValueError):
@@ -175,15 +182,18 @@ def load_schema(path: str | Path) -> list[AttributeSchema]:
     declared order of an ordinal column.
     """
     out = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].strip().startswith("#")):
-                continue
-            cells = [c.strip() for c in row]
-            if len(cells) < 2 or not cells[0] or not cells[1]:
-                raise SchemaError(f"{path}:{lineno}: expected 'name,kind[,values...]'")
-            order = tuple(cells[2:]) if len(cells) > 2 else None
-            out.append(AttributeSchema(cells[0], cells[1], order))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (row[0].strip().startswith("#")):
+                    continue
+                cells = [c.strip() for c in row]
+                if len(cells) < 2 or not cells[0] or not cells[1]:
+                    raise SchemaError(f"{path}:{lineno}: expected 'name,kind[,values...]'")
+                order = tuple(cells[2:]) if len(cells) > 2 else None
+                out.append(AttributeSchema(cells[0], cells[1], order))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if not out:
         raise SchemaError(f"{path}: schema file declares no columns")
     return out
@@ -201,46 +211,175 @@ def load_csv(
     missing_policy: str = "drop_row",
     missing_values: tuple[str, ...] = ("",),
 ) -> Dataset:
-    """Load a header-ed CSV under a column schema.
+    """Load a header-ed, UTF-8 CSV under a column schema.
 
     Value dictionaries are built in first-appearance order. Rows with any
     missing cell are dropped under ``drop_row`` and rejected under ``error``.
     Single-valued categorical columns are reported via ``Dataset.degenerate``
     rather than encoded.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _parse(raw, schema, missing_policy, missing_values, str(path))
+
+
+def _parse(raw: bytes, schema, missing_policy, missing_values, origin: str) -> Dataset:
+    """Tokenize CSV bytes into columns of cells, then drop rows and encode.
+
+    Files holding a quote, a carriage return or a NUL byte go through
+    ``csv.reader``; all others are split on ``,`` and ``\\n`` with numpy. Both
+    tokenizers feed the same row checks and column encoder.
+    """
     if missing_policy not in MISSING_POLICIES:
         raise SchemaError(f"unknown missing policy {missing_policy!r}")
     _check_label_count(schema)
-    missing = set(missing_values)
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    if not raw.isascii():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) != len(schema):
-            raise SchemaError(
-                f"{path}: schema declares {len(schema)} columns, CSV header has {len(header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            lineno = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{origin}:{lineno}: not UTF-8 text: {exc}") from None
+    quoted = b'"' in raw or b"\r" in raw or b"\0" in raw
+    tokenize = _csv_cells if quoted else _byte_cells
+    return _from_cells(tokenize(raw, len(schema), origin), schema, missing_policy, missing_values, origin)
+
+
+def _check_header(cells: int, m: int, origin: str):
+    if cells != m:
+        raise SchemaError(f"{origin}: schema declares {m} columns, CSV header has {cells}")
+
+
+def _csv_cells(raw: bytes, m: int, origin: str):
+    """``csv.reader`` tokenizer; see ``_byte_cells`` for what it returns."""
+    reader = csv.reader(io.StringIO(raw.decode(), newline=""))
+    rows, linenos, ragged = [], [], None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{origin}: empty file")
+        _check_header(len(header), m, origin)
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(schema):
-                raise DataError(f"{path}:{lineno}: expected {len(schema)} cells, got {len(row)}")
-            if any(cell in missing for cell in row):
-                if missing_policy == "error":
-                    raise DataError(f"{path}:{lineno}: missing cell")
-                continue
+            if len(row) != m:
+                ragged = (reader.line_num, len(row))
+                break
             rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no usable rows")
-    return _encode(rows, schema, str(path))
+            linenos.append(reader.line_num)
+    except csv.Error as exc:
+        raise DataError(f"{origin}:{reader.line_num}: {exc}") from None
+    columns = [np.array([row[j].encode() for row in rows], dtype=object) for j in range(m)]
+    return columns, np.array(linenos, dtype=np.int64), ragged
 
 
-def _encode(rows, schema, origin: str) -> Dataset:
-    n = len(rows)
+def _byte_cells(raw: bytes, m: int, origin: str):
+    """Split unquoted CSV bytes on ``\\n`` and ``,``.
+
+    Returns the cells of the body rows up to the first row whose cell count
+    differs from m, as one array per column; their physical line numbers; and
+    (line number, cell count) of that ragged row, or None. Blank lines hold no
+    cells and are skipped.
+    """
+    if not raw:
+        raise DataError(f"{origin}: empty file")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NEWLINE)
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(buf == _COMMA)
+    cells = np.where(ends > starts, np.diff(np.searchsorted(commas, ends), prepend=0) + 1, 0)
+    _check_header(int(cells[0]), m, origin)
+    ragged = None
+    bad = np.flatnonzero((cells != m) & (cells != 0))
+    stop = len(cells)
+    if bad.size:
+        stop = int(bad[0])
+        ragged = (stop + 1, int(cells[stop]))
+    rows = np.flatnonzero(cells[1:stop]) + 1
+    # Every line before the ragged one holds m - 1 commas or none.
+    inner = commas[m - 1 : (m - 1) * (rows.size + 1)]
+    columns = []
+    for j in range(m):
+        lo = starts[rows] if j == 0 else inner[j - 1 :: m - 1] + 1
+        hi = ends[rows] if j == m - 1 else inner[j :: m - 1]
+        columns.append(_gather(raw, buf, lo, hi))
+    return columns, rows + 1, ragged
+
+
+def _gather(raw: bytes, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cells ``raw[lo[i]:hi[i]]`` as one fixed-width bytes array.
+
+    A few long cells would make every row that wide; when the fixed width
+    would take more than twice the memory of separate bytes objects (about
+    40 bytes plus the length each), those are returned instead.
+    """
+    lens = hi - lo
+    width = int(lens.max(initial=0))
+    if lens.size * width > 2 * (40 * lens.size + int(lens.sum())):
+        return np.array([raw[a:b] for a, b in zip(lo.tolist(), hi.tolist())], dtype=object)
+    width = max(width, 1)
+    out = np.zeros((lens.size, width), dtype=np.uint8)
+    last = len(buf) - 1
+    for k in range(width):
+        np.copyto(out[:, k], buf[np.minimum(lo + k, last)], where=lens > k)
+    return out.view(f"S{width}")[:, 0]
+
+
+def _from_cells(tokenized, schema, missing_policy, missing_values, origin: str) -> Dataset:
+    """Row checks in line order, missing-row drop, then the column encoder."""
+    columns, linenos, ragged = tokenized
+    # Fixed-width arrays ignore trailing NULs; only NUL-free files produce them.
+    # A lone surrogate never occurs in UTF-8 text, so such a token matches nothing.
+    missing = np.zeros(len(linenos), dtype=bool)
+    for token in missing_values:
+        literal = token.encode("utf-8", "surrogatepass")
+        for cells in columns:
+            if cells.dtype.kind != "S" or b"\0" not in literal:
+                missing |= cells == literal
+    if missing_policy == "error" and missing.any():
+        raise DataError(f"{origin}:{linenos[missing.argmax()]}: missing cell")
+    if ragged is not None:
+        raise DataError(f"{origin}:{ragged[0]}: expected {len(schema)} cells, got {ragged[1]}")
+    if missing.all():
+        raise DataError(f"{origin}: no usable rows")
+    if missing.any():
+        columns = [cells[~missing] for cells in columns]
+    return _encode(columns, schema, origin)
+
+
+def _first_appearance(cells: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes and literals of a column, values numbered by first appearance."""
+    keys = cells
+    if cells.dtype.kind == "S" and cells.dtype.itemsize <= 8:
+        keys = np.zeros(cells.size, dtype=np.uint64)  # sorts faster than bytes
+        keys.view("S8")[:] = cells
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    return rank[inverse], tuple(v.decode() for v in cells[first[order]].tolist())
+
+
+def _floats(cells: np.ndarray, name: str, origin: str) -> np.ndarray:
+    """``float()`` of every cell, decoded from UTF-8.
+
+    numpy casts ASCII bytes with the same parser, so that cast is tried first;
+    on any failure ``float()`` runs cell by cell and names the first bad cell.
+    """
+    if cells.dtype.kind == "S" and cells.view(np.uint8).max(initial=0) < 0x80:
+        try:
+            return cells.astype(np.float64)
+        except ValueError:
+            pass
+    try:
+        return np.array([float(v.decode()) for v in cells.tolist()], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"{origin}: column {name!r}: {exc}") from None
+
+
+def _encode(columns, schema, origin: str) -> Dataset:
+    n = len(columns[0])
     cat_cols, num_cols = [], []
     dictionaries, cat_names, cat_kinds, semantic_ranks = [], [], [], []
     num_names = []
@@ -248,15 +387,11 @@ def _encode(rows, schema, origin: str) -> Dataset:
     label_values = None
     degenerate = []
 
-    for j, col in enumerate(schema):
-        cells = [row[j] for row in rows]
+    for col, cells in zip(schema, columns):
         if col.kind == "ignore":
             continue
         if col.kind == "numerical":
-            try:
-                values = np.array([float(c) for c in cells], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{origin}: column {col.name!r}: {exc}") from None
+            values = _floats(cells, col.name, origin)
             if not np.all(np.isfinite(values)):
                 raise DataError(f"{origin}: column {col.name!r} holds a non-finite value")
             num_cols.append(values)
@@ -264,11 +399,7 @@ def _encode(rows, schema, origin: str) -> Dataset:
             continue
 
         # categorical / label: dictionary by first appearance
-        vocab: dict[str, int] = {}
-        codes = np.empty(n, dtype=np.int32)
-        for i, cell in enumerate(cells):
-            codes[i] = vocab.setdefault(cell, len(vocab))
-        literals = tuple(vocab)
+        codes, literals = _first_appearance(cells)
 
         if col.kind == "label":
             labels = codes
@@ -285,6 +416,7 @@ def _encode(rows, schema, origin: str) -> Dataset:
                     f"{origin}: ordinal column {col.name!r} holds values outside "
                     f"its declared order: {unknown}"
                 )
+            vocab = {v: i for i, v in enumerate(literals)}
             declared = [v for v in col.semantic_order if v in vocab]
             ranks = np.empty(len(literals), dtype=np.int64)
             for pos, v in enumerate(declared, start=1):
@@ -323,23 +455,8 @@ def load_dataset(
 
 def loads_csv(text: str, schema: list[AttributeSchema], **kwargs) -> Dataset:
     """load_csv for in-memory CSV text (fixture generation, tests)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    header, body = rows[0], [r for r in rows[1:] if r]
-    if len(header) != len(schema):
-        raise SchemaError(f"schema declares {len(schema)} columns, CSV header has {len(header)}")
-    _check_label_count(schema)
-    missing_policy = kwargs.get("missing_policy", "drop_row")
-    missing = set(kwargs.get("missing_values", ("",)))
-    kept = []
-    for row in body:
-        if any(cell in missing for cell in row):
-            if missing_policy == "error":
-                raise DataError("missing cell")
-            continue
-        kept.append(row)
-    if not kept:
-        raise DataError("no usable rows")
-    return _encode(kept, schema, "<memory>")
+    return _parse(text.encode(), schema, kwargs.get("missing_policy", "drop_row"),
+                  kwargs.get("missing_values", ("",)), "<memory>")
 
 
 def normalize_numerical(d: Dataset) -> Dataset:
@@ -352,18 +469,7 @@ def normalize_numerical(d: Dataset) -> Dataset:
     keep = span > 0
     num[:, keep] = (num[:, keep] - lo[keep]) / span[keep]
     num[:, ~keep] = 0.0
-    return Dataset(
-        cat=d.cat.copy(),
-        num=num,
-        dictionaries=d.dictionaries,
-        cat_names=d.cat_names,
-        cat_kinds=d.cat_kinds,
-        semantic_ranks=d.semantic_ranks,
-        num_names=d.num_names,
-        labels=None if d.labels is None else d.labels.copy(),
-        label_values=d.label_values,
-        degenerate=d.degenerate,
-    )
+    return dataclasses.replace(d, num=num)
 
 
 def synthesize(

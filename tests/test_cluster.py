@@ -314,3 +314,11 @@ def test_efficiency_bench_rows():
     assert all(r.wall_time > 0 for r in rows)
     with pytest.raises(ValueError):
         cluster.efficiency_bench("m", [10])
+
+
+def test_squared_distances_equal_the_broadcast_form(rng):
+    for n, k, dim in ((1, 1, 1), (50, 3, 2), (300, 5, 7), (64, 8, 20), (1000, 2, 14)):
+        data = rng.normal(size=(n, dim))
+        centers = rng.normal(size=(k, dim))
+        broadcast = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assert cluster._squared_distances(data, centers).tobytes() == broadcast.tobytes()

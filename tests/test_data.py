@@ -166,6 +166,27 @@ def test_normalize_numerical():
     assert nd.num[:, 2].tolist() == [0.0, 1.0, 0.5]  # already [0, 1]: unchanged
 
 
+def test_normalize_numerical_shares_the_categorical_table():
+    d = loads_csv("a,x,c\np,1,u\nq,3,v\n", [
+        AttributeSchema("a", "nominal"),
+        AttributeSchema("x", "numerical"),
+        AttributeSchema("c", "label"),
+    ])
+    nd = normalize_numerical(d)
+    assert nd.cat is d.cat and nd.labels is d.labels
+    assert nd.num[:, 0].tolist() == [0.0, 1.0]
+    assert d.num[:, 0].tolist() == [1.0, 3.0]
+    assert not nd.num.flags.writeable
+
+
+def test_loads_csv_rejects_short_and_long_rows():
+    schema = [AttributeSchema("a", "nominal"), AttributeSchema("b", "nominal")]
+    with pytest.raises(DataError, match=r"^<memory>:3: expected 2 cells, got 1$"):
+        loads_csv("a,b\nx,y\nz\n", schema)
+    with pytest.raises(DataError, match=r"^<memory>:2: expected 2 cells, got 3$"):
+        loads_csv("a,b\nx,y,extra\nz,w\n", schema)
+
+
 def test_normalize_requires_numericals():
     d = loads_csv("a\nx\ny\n", [AttributeSchema("a", "nominal")])
     with pytest.raises(DataError):
