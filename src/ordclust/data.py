@@ -268,7 +268,13 @@ def _csv_cells(raw: bytes, m: int, origin: str):
             linenos.append(reader.line_num)
     except csv.Error as exc:
         raise DataError(f"{origin}:{reader.line_num}: {exc}") from None
-    columns = [np.array([row[j].encode() for row in rows], dtype=object) for j in range(m)]
+    # Fixed-width arrays drop trailing NULs, so a file holding NUL keeps bytes objects.
+    fixed = b"\0" not in raw
+    columns = []
+    for j in range(m):
+        cells = [row[j].encode() for row in rows]
+        lens = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        columns.append(np.array(cells, dtype="S" if fixed and _fits_fixed(lens) else object))
     return columns, np.array(linenos, dtype=np.int64), ragged
 
 
@@ -307,18 +313,23 @@ def _byte_cells(raw: bytes, m: int, origin: str):
     return columns, rows + 1, ragged
 
 
-def _gather(raw: bytes, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cells ``raw[lo[i]:hi[i]]`` as one fixed-width bytes array.
+def _fits_fixed(lens: np.ndarray) -> bool:
+    """Whether cells of these lengths belong in one fixed-width bytes array.
 
     A few long cells would make every row that wide; when the fixed width
     would take more than twice the memory of separate bytes objects (about
-    40 bytes plus the length each), those are returned instead.
+    40 bytes plus the length each), the column holds those instead.
     """
+    return lens.size * int(lens.max(initial=0)) <= 2 * (40 * lens.size + int(lens.sum()))
+
+
+def _gather(raw: bytes, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cells ``raw[lo[i]:hi[i]]`` as one fixed-width bytes array, or bytes
+    objects when ``_fits_fixed`` says no."""
     lens = hi - lo
-    width = int(lens.max(initial=0))
-    if lens.size * width > 2 * (40 * lens.size + int(lens.sum())):
+    if not _fits_fixed(lens):
         return np.array([raw[a:b] for a, b in zip(lo.tolist(), hi.tolist())], dtype=object)
-    width = max(width, 1)
+    width = max(int(lens.max(initial=0)), 1)
     out = np.zeros((lens.size, width), dtype=np.uint8)
     last = len(buf) - 1
     for k in range(width):
@@ -350,11 +361,7 @@ def _from_cells(tokenized, schema, missing_policy, missing_values, origin: str) 
 
 def _first_appearance(cells: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """int32 codes and literals of a column, values numbered by first appearance."""
-    keys = cells
-    if cells.dtype.kind == "S" and cells.dtype.itemsize <= 8:
-        keys = np.zeros(cells.size, dtype=np.uint64)  # sorts faster than bytes
-        keys.view("S8")[:] = cells
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(order.size, dtype=np.int32)
     rank[order] = np.arange(order.size, dtype=np.int32)

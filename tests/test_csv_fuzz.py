@@ -191,9 +191,17 @@ def test_numpy_cast_of_ascii_cells_equals_float():
 
 def test_one_long_cell_does_not_widen_its_column():
     raw = b"a\n" + b"x\n" * 1000 + b"y" * 5000 + b"\n"
-    (cells,), _, _ = data._byte_cells(raw, 1, "t.csv")
-    assert cells.dtype == object  # not 1001 cells of 5000 bytes each
-    assert cells[-1] == b"y" * 5000 and cells[0] == b"x"
+    for tokenize in (data._byte_cells, data._csv_cells):
+        (cells,), _, _ = tokenize(raw, 1, "t.csv")
+        assert cells.dtype == object  # not 1001 cells of 5000 bytes each
+        assert cells[-1] == b"y" * 5000 and cells[0] == b"x"
+    (cells,), _, _ = data._csv_cells(b"a\n" + b"x\n" * 1000 + b"yy\n", 1, "t.csv")
+    assert cells.dtype == "S2"
+
+
+def test_a_trailing_nul_keeps_a_cell_distinct():
+    d = loads_csv("a\nx\0\nx\n", [AttributeSchema("a", "nominal")])
+    assert d.dictionaries == (("x\0", "x"),)
 
 
 def test_missing_token_with_a_nul_matches_no_cell():
