@@ -69,11 +69,9 @@ def _fit_config(args, seed: int) -> cluster.FitConfig:
 
 def _run_method(d: Dataset, method: str, k: int, seed: int):
     """One fit of a named benchmark method; returns (Partition, orders, trace)."""
-    if method == "kmd":
-        part, trace = cluster.fit_kmodes(d, k, seed=seed)
-        return part, None, trace
-    if method == "kpt":
-        part, trace = cluster.fit_kprototypes(d, k, seed=seed)
+    if method in ("kmd", "kpt"):
+        baseline = cluster.fit_kmodes if method == "kmd" else cluster.fit_kprototypes
+        part, trace = baseline(d, k, seed=seed)
         return part, None, trace
     if method == "mixed":
         return cluster.fit_mixed(d, cluster.FitConfig(k=k, seed=seed))
@@ -262,6 +260,29 @@ def cmd_demo_orders(args) -> int:
     return EXIT_OK
 
 
+def _matrix_rows(name: str, d: Dataset, k: int, methods, seeds: list[int]) -> list:
+    """One benchmark-matrix row per method: mean and std of each score over the seeds."""
+    rows = []
+    for meth in methods:
+        per_seed = [evaluate.score(d, _run_method(d, meth, k, seed)[0], d.labels) for seed in seeds]
+        rep = evaluate.aggregate(per_seed)
+        rows.append([
+            name, meth,
+            f"{rep.mean.ca:.4f}", f"{rep.std.ca:.4f}",
+            f"{rep.mean.ari:.4f}", f"{rep.std.ari:.4f}",
+            f"{rep.mean.nmi:.4f}", f"{rep.std.nmi:.4f}",
+            f"{rep.mean.cmp:.4f}", f"{rep.std.cmp:.4f}",
+        ])
+    return rows
+
+
+def _write_matrix(outdir: Path, rows: list) -> None:
+    header = ["dataset", "method", "ca_mean", "ca_std", "ari_mean", "ari_std",
+              "nmi_mean", "nmi_std", "cmp_mean", "cmp_std"]
+    _write_csv(outdir / "benchmark_matrix.csv", header, rows)
+    print(f"benchmark matrix written to {outdir / 'benchmark_matrix.csv'}")
+
+
 def cmd_bench(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -270,58 +291,40 @@ def cmd_bench(args) -> int:
 
     suite = []
     with open(args.suite, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#") or row[0].strip() == "name":
                 continue
-            suite.append((row[0].strip(), row[1].strip(), row[2].strip() or None, int(row[3])))
+            try:
+                name, data, schema, k = (cell.strip() for cell in row)
+                suite.append((name, data, schema or None, int(k)))
+            except ValueError:
+                raise ValueError(f"{args.suite}:{reader.line_num}: expected 'name,data,schema,k' "
+                                 f"with an integer k, got {','.join(row)!r}") from None
 
     out_rows = []
     failures = []
     for name, data, schema, k in suite:
         try:
-            data_path, schema_path = (
-                fixtures.fixture_paths(data.split(":", 1)[1])
-                if data.startswith("fixture:")
-                else (Path(data), Path(schema))
-            )
+            data_path, schema_path = _resolve_data(data, schema)
             d = load_csv(data_path, load_schema(schema_path), args.missing_policy)
-            for meth in methods:
-                per_seed = []
-                for seed in seeds:
-                    part, _, _ = _run_method(d, meth, k, seed)
-                    per_seed.append(evaluate.score(d, part, d.labels))
-                rep = evaluate.aggregate(per_seed)
-                out_rows.append([
-                    name, meth,
-                    f"{rep.mean.ca:.4f}", f"{rep.std.ca:.4f}",
-                    f"{rep.mean.ari:.4f}", f"{rep.std.ari:.4f}",
-                    f"{rep.mean.nmi:.4f}", f"{rep.std.nmi:.4f}",
-                    f"{rep.mean.cmp:.4f}", f"{rep.std.cmp:.4f}",
-                ])
+            out_rows += _matrix_rows(name, d, k, methods, seeds)
         except Exception as exc:  # keep the suite going, record the failure
             failures.append((name, str(exc)))
             out_rows.append([name, "ERROR", str(exc)] + [""] * 7)
-    _write_csv(
-        outdir / "benchmark_matrix.csv",
-        ["dataset", "method", "ca_mean", "ca_std", "ari_mean", "ari_std",
-         "nmi_mean", "nmi_std", "cmp_mean", "cmp_std"],
-        out_rows,
-    )
-    print(f"benchmark matrix written to {outdir / 'benchmark_matrix.csv'}")
+    _write_matrix(outdir, out_rows)
     for name, msg in failures:
         print(f"warning: {name} failed: {msg}", file=sys.stderr)
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    args.methods = "main,mode_dist,single_update,hamming"
-    suite_path = Path(args.out) / "_ablate_suite.csv"
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    data_path, schema_path = _resolve_data(args.data, args.schema)
-    with open(suite_path, "w", newline="") as fh:
-        csv.writer(fh).writerow([args.name, str(data_path), str(schema_path), args.k])
-    args.suite = str(suite_path)
-    return cmd_bench(args)
+    d = _load(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    methods = ("main", "mode_dist", "single_update", "hamming")
+    _write_matrix(outdir, _matrix_rows(args.name, d, args.k, methods, _seed_list(args.seed, args.runs)))
+    return EXIT_OK
 
 
 def cmd_bench_efficiency(args) -> int:

@@ -125,24 +125,22 @@ def _distances(enc, matrices, prof, form):
     return metric.cluster_distances(enc, matrices, prof)
 
 
-def _inner_segment(enc, cards, matrices, form, assign0, k, l_base, trace, max_inner):
+def _inner_segment(enc, cards, matrices, form, assign0, prof, l_base, trace, max_inner):
     """Alternate assignment and profile refresh until L stops strictly decreasing.
 
-    Returns the last strictly-improving state (or the start state when the
-    first step already fails to improve).
+    ``prof`` is the profile of ``assign0``. Returns the last strictly-improving
+    state (or the start state when the first step already fails to improve)
+    as (assignment, profile, objective), plus whether the segment ended on a
+    non-improving step rather than at ``max_inner``.
     """
-    cur_assign = assign0
-    prof = metric.profile_from_assignment(enc, cards, cur_assign, k)
-    l_prev = l_base
+    cur_assign, l_prev, k = assign0, l_base, prof.k
     trace.epoch_baselines.append(l_base)
-    iters = 0
     converged = False
-    while iters < max_inner:
+    for iters in range(1, max_inner + 1):
         dist = _distances(enc, matrices, prof, form)
         new_assign = dist.argmin(axis=1).astype(np.int32)
         new_prof = metric.profile_from_assignment(enc, cards, new_assign, k)
         l_new = metric.objective_total(enc, matrices, new_prof, new_assign, form)
-        iters += 1
         trace.objective_values.append(l_new)
         if l_new >= l_prev:
             converged = True
@@ -150,7 +148,7 @@ def _inner_segment(enc, cards, matrices, form, assign0, k, l_base, trace, max_in
             break
         cur_assign, prof, l_prev = new_assign, new_prof, l_new
     trace.inner_counts.append(iters)
-    return cur_assign, l_prev, converged
+    return cur_assign, prof, l_prev, converged
 
 
 def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
@@ -184,6 +182,11 @@ def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> order.OrderSet:
 def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     """Joint order and partition fit (with every ablation and order mode).
 
+    Full alternation refreshes the orders up to ``max_outer`` times; every
+    other flow first converges under the initial orders, then refreshes them
+    once (``single_order_update``) or not at all. The first refresh whose
+    segment fails to improve ends the loop, so the last kept state is the best.
+
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
     """
@@ -199,84 +202,90 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
         and cfg.ablation != "hamming_only"
         and cfg.ordinal_policy != "preserve_all"
     )
+    alternating = learning and cfg.ablation != "single_order_update"
+    refreshes = cfg.max_outer if alternating else int(learning)
     frozen = None
     if cfg.ordinal_policy == "preserve_ordinal":
         frozen = tuple(kind == "ordinal" for kind in d.cat_kinds)
 
-    assign0 = _initial_partition(d, cfg, init_seed)
-    orders = _initial_orders(d, cfg, np.random.default_rng(order_seed))
+    cur_assign = _initial_partition(d, cfg, init_seed)
+    cur_orders = _initial_orders(d, cfg, np.random.default_rng(order_seed))
 
     trace = FitTrace()
-    matrices = metric.value_distance_matrices(d, orders)
-    prof0 = metric.profile_from_assignment(enc, cards, assign0, k)
-    l0 = metric.objective_total(enc, matrices, prof0, assign0, form)
-    trace.init_objective = l0
-    best = (assign0, orders, l0)
-
-    def run_segment(a, orders_now, l_base):
-        mats = metric.value_distance_matrices(d, orders_now)
-        return _inner_segment(enc, cards, mats, form, a, k, l_base, trace, cfg.max_inner)
-
-    if not learning:
-        a1, l1, converged = run_segment(assign0, orders, l0)
-        if l1 < best[2]:
-            best = (a1, orders, l1)
-        trace.epochs = 1
-        trace.converged = converged
-    elif cfg.ablation == "single_order_update":
-        best, converged = _single_update_flow(d, cfg, form, assign0, orders, l0, best, trace, run_segment)
-        trace.converged = converged
-    else:
-        best = _epoch_flow(d, cfg, form, frozen, assign0, orders, l0, best, trace)
-
-    trace.best_objective = best[2]
-    trace.wall_time = time.perf_counter() - t0
-    return FitResult(Partition(best[0], k), best[1], trace)
-
-
-def _epoch_flow(d, cfg, form, frozen, assign0, orders0, l0, best, trace):
-    """Full alternation: each epoch refreshes orders, then reconverges the partition."""
-    enc, cards, k = d.onehot, d.cardinalities, cfg.k
-    cur_assign, cur_orders = assign0, orders0
-    l_prev_epoch = l0
-    for _ in range(cfg.max_outer):
-        trace.epochs += 1
+    matrices = metric.value_distance_matrices(d, cur_orders)
+    prof = metric.profile_from_assignment(enc, cards, cur_assign, k)
+    l_cur = metric.objective_total(enc, matrices, prof, cur_assign, form)
+    trace.init_objective = l_cur
+    trace.converged = True
+    if not alternating:
+        cur_assign, prof, l_cur, trace.converged = _inner_segment(
+            enc, cards, matrices, form, cur_assign, prof, l_cur, trace, cfg.max_inner
+        )
+    for _ in range(refreshes):
         new_orders = order.learn_orders(d, Partition(cur_assign, k), cur_orders, form=form, frozen=frozen)
         matrices = metric.value_distance_matrices(d, new_orders)
-        prof = metric.profile_from_assignment(enc, cards, cur_assign, k)
         l_base = metric.objective_total(enc, matrices, prof, cur_assign, form)
         trace.order_update_iterations.append(trace.total_inner_iterations)
-        a_new, l_new, _ = _inner_segment(enc, cards, matrices, form, cur_assign, k, l_base, trace, cfg.max_inner)
-        if l_new < best[2]:
-            best = (a_new, new_orders, l_new)
-        if l_new >= l_prev_epoch:
-            trace.converged = True
+        a_new, p_new, l_new, seg_converged = _inner_segment(
+            enc, cards, matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner
+        )
+        trace.converged = trace.converged and seg_converged
+        if l_new >= l_cur:
             break
         trace.accepted_order_updates += 1
-        cur_assign, cur_orders, l_prev_epoch = a_new, new_orders, l_new
-    return best
+        cur_assign, cur_orders, prof, l_cur = a_new, new_orders, p_new, l_new
+    else:  # no refresh failed to improve: full alternation ran out of max_outer
+        trace.converged = trace.converged and not alternating
+
+    trace.epochs = max(len(trace.order_update_iterations), 1)
+    trace.best_objective = l_cur
+    trace.wall_time = time.perf_counter() - t0
+    return FitResult(Partition(cur_assign, k), cur_orders, trace)
 
 
-def _single_update_flow(d, cfg, form, assign0, orders0, l0, best, trace, run_segment):
-    """One inner convergence, one order refresh, one more inner convergence."""
-    enc, cards, k = d.onehot, d.cardinalities, cfg.k
-    a1, l1, conv1 = run_segment(assign0, orders0, l0)
-    if l1 < best[2]:
-        best = (a1, orders0, l1)
-    frozen = None
-    if cfg.ordinal_policy == "preserve_ordinal":
-        frozen = tuple(kind == "ordinal" for kind in d.cat_kinds)
-    new_orders = order.learn_orders(d, Partition(a1, k), orders0, form=form, frozen=frozen)
-    matrices = metric.value_distance_matrices(d, new_orders)
-    prof = metric.profile_from_assignment(enc, cards, a1, k)
-    l_base = metric.objective_total(enc, matrices, prof, a1, form)
-    trace.order_update_iterations.append(trace.total_inner_iterations)
-    trace.epochs += 1
-    a2, l2, conv2 = _inner_segment(enc, cards, matrices, form, a1, k, l_base, trace, cfg.max_inner)
-    if l2 < best[2]:
-        best = (a2, new_orders, l2)
-        trace.accepted_order_updates = 1
-    return best, (conv1 and conv2)
+def _centre_loop(cat, num, cards, k, seed, max_iter, monotone) -> tuple[Partition, FitTrace]:
+    """Lloyd loop over k distinct random samples as centres: modes, plus means when ``num`` is given.
+
+    Stops on a repeated assignment and, when ``monotone``, on an objective
+    that fails to decrease, reporting the last decreasing objective instead
+    of the last one computed. An emptied cluster keeps its stale centre.
+    """
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    n, s_cat = cat.shape
+    s = s_cat + (0 if num is None else num.shape[1])
+    idx = rng.choice(n, size=k, replace=False)
+    modes = cat[idx].copy()
+    means = None if num is None else num[idx].copy()
+
+    trace = FitTrace()
+    cur_assign, l_prev = None, np.inf
+    for _ in range(max_iter):
+        dist = np.zeros((n, k)) if means is None else _squared_distances(num, means)
+        for r in range(s_cat):
+            dist += cat[:, r, None] != modes[None, :, r]
+        a = dist.argmin(axis=1).astype(np.int32)
+        l_new = float(dist[np.arange(n), a].sum()) / s
+        trace.objective_values.append(l_new)
+        if cur_assign is not None and (np.array_equal(a, cur_assign) or (monotone and l_new >= l_prev)):
+            trace.converged = True
+            trace.final_objective = l_new
+            break
+        if means is not None:
+            for m in range(k):
+                members = a == m
+                if members.any():
+                    means[m] = num[members].mean(axis=0)
+        for r, card in enumerate(cards):
+            counts = np.bincount(a * card + cat[:, r], minlength=k * card).reshape(k, card)
+            occupied = counts.sum(axis=1) > 0
+            modes[occupied, r] = counts[occupied].argmax(axis=1)
+        cur_assign, l_prev = a, l_new
+    trace.inner_counts.append(len(trace.objective_values))
+    trace.epochs = 1
+    trace.best_objective = l_prev if monotone else trace.objective_values[-1]
+    trace.wall_time = time.perf_counter() - t0
+    return Partition(cur_assign, k), trace
 
 
 def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partition, FitTrace]:
@@ -291,38 +300,7 @@ def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partiti
         raise ValueError("k must be >= 1")
     if k > d.n:
         raise ValueError("k exceeds the sample count")
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    cat, s = d.cat, d.s_categorical
-    n = d.n
-    modes = cat[rng.choice(n, size=k, replace=False)].copy()  # (k, s)
-
-    trace = FitTrace()
-    prev_assign = None
-    l_prev = np.inf
-    cur_assign = np.zeros(n, dtype=np.int32)
-    for _ in range(max_iter):
-        dist = np.zeros((n, k))
-        for r in range(s):
-            dist += cat[:, r, None] != modes[None, :, r]
-        new_assign = dist.argmin(axis=1).astype(np.int32)
-        l_new = float(dist[np.arange(n), new_assign].sum()) / s
-        trace.objective_values.append(l_new)
-        if prev_assign is not None and (np.array_equal(new_assign, prev_assign) or l_new >= l_prev):
-            trace.converged = True
-            trace.final_objective = l_new
-            break
-        cur_assign = new_assign
-        for r, card in enumerate(d.cardinalities):
-            counts = np.bincount(new_assign * card + cat[:, r], minlength=k * card).reshape(k, card)
-            occupied = counts.sum(axis=1) > 0
-            modes[occupied, r] = counts[occupied].argmax(axis=1)
-        prev_assign, l_prev = new_assign, l_new
-    trace.inner_counts.append(len(trace.objective_values))
-    trace.epochs = 1
-    trace.best_objective = l_prev if np.isfinite(l_prev) else trace.objective_values[-1]
-    trace.wall_time = time.perf_counter() - t0
-    return Partition(cur_assign, k), trace
+    return _centre_loop(d.cat, None, d.cardinalities, k, seed, max_iter, monotone=True)
 
 
 def fit_fixed_order(d: Dataset, k: int, o: order.OrderSet | None, seed=0, init: str = "kmodes_once") -> FitResult:
@@ -421,42 +399,8 @@ def fit_kprototypes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Pa
     match/mismatch on categoricals, mean/mode centers."""
     if d.s_numerical < 1:
         raise ValueError("dataset has no numerical columns")
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     dn = normalize_numerical(d)
-    cat, num = dn.cat, dn.num
-    n, s = d.n, d.s
-    idx = rng.choice(n, size=k, replace=False)
-    means = num[idx].copy()
-    modes = cat[idx].copy()
-
-    trace = FitTrace()
-    prev_assign = None
-    cur_assign = np.zeros(n, dtype=np.int32)
-    for _ in range(max_iter):
-        dist = _squared_distances(num, means)
-        for r in range(d.s_categorical):
-            dist += cat[:, r, None] != modes[None, :, r]
-        a = dist.argmin(axis=1).astype(np.int32)
-        trace.objective_values.append(float(dist[np.arange(n), a].sum()) / s)
-        if prev_assign is not None and np.array_equal(a, prev_assign):
-            trace.converged = True
-            break
-        cur_assign = a
-        for m in range(k):
-            members = a == m
-            if members.any():
-                means[m] = num[members].mean(axis=0)
-        for r, card in enumerate(d.cardinalities):
-            counts = np.bincount(a * card + cat[:, r], minlength=k * card).reshape(k, card)
-            occupied = counts.sum(axis=1) > 0
-            modes[occupied, r] = counts[occupied].argmax(axis=1)
-        prev_assign = a
-    trace.inner_counts.append(len(trace.objective_values))
-    trace.epochs = 1
-    trace.best_objective = trace.objective_values[-1]
-    trace.wall_time = time.perf_counter() - t0
-    return Partition(cur_assign, k), trace
+    return _centre_loop(dn.cat, dn.num, d.cardinalities, k, seed, max_iter, monotone=False)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,8 @@ def learn_orders(
     prof = metric.compute_profile(d, q)
     if not prof.sizes.any():
         raise ValueError("all clusters are empty")
-    obj = metric.objective(d, q, current, form=form)
+    matrices = metric.value_distance_matrices(d, current)
+    obj = metric.objective_report(d.onehot, matrices, prof, np.asarray(q.assign), form)
     density = link_density(prof, obj)
     per_cluster = per_cluster_orders(density)
     ranks, scores = consensus_order(per_cluster, prof.sizes, d.n)

@@ -151,6 +151,29 @@ def test_ablate_runs_all_variants(tmp_path):
     assert [r[1] for r in rows] == ["main", "mode_dist", "single_update", "hamming"]
 
 
+def test_ablate_loads_like_fit(tmp_path, capsys):
+    data, schema = tmp_path / "t.csv", tmp_path / "t.schema"
+    data.write_text("a,b,class\nx,p,c0\ny,q,c1\nx,p,c0\ny,q,c1\n?,p,c0\nx,q,c1\n")
+    schema.write_text("a,nominal\nb,nominal\nclass,label\n")
+    flags = ["--data", str(data), "--schema", str(schema), "--k", "2", "--missing-token", "?"]
+    for command in ("fit", "ablate"):
+        code = run([command, *flags, "--missing-policy", "error", "--out", str(tmp_path / command)])
+        assert code == cli.EXIT_DATA
+        assert "t.csv:6: missing cell" in capsys.readouterr().err
+    out = tmp_path / "good"
+    assert run(["ablate", *flags, "--runs", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["benchmark_matrix.csv"]
+
+
+@pytest.mark.parametrize("row", ["HR,fixture:HR,", "HR,fixture:HR,,x"])
+def test_bad_suite_row_names_file_and_line(tmp_path, capsys, row):
+    suite = tmp_path / "suite.csv"
+    suite.write_text(f"name,data,schema,k\nDS,fixture:DS,,2\n{row}\n")
+    code = run(["bench", "--suite", str(suite), "--runs", "1", "--out", str(tmp_path / "b")])
+    assert code == cli.EXIT_CONFIG
+    assert f"{suite}:3: expected 'name,data,schema,k'" in capsys.readouterr().err
+
+
 def test_bench_efficiency(tmp_path):
     out = tmp_path / "eff"
     code = run([

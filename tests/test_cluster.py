@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ordclust import cluster, evaluate, metric, oracle, order
-from ordclust.cluster import FitConfig, Partition
+from ordclust import cluster, evaluate, fixtures, metric, oracle, order
+from ordclust.cluster import ABLATIONS, FitConfig, Partition
 from ordclust.data import Dataset, synthesize
 
 
@@ -237,6 +237,27 @@ def test_single_update_ablation_refreshes_orders_once():
     assert len(res.trace.order_update_iterations) == 1
     assert res.trace.epochs == 1
     assert res.trace.converged
+
+
+def test_single_update_ignores_max_outer():
+    d = fixtures.load_fixture("HR")
+    for seed in range(5):
+        one, many = (
+            cluster.fit(d, FitConfig(k=3, seed=seed, ablation="single_order_update", max_outer=m))
+            for m in (1, 20)
+        )
+        assert np.array_equal(one.partition.assign, many.partition.assign)
+        assert one.trace.objective_values == many.trace.objective_values
+        assert one.trace.inner_counts == many.trace.inner_counts
+        assert len(one.trace.inner_counts) == 2  # converge, refresh once, converge again
+        assert one.trace.epochs == many.trace.epochs == 1
+
+
+def test_capped_inner_segment_is_not_convergence():
+    d = fixtures.load_fixture("SB")
+    for ablation in ABLATIONS:
+        res = cluster.fit(d, FitConfig(k=4, seed=0, init="random_partition", max_inner=1, ablation=ablation))
+        assert not res.trace.converged, ablation
 
 
 def test_mode_theta_ablation_runs():
