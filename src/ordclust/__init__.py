@@ -56,9 +56,7 @@ from .order import (
     hamming_orders,
     learn_orders,
     link_density,
-    unimodal_place,
     random_orders,
-    rank_descending,
     semantic_orders,
 )
 

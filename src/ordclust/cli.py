@@ -118,6 +118,8 @@ def _seed_list(base: int, runs: int) -> list[int]:
 
 def cmd_fit(args) -> int:
     d = _load(args)
+    if args.export_distances:
+        metric.check_pairwise_size(d.n)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     seeds = _seed_list(args.seed, args.runs)
@@ -356,6 +358,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_distances(args) -> int:
     d = _load(args)
+    metric.check_pairwise_size(d.n)
     out = Path(args.out_file)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.order_mode == "learned":

@@ -125,7 +125,7 @@ def _distances(enc, matrices, prof, form):
     return metric.cluster_distances(enc, matrices, prof)
 
 
-def _inner_segment(enc, cards, matrices, form, assign0, prof, l_base, trace, max_inner):
+def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner):
     """Alternate assignment and profile refresh until L stops strictly decreasing.
 
     ``prof`` is the profile of ``assign0``. Returns the last strictly-improving
@@ -139,7 +139,7 @@ def _inner_segment(enc, cards, matrices, form, assign0, prof, l_base, trace, max
     for iters in range(1, max_inner + 1):
         dist = _distances(enc, matrices, prof, form)
         new_assign = dist.argmin(axis=1).astype(np.int32)
-        new_prof = metric.profile_from_assignment(enc, cards, new_assign, k)
+        new_prof = metric.profile_from_assignment(enc, new_assign, k)
         l_new = metric.objective_total(enc, matrices, new_prof, new_assign, form)
         trace.objective_values.append(l_new)
         if l_new >= l_prev:
@@ -193,7 +193,7 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
-    enc, cards, k = d.onehot, d.cardinalities, cfg.k
+    enc, k = d.onehot, cfg.k
     init_seed, order_seed = np.random.SeedSequence(cfg.seed).spawn(2)
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
@@ -213,13 +213,13 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
 
     trace = FitTrace()
     matrices = metric.value_distance_matrices(d, cur_orders)
-    prof = metric.profile_from_assignment(enc, cards, cur_assign, k)
+    prof = metric.profile_from_assignment(enc, cur_assign, k)
     l_cur = metric.objective_total(enc, matrices, prof, cur_assign, form)
     trace.init_objective = l_cur
     trace.converged = True
     if not alternating:
         cur_assign, prof, l_cur, trace.converged = _inner_segment(
-            enc, cards, matrices, form, cur_assign, prof, l_cur, trace, cfg.max_inner
+            enc, matrices, form, cur_assign, prof, l_cur, trace, cfg.max_inner
         )
     for _ in range(refreshes):
         new_orders = order.learn_orders(d, Partition(cur_assign, k), cur_orders, form=form, frozen=frozen)
@@ -227,7 +227,7 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
         l_base = metric.objective_total(enc, matrices, prof, cur_assign, form)
         trace.order_update_iterations.append(trace.total_inner_iterations)
         a_new, p_new, l_new, seg_converged = _inner_segment(
-            enc, cards, matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner
+            enc, matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner
         )
         trace.converged = trace.converged and seg_converged
         if l_new >= l_cur:
@@ -243,27 +243,40 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     return FitResult(Partition(cur_assign, k), cur_orders, trace)
 
 
-def _centre_loop(cat, num, cards, k, seed, max_iter, monotone) -> tuple[Partition, FitTrace]:
+def _centre_loop(enc, num, k, seed, max_iter, monotone) -> tuple[Partition, FitTrace]:
     """Lloyd loop over k distinct random samples as centres: modes, plus means when ``num`` is given.
 
     Stops on a repeated assignment and, when ``monotone``, on an objective
     that fails to decrease, reporting the last decreasing objective instead
     of the last one computed. An emptied cluster keeps its stale centre.
+
+    Modes are kept as one-hot columns of ``enc``. Without ``num`` the mismatch
+    count is ``s - X @ M`` for the (sum l, k) one-hot M of the modes, exact in
+    floats; with ``num`` the mismatches are added onto the squared distances
+    one attribute at a time, the summation order of the per-attribute form.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    n, s_cat = cat.shape
+    s_cat, n = enc.codes.shape
+    width = int(enc.offsets[-1])
     s = s_cat + (0 if num is None else num.shape[1])
     idx = rng.choice(n, size=k, replace=False)
-    modes = cat[idx].copy()
+    modes = enc.codes[:, idx].T.copy()  # (k, s_cat) one-hot columns
     means = None if num is None else num[idx].copy()
+    attr = np.repeat(np.arange(s_cat), np.diff(enc.offsets))  # attribute of each column
 
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
     for _ in range(max_iter):
-        dist = np.zeros((n, k)) if means is None else _squared_distances(num, means)
-        for r in range(s_cat):
-            dist += cat[:, r, None] != modes[None, :, r]
+        if means is None:
+            onehot = np.zeros((width, k))
+            onehot[modes, np.arange(k)[:, None]] = 1.0
+            dist = enc.X @ onehot
+            np.subtract(s_cat, dist, out=dist)
+        else:
+            dist = _squared_distances(num, means)
+            for r in range(s_cat):
+                dist += enc.codes[r][:, None] != modes[None, :, r]
         a = dist.argmin(axis=1).astype(np.int32)
         l_new = float(dist[np.arange(n), a].sum()) / s
         trace.objective_values.append(l_new)
@@ -276,10 +289,14 @@ def _centre_loop(cat, num, cards, k, seed, max_iter, monotone) -> tuple[Partitio
                 members = a == m
                 if members.any():
                     means[m] = num[members].mean(axis=0)
-        for r, card in enumerate(cards):
-            counts = np.bincount(a * card + cat[:, r], minlength=k * card).reshape(k, card)
-            occupied = counts.sum(axis=1) > 0
-            modes[occupied, r] = counts[occupied].argmax(axis=1)
+        counts = np.bincount((a * width + enc.codes).ravel(), minlength=k * width).reshape(k, width)
+        # Lowest-index most frequent value per attribute: the first of its
+        # columns that reaches the attribute's maximum.
+        peak = np.maximum.reduceat(counts, enc.offsets[:-1], axis=1)
+        tied = np.where(counts == peak[:, attr], np.arange(width), width)
+        best = np.minimum.reduceat(tied, enc.offsets[:-1], axis=1)
+        occupied = np.bincount(a, minlength=k) > 0
+        modes[occupied] = best[occupied]
         cur_assign, l_prev = a, l_new
     trace.inner_counts.append(len(trace.objective_values))
     trace.epochs = 1
@@ -300,7 +317,7 @@ def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partiti
         raise ValueError("k must be >= 1")
     if k > d.n:
         raise ValueError("k exceeds the sample count")
-    return _centre_loop(d.cat, None, d.cardinalities, k, seed, max_iter, monotone=True)
+    return _centre_loop(d.onehot, None, k, seed, max_iter, monotone=True)
 
 
 def fit_fixed_order(d: Dataset, k: int, o: order.OrderSet | None, seed=0, init: str = "kmodes_once") -> FitResult:
@@ -399,8 +416,8 @@ def fit_kprototypes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Pa
     match/mismatch on categoricals, mean/mode centers."""
     if d.s_numerical < 1:
         raise ValueError("dataset has no numerical columns")
-    dn = normalize_numerical(d)
-    return _centre_loop(dn.cat, dn.num, d.cardinalities, k, seed, max_iter, monotone=False)
+    # d.onehot, not the scaled copy's: the copy would encode the table again.
+    return _centre_loop(d.onehot, normalize_numerical(d).num, k, seed, max_iter, monotone=False)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,11 @@ class OneHot:
         return cls(X=X, offsets=offsets, codes=codes)
 
 
+def split_columns(table: np.ndarray, offsets) -> tuple:
+    """Per-attribute views ``table[..., offsets[r]:offsets[r + 1]]`` of a table stacked like ``OneHot``."""
+    return tuple(table[..., a:b] for a, b in zip(offsets[:-1], offsets[1:]))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable encoded table.
@@ -153,7 +158,7 @@ class Dataset:
     def s(self) -> int:
         return self.s_categorical + self.s_numerical
 
-    @property
+    @functools.cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.dictionaries)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import Dataset
+from .data import Dataset, split_columns
 
 
 def _as_labels(x) -> np.ndarray:
@@ -49,7 +49,10 @@ def clustering_accuracy(pred, truth) -> float:
     The matching is solved exactly on the (padded square) joint count table,
     so relabeling the prediction never changes the score.
     """
-    table = contingency(pred, truth)
+    return _accuracy(contingency(pred, truth))
+
+
+def _accuracy(table: np.ndarray) -> float:
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
@@ -64,7 +67,10 @@ def _comb2(x: int) -> int:
 
 def adjusted_rand_index(pred, truth) -> float:
     """Pair-counting agreement corrected for chance; 1 means identical structure."""
-    table = contingency(pred, truth)
+    return _ari(contingency(pred, truth))
+
+
+def _ari(table: np.ndarray) -> float:
     n = int(table.sum())
     sum_cells = sum(_comb2(int(v)) for v in table.flat)
     sum_rows = sum(_comb2(int(v)) for v in table.sum(axis=1))
@@ -90,7 +96,10 @@ def normalized_mutual_info(pred, truth) -> float:
     One constant partition scores 0 against anything non-constant; two
     constant partitions score 1.
     """
-    table = contingency(pred, truth)
+    return _nmi(contingency(pred, truth))
+
+
+def _nmi(table: np.ndarray) -> float:
     n = int(table.sum())
     rows = table.sum(axis=1)
     cols = table.sum(axis=0)
@@ -125,12 +134,14 @@ def compactness(d: Dataset, pred) -> float:
     cards = [l for l in d.cardinalities if l >= 2]
     if not cards or live.size == 0:
         return 0.0
+    enc = d.onehot
+    width = int(enc.offsets[-1])
+    counts = np.bincount((p * width + enc.codes).ravel(), minlength=k * width).reshape(k, width)[live]
     total = 0.0
-    for r, l in enumerate(d.cardinalities):
+    for cell, l in zip(split_columns(counts, enc.offsets), d.cardinalities):
         if l < 2:
             continue
-        counts = np.bincount(p * l + d.cat[:, r], minlength=k * l).reshape(k, l)
-        probs = counts[live] / sizes[live, None]
+        probs = cell / sizes[live, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where(probs > 0, -probs * np.log(probs), 0.0).sum(axis=1)
         total += float(h.sum()) / math.log(l)
@@ -162,9 +173,8 @@ def score(d: Dataset, pred, truth=None) -> RunMetrics:
     nan = float("nan")
     ca = ari = nmi = nan
     if truth is not None:
-        ca = clustering_accuracy(pred, truth)
-        ari = adjusted_rand_index(pred, truth)
-        nmi = normalized_mutual_info(pred, truth)
+        table = contingency(pred, truth)
+        ca, ari, nmi = _accuracy(table), _ari(table), _nmi(table)
     return RunMetrics(ca=ca, ari=ari, nmi=nmi, cmp=compactness(d, pred))
 
 

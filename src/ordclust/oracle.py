@@ -72,6 +72,47 @@ def sample_mode_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
     return total / s
 
 
+def rank_descending(density: np.ndarray) -> np.ndarray:
+    """1-based ranks of a density vector, largest first, ties by value index."""
+    l = density.shape[0]
+    by_density = np.lexsort((np.arange(l), -density))
+    density_rank = np.empty(l, dtype=np.int64)
+    density_rank[by_density] = np.arange(1, l + 1)
+    return density_rank
+
+
+def unimodal_place(density_rank: np.ndarray, l: int) -> np.ndarray:
+    """Closed-form unimodal placement of values by descending-density rank.
+
+    The rank-1 value lands on the central position ceil(l/2); later ranks
+    alternate right, left, right, ... at growing offsets. The result is a
+    position bijection onto 1..l.
+    """
+    density_rank = np.asarray(density_rank, dtype=np.int64)
+    if sorted(density_rank.tolist()) != list(range(1, l + 1)):
+        raise ValueError("density_rank must be a permutation of 1..l")
+    sign = np.where(density_rank % 2 == 1, 1, -1)  # (-1)**(density_rank+1)
+    return math.ceil(l / 2) - sign * (density_rank // 2)
+
+
+def per_row_orders(prof, obj):
+    """Link densities, density ranks and unimodal positions, one (cluster, attribute) row at a time.
+
+    Returns three per-attribute tuples of (k, l_r) arrays: the reference for
+    ``order.link_density`` and ``order.per_cluster_orders``.
+    """
+    density_all, rank_all, pos_all = [], [], []
+    for probs, cost in zip(prof.probs, obj.per_value):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            density = np.where(probs > 0, probs / cost, 0.0)
+        density[(probs > 0) & (cost == 0)] = np.inf
+        ranks = np.vstack([rank_descending(row) for row in density])
+        density_all.append(density)
+        rank_all.append(ranks)
+        pos_all.append(np.vstack([unimodal_place(row, probs.shape[1]) for row in ranks]))
+    return tuple(density_all), tuple(rank_all), tuple(pos_all)
+
+
 def exhaustive_order_search(d: Dataset, q, r: int, m: int):
     """Try every rank bijection of attribute r within cluster m.
 
@@ -289,7 +330,7 @@ def verify_suite(rounds: int = 200, seed: int = 0):
     for l in range(2, 21):
         for _ in range(5):
             density_rank = rng.permutation(l) + 1
-            pos = order.unimodal_place(density_rank, l)
+            pos = unimodal_place(density_rank, l)
             if sorted(pos.tolist()) != list(range(1, l + 1)):
                 ok, detail = False, f"placement not a bijection for density_rank={density_rank.tolist()}"
                 break
@@ -310,7 +351,7 @@ def verify_suite(rounds: int = 200, seed: int = 0):
             prof = metric.compute_profile(d, q)
             obj = metric.objective(d, q, order.dictionary_orders(d))
             density = order.link_density(prof, obj)
-            placed = order.unimodal_place(density.ranks[r][m], d.cardinalities[r])
+            placed = unimodal_place(density.ranks[r][m], d.cardinalities[r])
             placed_cost = within_cluster_cost(d, q, r, m, placed)
             total += 1
             if exhaust_cost <= placed_cost + 1e-12:

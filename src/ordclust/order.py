@@ -5,17 +5,27 @@ frequency divided by its contribution to the objective. Values are placed on
 a line by descending density (densest in the middle, alternating outward),
 and the per-cluster placements are blended by cluster size into one integer
 rank per value.
+
+A refresh works on the stacked (k, sum(l)) layout of ``Dataset.onehot``
+(attribute r owns columns ``offsets[r]:offsets[r + 1]``), so it makes a fixed
+number of numpy calls rather than a few per (cluster, attribute) row. The
+density is one elementwise pass over the stacked profile and cost tables;
+every row's density ranks come from one ``lexsort`` keyed by (value index,
+density, segment), and the closed-form placement applies to the whole table.
+The consensus keeps one ``weights @ positions`` product per attribute, the
+summation order of the per-attribute form, and ranks all scores with one
+more ``lexsort``. The per-row reference (``oracle.rank_descending``,
+``oracle.unimodal_place``) gives identical results.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metric
-from .data import Dataset
+from .data import Dataset, split_columns
 
 
 @dataclass(frozen=True)
@@ -70,10 +80,25 @@ def semantic_orders(d: Dataset) -> OrderSet:
 
 @dataclass(frozen=True)
 class LinkDensityTable:
-    """Per (cluster, attribute, value) link densities and their descending ranks."""
+    """Per (cluster, attribute, value) link densities and their descending ranks.
 
-    density: tuple  # per attribute: (k, l_r) float64, +inf marks zero-cost values
-    ranks: tuple  # per attribute: (k, l_r) int64, 1-based descending ranks
+    Both tables are stacked (k, sum of cardinalities); attribute r owns
+    columns ``offsets[r]:offsets[r + 1]``, as in ``Dataset.onehot``.
+    """
+
+    stacked_density: np.ndarray  # (k, sum l) float64, +inf marks zero-cost values
+    stacked_ranks: np.ndarray  # (k, sum l) int64, 1-based descending ranks per attribute
+    offsets: np.ndarray  # (s + 1,) int64
+
+    @property
+    def density(self) -> tuple:
+        """Per attribute: (k, l_r) views of ``stacked_density``."""
+        return split_columns(self.stacked_density, self.offsets)
+
+    @property
+    def ranks(self) -> tuple:
+        """Per attribute: (k, l_r) views of ``stacked_ranks``."""
+        return split_columns(self.stacked_ranks, self.offsets)
 
 
 @dataclass(frozen=True)
@@ -83,54 +108,46 @@ class PerClusterOrder:
     positions: tuple  # per attribute: (k, l_r) int64
 
 
+def _segment_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks of ``keys`` within each (row, attribute) segment.
+
+    Ties break by value index. One lexsort over (value index, key, segment);
+    segments stay in place under that sort, so a value's rank is its sorted
+    position minus its segment's start.
+    """
+    lengths = np.tile(np.diff(offsets), keys.shape[0])
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    flat = np.arange(keys.size)
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[np.lexsort((flat, keys.ravel(), segment))] = flat - start + 1
+    return ranks.reshape(keys.shape)
+
+
 def link_density(prof: metric.ClusterProfile, obj: metric.ObjectiveReport) -> LinkDensityTable:
     """Frequency / objective-contribution ratio per value.
 
     Absent values (zero frequency) get density 0; values present at zero
     objective cost get +inf so they outrank every finite density.
     """
-    density_all, rank_all = [], []
-    for r, probs in enumerate(prof.probs):
-        cost = obj.per_value[r]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            density = np.where(probs > 0, probs / cost, 0.0)
-        density[(probs > 0) & (cost == 0)] = np.inf
-        density_rank = np.vstack([rank_descending(row) for row in density])
-        density_all.append(density)
-        rank_all.append(density_rank)
-    return LinkDensityTable(density=tuple(density_all), ranks=tuple(rank_all))
-
-
-def rank_descending(density: np.ndarray) -> np.ndarray:
-    """1-based ranks of a density vector, largest first, ties by value index."""
-    l = density.shape[0]
-    order = np.lexsort((np.arange(l), -density))
-    density_rank = np.empty(l, dtype=np.int64)
-    density_rank[order] = np.arange(1, l + 1)
-    return density_rank
-
-
-def unimodal_place(density_rank: np.ndarray, l: int) -> np.ndarray:
-    """Closed-form unimodal placement of values by descending-density rank.
-
-    The rank-1 value lands on the central position ceil(l/2); later ranks
-    alternate right, left, right, ... at growing offsets. The result is a
-    position bijection onto 1..l.
-    """
-    density_rank = np.asarray(density_rank, dtype=np.int64)
-    if sorted(density_rank.tolist()) != list(range(1, l + 1)):
-        raise ValueError("density_rank must be a permutation of 1..l")
-    sign = np.where(density_rank % 2 == 1, 1, -1)  # (-1)**(density_rank+1)
-    return math.ceil(l / 2) - sign * (density_rank // 2)
+    offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in prof.probs])])
+    probs, cost = np.hstack(prof.probs), np.hstack(obj.per_value)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        density = np.where(probs > 0, probs / cost, 0.0)
+    density[(probs > 0) & (cost == 0)] = np.inf
+    return LinkDensityTable(density, _segment_ranks(-density, offsets), offsets)
 
 
 def per_cluster_orders(density: LinkDensityTable) -> PerClusterOrder:
-    positions = []
-    for density_rank in density.ranks:
-        k, l = density_rank.shape
-        pos = np.vstack([unimodal_place(density_rank[m], l) for m in range(k)])
-        positions.append(pos)
-    return PerClusterOrder(positions=tuple(positions))
+    """Closed-form unimodal placement of every (cluster, attribute) row at once.
+
+    The rank-1 value lands on the central position ceil(l/2); later ranks
+    alternate right, left, right, ... at growing offsets, a bijection onto 1..l.
+    """
+    rank = density.stacked_ranks
+    centre = np.repeat((np.diff(density.offsets) + 1) // 2, np.diff(density.offsets))
+    positions = centre - np.where(rank % 2 == 1, 1, -1) * (rank // 2)
+    return PerClusterOrder(positions=split_columns(positions, density.offsets))
 
 
 def consensus_order(per_cluster: PerClusterOrder, cluster_sizes: np.ndarray, n: int):
@@ -143,16 +160,10 @@ def consensus_order(per_cluster: PerClusterOrder, cluster_sizes: np.ndarray, n: 
     if int(sizes.sum()) != n:
         raise ValueError("cluster sizes must sum to the sample count")
     weights = sizes / n
-    ranks_all, scores_all = [], []
-    for pos in per_cluster.positions:
-        scores = weights @ pos
-        l = scores.shape[0]
-        order = np.lexsort((np.arange(l), scores))
-        ranks = np.empty(l, dtype=np.int64)
-        ranks[order] = np.arange(1, l + 1)
-        ranks_all.append(ranks)
-        scores_all.append(scores)
-    return tuple(ranks_all), tuple(scores_all)
+    scores = tuple(weights @ pos for pos in per_cluster.positions)
+    offsets = np.concatenate([[0], np.cumsum([sc.shape[0] for sc in scores])])
+    ranks = _segment_ranks(np.concatenate(scores)[None, :], offsets)[0]
+    return split_columns(ranks, offsets), scores
 
 
 def learn_orders(

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from ordclust import cli, fixtures
+from ordclust import cli, fixtures, metric
 
 
 def run(argv):
@@ -204,3 +204,36 @@ def test_export_distances(tmp_path):
     assert mat.shape == (n, n)
     assert np.allclose(mat, mat.T)
     assert np.allclose(np.diag(mat), 0.0)
+
+
+def test_quadratic_export_refused_before_any_fit(tmp_path, monkeypatch, capsys):
+    # 12k rows: the (n, n) float64 matrix would hold 1.44e8 cells, past the 2**27 limit
+    rows = np.random.default_rng(0).integers(0, 3, size=(12_000, 2))
+    data, schema = tmp_path / "big.csv", tmp_path / "big.schema"
+    data.write_text("a,b\n" + "".join(f"v{x},w{y}\n" for x, y in rows))
+    schema.write_text("a,nominal\nb,nominal\n")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the size check")
+
+    monkeypatch.setattr(cli.cluster, "fit", no_fit)
+    out = tmp_path / "run"
+    code = run(["fit", "--data", str(data), "--schema", str(schema), "--k", "2", "--runs", "1",
+                "--out", str(out), "--export-distances"])
+    assert code == 2
+    assert "12000x12000" in capsys.readouterr().err
+    assert not (out / "distances.csv").exists()
+    assert not (out / "report.txt").exists()
+    out_file = tmp_path / "distances.csv"
+    code = run(["export-distances", "--data", str(data), "--schema", str(schema), "--out-file", str(out_file)])
+    assert code == 2
+    assert not out_file.exists()
+
+
+def test_pairwise_distance_matrix_checks_its_size(monkeypatch):
+    d = fixtures.load_fixture("DS")
+    monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", d.n * d.n - 1)
+    with pytest.raises(ValueError, match="distance matrix"):
+        metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d))
+    monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", d.n * d.n)
+    assert metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d)).shape == (d.n, d.n)

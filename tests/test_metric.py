@@ -242,7 +242,7 @@ def test_distance_kernels_sum_attributes_in_order(rng, form):
 
 def test_profile_kernel_matches_tally(rng):
     for d, q, _ in _kernel_instances(rng):
-        prof = metric.profile_from_assignment(d.onehot, d.cardinalities, q.assign, q.k)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         assert prof.sizes.tolist() == np.bincount(q.assign, minlength=q.k).tolist()
         for r, l in enumerate(d.cardinalities):
             assert prof.probs[r].shape == (q.k, l)

@@ -33,7 +33,7 @@ def test_exhaustive_search_lower_bounds_unimodal_placement(rng):
             if sizes[m] == 0:
                 continue
             _, best = oracle.exhaustive_order_search(d, q, 0, m)
-            placed = order.unimodal_place(density.ranks[0][m], d.cardinalities[0])
+            placed = oracle.unimodal_place(density.ranks[0][m], d.cardinalities[0])
             assert best <= oracle.within_cluster_cost(d, q, 0, m, placed) + 1e-12
 
 
@@ -120,7 +120,7 @@ def test_placement_vs_exhaustive_exploration(rng, capsys):
             if sizes[m] == 0:
                 continue
             _, best = oracle.exhaustive_order_search(d, q, 0, m)
-            placed = order.unimodal_place(density.ranks[0][m], d.cardinalities[0])
+            placed = oracle.unimodal_place(density.ranks[0][m], d.cardinalities[0])
             got = oracle.within_cluster_cost(d, q, 0, m, placed)
             total += 1
             hits += abs(got - best) <= 1e-9

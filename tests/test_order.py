@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ordclust import metric, order
+from ordclust import metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import synthesize
 
@@ -41,27 +41,27 @@ def test_link_density_pure_cluster_sentinel():
 
 
 def test_rank_descending_examples():
-    assert order.rank_descending(np.array([0.1, 0.9, 0.5])).tolist() == [3, 1, 2]
-    assert order.rank_descending(np.array([0.4, 0.4])).tolist() == [1, 2]
-    assert order.rank_descending(np.array([np.inf, 2.0, 0.0])).tolist() == [1, 2, 3]
+    assert oracle.rank_descending(np.array([0.1, 0.9, 0.5])).tolist() == [3, 1, 2]
+    assert oracle.rank_descending(np.array([0.4, 0.4])).tolist() == [1, 2]
+    assert oracle.rank_descending(np.array([np.inf, 2.0, 0.0])).tolist() == [1, 2, 3]
 
 
 def test_unimodal_place_examples():
-    assert order.unimodal_place(np.array([1, 2, 3, 4, 5]), 5).tolist() == [3, 4, 2, 5, 1]
-    assert order.unimodal_place(np.array([1, 2, 3, 4]), 4).tolist() == [2, 3, 1, 4]
-    assert order.unimodal_place(np.array([1, 2]), 2).tolist() == [1, 2]
+    assert oracle.unimodal_place(np.array([1, 2, 3, 4, 5]), 5).tolist() == [3, 4, 2, 5, 1]
+    assert oracle.unimodal_place(np.array([1, 2, 3, 4]), 4).tolist() == [2, 3, 1, 4]
+    assert oracle.unimodal_place(np.array([1, 2]), 2).tolist() == [1, 2]
 
 
 def test_unimodal_place_rejects_non_permutation():
     with pytest.raises(ValueError):
-        order.unimodal_place(np.array([1, 1, 3]), 3)
+        oracle.unimodal_place(np.array([1, 1, 3]), 3)
 
 
 def test_unimodal_place_bijection_for_all_small_sizes(rng):
     for l in range(2, 21):
         for _ in range(10):
             density_rank = rng.permutation(l) + 1
-            pos = order.unimodal_place(density_rank, l)
+            pos = oracle.unimodal_place(density_rank, l)
             assert sorted(pos.tolist()) == list(range(1, l + 1))
 
 
@@ -70,7 +70,7 @@ def test_unimodal_place_unimodal_walk(rng):
     # values in increasing rank order
     for l in (3, 4, 5, 8, 11):
         density_rank = rng.permutation(l) + 1
-        pos = order.unimodal_place(density_rank, l)
+        pos = oracle.unimodal_place(density_rank, l)
         value_at = {int(p): int(e) for p, e in zip(pos, density_rank)}
         center = (l + 1) // 2
         walk = [center]
@@ -88,6 +88,32 @@ def test_unimodal_place_unimodal_walk(rng):
                 if left >= 1:
                     visits.append(left)
         assert [value_at[p] for p in visits] == list(range(1, l + 1))
+
+
+def test_stacked_refresh_equals_per_row_oracle(rng):
+    # densities drawn from a few values tie often; a zero cost at a positive
+    # frequency gives +inf, a zero frequency gives 0; one cluster is empty
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        cards = rng.integers(2, 10, size=int(rng.integers(1, 5)))
+        sizes = rng.integers(1, 6, size=k)
+        sizes[rng.integers(k)] = 0
+        probs = tuple(rng.choice([0.0, 0.25, 0.5], size=(k, l)) * (sizes > 0)[:, None] for l in cards)
+        costs = tuple(rng.choice([0.0, 0.5, 1.0], size=(k, l)) for l in cards)
+        prof = metric.ClusterProfile(probs=probs, sizes=sizes)
+        obj = metric.ObjectiveReport(total=0.0, per_cluster_attribute=np.zeros((k, len(cards))), per_value=costs)
+
+        density, ranks, positions = oracle.per_row_orders(prof, obj)
+        table = order.link_density(prof, obj)
+        placed = order.per_cluster_orders(table)
+        consensus, scores = order.consensus_order(placed, sizes, int(sizes.sum()))
+        for r in range(len(cards)):
+            assert table.density[r].tobytes() == density[r].tobytes()
+            assert table.ranks[r].tolist() == ranks[r].tolist()
+            assert placed.positions[r].dtype == np.int64
+            assert placed.positions[r].tolist() == positions[r].tolist()
+            # ascending scores, ties by value index
+            assert consensus[r].tolist() == oracle.rank_descending(-scores[r]).tolist()
 
 
 def test_consensus_weighted_mean():
@@ -133,12 +159,12 @@ def test_learn_orders_single_cluster_matches_placement():
     d = make_dataset([["a"] * 8 + ["b"] * 4 + ["c"] * 2 + ["d"]])
     q = Partition(np.zeros(d.n, dtype=np.int32), 1)
     learned = order.learn_orders(d, q, order.dictionary_orders(d))
-    density_rank = order.rank_descending(
+    density_rank = oracle.rank_descending(
         order.link_density(
             metric.compute_profile(d, q), metric.objective(d, q, order.dictionary_orders(d))
         ).density[0][0]
     )
-    assert learned.ranks[0].tolist() == order.unimodal_place(density_rank, 4).tolist()
+    assert learned.ranks[0].tolist() == oracle.unimodal_place(density_rank, 4).tolist()
 
 
 def test_learn_orders_pure_clusters_hand_trace():
