@@ -4,60 +4,13 @@ The library learns an integer order over each categorical attribute's values
 jointly with the data partition, measures samples against cluster value
 profiles through normalized rank differences, and ships the baselines,
 ablations and validity indices needed to benchmark the approach.
+
+The package exports the fit drivers, scoring and loading; everything else
+is reached through its module (``ordclust.metric``, ``ordclust.order``, ...).
 """
 
-from .cluster import (
-    BenchRow,
-    FitConfig,
-    FitResult,
-    FitTrace,
-    Partition,
-    assign,
-    efficiency_bench,
-    fit_fixed_order,
-    fit_kmodes,
-    fit_kprototypes,
-    fit_mixed,
-    fit,
-)
-from .data import (
-    AttributeSchema,
-    DataError,
-    Dataset,
-    SchemaError,
-    load_csv,
-    load_dataset,
-    load_schema,
-    normalize_numerical,
-    synthesize,
-)
-from .evaluate import (
-    MetricReport,
-    RunMetrics,
-    adjusted_rand_index,
-    aggregate,
-    clustering_accuracy,
-    compactness,
-    normalized_mutual_info,
-    score,
-)
-from .metric import (
-    ClusterProfile,
-    ObjectiveReport,
-    compute_profile,
-    objective,
-    pairwise_distance_matrix,
-)
-from .order import (
-    LinkDensityTable,
-    OrderSet,
-    consensus_order,
-    dictionary_orders,
-    hamming_orders,
-    learn_orders,
-    link_density,
-    random_orders,
-    semantic_orders,
-)
+from .cluster import FitConfig, FitResult, fit, fit_kmodes, fit_kprototypes, fit_mixed
+from .data import Dataset, load_csv, load_dataset, load_schema
+from .evaluate import score
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import cluster, evaluate, fixtures, metric, oracle, order
-from .data import DataError, Dataset, SchemaError, load_csv, load_schema
+from .data import DataError, Dataset, SchemaError, load_csv, load_schema, synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -329,11 +330,42 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class BenchRow:
+    n: int
+    s: int
+    k: int
+    wall_time: float
+    inner_iterations: int
+    epochs: int
+
+
+def efficiency_bench(
+    axis: str,
+    points: list[int],
+    n: int = 10_000,
+    s: int = 20,
+    k: int = 5,
+    values_per_attribute: int = 5,
+    seed: int = 0,
+) -> list[BenchRow]:
+    """Wall-time sweep over one size axis on uniform synthetic data."""
+    if axis not in ("n", "s", "k"):
+        raise ValueError("axis must be one of n, s, k")
+    rows = []
+    for v in points:
+        nn, ss, kk = (v if axis == name else size for name, size in zip("nsk", (n, s, k)))
+        d = synthesize(nn, ss, kk, values_per_attribute, seed=seed, planted_labels=True)
+        t = cluster.fit(d, cluster.FitConfig(k=kk, seed=seed)).trace
+        rows.append(BenchRow(nn, ss, kk, t.wall_time, t.total_inner_iterations, t.epochs))
+    return rows
+
+
 def cmd_bench_efficiency(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     points = [int(p) for p in args.points.split(",")]
-    rows = cluster.efficiency_bench(
+    rows = efficiency_bench(
         args.axis, points, n=args.n, s=args.s, k=args.k,
         values_per_attribute=args.values, seed=args.seed,
     )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metric, order
-from .data import Dataset, normalize_numerical, synthesize
+from .data import Dataset, normalize_numerical
 
 INITS = ("kmodes_once", "random_partition")
 ORDER_MODES = ("learned", "semantic", "random", "hamming", "fixed")
@@ -39,6 +39,7 @@ class Partition:
         if a.size and (a.min() < 0 or a.max() >= self.k):
             raise ValueError("cluster ids must lie in [0, k)")
         a.flags.writeable = False
+        object.__setattr__(self, "assign", a)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -110,15 +111,6 @@ class FitResult(NamedTuple):
     trace: FitTrace
 
 
-def assign(d: Dataset, prof: metric.ClusterProfile, o: order.OrderSet) -> Partition:
-    """Assign every sample to its nearest cluster profile; ties pick the lowest id."""
-    if not (prof.sizes > 0).any():
-        raise ValueError("every cluster is empty")
-    matrices = metric.value_distance_matrices(d, o)
-    dist = metric.cluster_distances(d.onehot, matrices, prof)
-    return Partition(assign=dist.argmin(axis=1).astype(np.int32), k=prof.k)
-
-
 def _distances(enc, matrices, prof, form):
     if form == "mode":
         return metric.mode_distances(enc, matrices, prof)
@@ -153,8 +145,7 @@ def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner)
 
 def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
     if cfg.init == "kmodes_once":
-        part, _ = fit_kmodes(d, cfg.k, seed=seed_seq)
-        return np.asarray(part.assign)
+        return fit_kmodes(d, cfg.k, seed=seed_seq)[0].assign
     rng = np.random.default_rng(seed_seq)
     return rng.integers(0, cfg.k, size=d.n, dtype=np.int32)
 
@@ -221,19 +212,21 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
         cur_assign, prof, l_cur, trace.converged = _inner_segment(
             enc, matrices, form, cur_assign, prof, l_cur, trace, cfg.max_inner
         )
+    # Invariant at every refresh: ``prof`` is the profile of ``cur_assign`` and
+    # ``matrices`` the value distances of ``cur_orders``.
     for _ in range(refreshes):
-        new_orders = order.learn_orders(d, Partition(cur_assign, k), cur_orders, form=form, frozen=frozen)
-        matrices = metric.value_distance_matrices(d, new_orders)
-        l_base = metric.objective_total(enc, matrices, prof, cur_assign, form)
+        new_orders = order.learn_orders(d, prof, matrices, cur_assign, cur_orders, form=form, frozen=frozen)
+        new_matrices = metric.value_distance_matrices(d, new_orders)
+        l_base = metric.objective_total(enc, new_matrices, prof, cur_assign, form)
         trace.order_update_iterations.append(trace.total_inner_iterations)
         a_new, p_new, l_new, seg_converged = _inner_segment(
-            enc, matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner
+            enc, new_matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner
         )
         trace.converged = trace.converged and seg_converged
         if l_new >= l_cur:
             break
         trace.accepted_order_updates += 1
-        cur_assign, cur_orders, prof, l_cur = a_new, new_orders, p_new, l_new
+        cur_assign, cur_orders, matrices, prof, l_cur = a_new, new_orders, new_matrices, p_new, l_new
     else:  # no refresh failed to improve: full alternation ran out of max_outer
         trace.converged = trace.converged and not alternating
 
@@ -418,42 +411,3 @@ def fit_kprototypes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Pa
         raise ValueError("dataset has no numerical columns")
     # d.onehot, not the scaled copy's: the copy would encode the table again.
     return _centre_loop(d.onehot, normalize_numerical(d).num, k, seed, max_iter, monotone=False)
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    n: int
-    s: int
-    k: int
-    wall_time: float
-    inner_iterations: int
-    epochs: int
-
-
-def efficiency_bench(
-    axis: str,
-    points: list[int],
-    n: int = 10_000,
-    s: int = 20,
-    k: int = 5,
-    values_per_attribute: int = 5,
-    seed: int = 0,
-) -> list[BenchRow]:
-    """Wall-time sweep over one size axis on uniform synthetic data."""
-    if axis not in ("n", "s", "k"):
-        raise ValueError("axis must be one of n, s, k")
-    rows = []
-    for v in points:
-        nn, ss, kk = n, s, k
-        if axis == "n":
-            nn = v
-        elif axis == "s":
-            ss = v
-        else:
-            kk = v
-        d = synthesize(nn, ss, kk, values_per_attribute, seed=seed, planted_labels=True)
-        res = fit(d, FitConfig(k=kk, seed=seed))
-        rows.append(
-            BenchRow(nn, ss, kk, res.trace.wall_time, res.trace.total_inner_iterations, res.trace.epochs)
-        )
-    return rows

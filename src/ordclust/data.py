@@ -162,23 +162,6 @@ class Dataset:
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.dictionaries)
 
-    # Value-count statistics over the effective categorical columns.
-    @property
-    def value_count_mean(self) -> float:
-        return float(np.mean(self.cardinalities)) if self.dictionaries else 0.0
-
-    @property
-    def value_count_max(self) -> int:
-        return max(self.cardinalities) if self.dictionaries else 0
-
-    @property
-    def value_count_min(self) -> int:
-        return min(self.cardinalities) if self.dictionaries else 0
-
-    def decode_row(self, i: int) -> tuple[str, ...]:
-        """Original literals of row i's categorical cells."""
-        return tuple(self.dictionaries[r][self.cat[i, r]] for r in range(self.s_categorical))
-
 
 def load_schema(path: str | Path) -> list[AttributeSchema]:
     """Read a schema file: one ``name,kind[,value,value,...]`` line per column.

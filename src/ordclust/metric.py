@@ -81,22 +81,16 @@ def rank_difference_matrix(ranks: np.ndarray) -> np.ndarray:
     return np.abs(r[:, None] - r[None, :]) / (l - 1)
 
 
-def hamming_matrix(l: int) -> np.ndarray:
-    """Match/mismatch distances: 0 on the diagonal, 1 elsewhere."""
-    return 1.0 - np.eye(l)
-
-
 def value_distance_matrices(d: Dataset, orders) -> tuple:
     """Distance matrices for every categorical attribute under ``orders``.
 
     An attribute whose rank array is None falls back to match/mismatch
-    distances (no usable order).
+    distances (no usable order): 0 on the diagonal, 1 elsewhere.
     """
-    out = []
-    for r, card in enumerate(d.cardinalities):
-        ranks = orders.ranks[r]
-        out.append(hamming_matrix(card) if ranks is None else rank_difference_matrix(ranks))
-    return tuple(out)
+    return tuple(
+        1.0 - np.eye(card) if orders.ranks[r] is None else rank_difference_matrix(orders.ranks[r])
+        for r, card in enumerate(d.cardinalities)
+    )
 
 
 def compute_profile(d: Dataset, q) -> ClusterProfile:
@@ -105,8 +99,7 @@ def compute_profile(d: Dataset, q) -> ClusterProfile:
     Empty clusters get an all-zero row; callers treat them via
     ``ClusterProfile.empty``.
     """
-    assign = np.asarray(q.assign)
-    return profile_from_assignment(d.onehot, assign, q.k)
+    return profile_from_assignment(d.onehot, q.assign, q.k)
 
 
 def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int) -> ClusterProfile:
@@ -152,9 +145,7 @@ def objective(d: Dataset, q, orders, form: str = "profile") -> ObjectiveReport:
     value, used by the no-probability-weight ablation.
     """
     matrices = value_distance_matrices(d, orders)
-    prof = compute_profile(d, q)
-    assign = np.asarray(q.assign)
-    return objective_report(d.onehot, matrices, prof, assign, form)
+    return objective_report(d.onehot, matrices, compute_profile(d, q), q.assign, form)
 
 
 def objective_report(enc: OneHot, matrices, prof: ClusterProfile, assign, form: str = "profile") -> ObjectiveReport:

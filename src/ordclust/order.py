@@ -4,7 +4,8 @@ Per cluster and attribute, each value gets a link density: its within-cluster
 frequency divided by its contribution to the objective. Values are placed on
 a line by descending density (densest in the middle, alternating outward),
 and the per-cluster placements are blended by cluster size into one integer
-rank per value.
+rank per value. A refresh is handed the profile and value distance matrices
+the fit already holds for its partition and orders, and rebuilds neither.
 
 A refresh works on the stacked (k, sum(l)) layout of ``Dataset.onehot``
 (attribute r owns columns ``offsets[r]:offsets[r + 1]``), so it makes a fixed
@@ -48,9 +49,6 @@ class OrderSet:
             l = d.cardinalities[r]
             if sorted(np.asarray(ranks).tolist()) != list(range(1, l + 1)):
                 raise ValueError(f"attribute {d.cat_names[r]!r}: ranks are not a bijection onto 1..{l}")
-
-    def has_order(self, r: int) -> bool:
-        return self.ranks[r] is not None
 
 
 def dictionary_orders(d: Dataset) -> OrderSet:
@@ -101,13 +99,6 @@ class LinkDensityTable:
         return split_columns(self.stacked_ranks, self.offsets)
 
 
-@dataclass(frozen=True)
-class PerClusterOrder:
-    """Value positions chosen independently within each cluster."""
-
-    positions: tuple  # per attribute: (k, l_r) int64
-
-
 def _segment_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """1-based ascending ranks of ``keys`` within each (row, attribute) segment.
 
@@ -138,20 +129,21 @@ def link_density(prof: metric.ClusterProfile, obj: metric.ObjectiveReport) -> Li
     return LinkDensityTable(density, _segment_ranks(-density, offsets), offsets)
 
 
-def per_cluster_orders(density: LinkDensityTable) -> PerClusterOrder:
+def per_cluster_orders(density: LinkDensityTable) -> tuple:
     """Closed-form unimodal placement of every (cluster, attribute) row at once.
 
     The rank-1 value lands on the central position ceil(l/2); later ranks
     alternate right, left, right, ... at growing offsets, a bijection onto 1..l.
+    Returns per attribute the (k, l_r) int64 positions.
     """
     rank = density.stacked_ranks
     centre = np.repeat((np.diff(density.offsets) + 1) // 2, np.diff(density.offsets))
     positions = centre - np.where(rank % 2 == 1, 1, -1) * (rank // 2)
-    return PerClusterOrder(positions=split_columns(positions, density.offsets))
+    return split_columns(positions, density.offsets)
 
 
-def consensus_order(per_cluster: PerClusterOrder, cluster_sizes: np.ndarray, n: int):
-    """Cluster-size-weighted mean positions, sorted into integer ranks.
+def consensus_order(positions: tuple, cluster_sizes: np.ndarray, n: int):
+    """Cluster-size-weighted mean of per-cluster ``positions``, sorted into integer ranks.
 
     Empty clusters carry zero weight. Returns (rank arrays, fractional score
     arrays); ties in the scores break by ascending value index.
@@ -160,7 +152,7 @@ def consensus_order(per_cluster: PerClusterOrder, cluster_sizes: np.ndarray, n: 
     if int(sizes.sum()) != n:
         raise ValueError("cluster sizes must sum to the sample count")
     weights = sizes / n
-    scores = tuple(weights @ pos for pos in per_cluster.positions)
+    scores = tuple(weights @ pos for pos in positions)
     offsets = np.concatenate([[0], np.cumsum([sc.shape[0] for sc in scores])])
     ranks = _segment_ranks(np.concatenate(scores)[None, :], offsets)[0]
     return split_columns(ranks, offsets), scores
@@ -168,26 +160,27 @@ def consensus_order(per_cluster: PerClusterOrder, cluster_sizes: np.ndarray, n: 
 
 def learn_orders(
     d: Dataset,
-    q,
+    prof: metric.ClusterProfile,
+    matrices: tuple,
+    assign: np.ndarray,
     current: OrderSet,
     form: str = "profile",
     frozen: tuple | None = None,
 ) -> OrderSet:
-    """One full order refresh from the current partition.
+    """One full order refresh from the partition ``assign``.
 
-    The objective decomposition is evaluated under the orders of the previous
-    round, so the refresh sees the metric it is about to replace. Attributes
-    with two values pass through unchanged (any order induces the same
-    distances), as do attributes marked frozen.
+    ``prof`` is the profile of ``assign`` and ``matrices`` the value distances
+    of ``current`` (``metric.value_distance_matrices(d, current)``), the tables
+    the fit already holds. The objective decomposition is evaluated under the
+    orders of the previous round, so the refresh sees the metric it is about
+    to replace. Attributes with two values pass through unchanged (any order
+    induces the same distances), as do attributes marked frozen.
     """
-    prof = metric.compute_profile(d, q)
     if not prof.sizes.any():
         raise ValueError("all clusters are empty")
-    matrices = metric.value_distance_matrices(d, current)
-    obj = metric.objective_report(d.onehot, matrices, prof, np.asarray(q.assign), form)
+    obj = metric.objective_report(d.onehot, matrices, prof, assign, form)
     density = link_density(prof, obj)
-    per_cluster = per_cluster_orders(density)
-    ranks, scores = consensus_order(per_cluster, prof.sizes, d.n)
+    ranks, scores = consensus_order(per_cluster_orders(density), prof.sizes, d.n)
 
     out_ranks, out_scores = [], []
     for r, l in enumerate(d.cardinalities):

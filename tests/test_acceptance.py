@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
-from ordclust import cluster, evaluate, oracle, order
+from ordclust import cli, cluster, evaluate, oracle, order
 from ordclust.cluster import FitConfig
 from ordclust.data import synthesize
 from ordclust.fixtures import SMALL_FIXTURES, load_fixture
@@ -206,7 +206,7 @@ def test_criterion_9_mixed_enhancement(datasets):
 
 
 def test_criterion_10_efficiency_shape():
-    rows = cluster.efficiency_bench("n", [50_000, 100_000], s=20, k=5, seed=0)
+    rows = cli.efficiency_bench("n", [50_000, 100_000], s=20, k=5, seed=0)
     t50, t100 = rows[0].wall_time, rows[1].wall_time
     ratio = t100 / t50
     ok = 1.5 <= ratio <= 3.0 and t100 < 300.0

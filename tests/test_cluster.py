@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ordclust import cluster, evaluate, fixtures, metric, oracle, order
+from ordclust import cli, cluster, evaluate, fixtures, metric, order
 from ordclust.cluster import ABLATIONS, FitConfig, Partition
 from ordclust.data import Dataset, synthesize
 
@@ -30,41 +30,64 @@ def identical_rows_dataset(n=6):
     )
 
 
-def test_assign_examples():
-    d = make_dataset([["a", "a", "b", "b", "a"]])
-    prof = metric.compute_profile(d, Partition(np.array([0, 0, 1, 1, 0], dtype=np.int32), 2))
-    part = cluster.assign(d, prof, order.dictionary_orders(d))
-    assert part.assign.tolist() == [0, 0, 1, 1, 0]
+def _nearest(d, q, o):
+    """The fit's assignment step: argmin of the profile distances."""
+    matrices = metric.value_distance_matrices(d, o)
+    return metric.cluster_distances(d.onehot, matrices, metric.compute_profile(d, q)).argmin(axis=1)
 
 
 def test_assign_tie_breaks_to_lowest_id():
     d = make_dataset([["a", "b", "a", "b"]])
-    prof = metric.compute_profile(d, Partition(np.array([0, 0, 1, 1], dtype=np.int32), 2))
     # both clusters are 50/50: every sample ties, everyone goes to cluster 0
-    part = cluster.assign(d, prof, order.dictionary_orders(d))
-    assert part.assign.tolist() == [0, 0, 0, 0]
-
-
-def test_assign_matches_per_sample_recomputation(rng):
-    d = synthesize(40, 3, 3, values_per_attribute=4, seed=29)
-    q0 = Partition(rng.integers(0, 3, size=40).astype(np.int32), 3)
-    prof = metric.compute_profile(d, q0)
-    o = order.random_orders(d, rng)
-    part = cluster.assign(d, prof, o)
-    table = oracle.build_distance_table(d, o)
-    for i in range(d.n):
-        dists = [
-            oracle.sample_cluster_distance(i, m, table, prof) if prof.sizes[m] else np.inf
-            for m in range(3)
-        ]
-        assert part.assign[i] == int(np.argmin(dists))
+    q = Partition(np.array([0, 0, 1, 1], dtype=np.int32), 2)
+    assert _nearest(d, q, order.dictionary_orders(d)).tolist() == [0, 0, 0, 0]
 
 
 def test_assign_never_fills_empty_clusters():
     d = make_dataset([["a", "b", "a", "b"]])
-    prof = metric.compute_profile(d, Partition(np.array([0, 0, 0, 0], dtype=np.int32), 3))
-    part = cluster.assign(d, prof, order.dictionary_orders(d))
-    assert set(part.assign.tolist()) == {0}
+    q = Partition(np.array([0, 0, 0, 0], dtype=np.int32), 3)
+    assert set(_nearest(d, q, order.dictionary_orders(d)).tolist()) == {0}
+
+
+def test_partition_stores_a_read_only_array():
+    q = Partition([0, 1, 0], 2)
+    assert isinstance(q.assign, np.ndarray)
+    assert q.assign.tolist() == [0, 1, 0]
+    assert not q.assign.flags.writeable
+    with pytest.raises(ValueError):
+        q.assign[0] = 1
+
+
+def test_refresh_reuses_the_fits_tables(monkeypatch):
+    # The refresh takes the profile and distance matrices the fit holds, so a
+    # fit builds one set of matrices up front and one per refreshed order set.
+    calls = {"value_distance_matrices": 0, "compute_profile": 0}
+    in_refresh = {name: 0 for name in calls}
+    refreshing = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            in_refresh[name] += bool(refreshing)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refresh(*args, **kwargs):
+        refreshing.append(True)
+        try:
+            return learn_orders(*args, **kwargs)
+        finally:
+            refreshing.pop()
+
+    for name in calls:
+        monkeypatch.setattr(metric, name, counted(name, getattr(metric, name)))
+    learn_orders = order.learn_orders
+    monkeypatch.setattr(order, "learn_orders", refresh)
+    res = cluster.fit(fixtures.load_fixture("HR"), FitConfig(k=3, seed=0))
+    refreshes = len(res.trace.order_update_iterations)
+    assert refreshes > 0
+    assert calls["value_distance_matrices"] == 1 + refreshes
+    assert in_refresh == {"value_distance_matrices": 0, "compute_profile": 0}
 
 
 def test_fit_separable():
@@ -330,11 +353,11 @@ def test_fit_kprototypes_runs():
 
 
 def test_efficiency_bench_rows():
-    rows = cluster.efficiency_bench("n", [200, 400], s=4, k=2, seed=0)
+    rows = cli.efficiency_bench("n", [200, 400], s=4, k=2, seed=0)
     assert [r.n for r in rows] == [200, 400]
     assert all(r.wall_time > 0 for r in rows)
     with pytest.raises(ValueError):
-        cluster.efficiency_bench("m", [10])
+        cli.efficiency_bench("m", [10])
 
 
 def test_squared_distances_equal_the_broadcast_form(rng):

@@ -34,8 +34,8 @@ def test_drop_row_policy(tmp_path):
     d = load_csv(p, schema)
     assert d.n == 2
     # retained rows are untouched
-    assert d.decode_row(0) == ("x",)
-    assert d.decode_row(1) == ("y",)
+    assert d.dictionaries == (("x", "y"),)
+    assert d.cat[:, 0].tolist() == [0, 1]
     assert d.num[:, 0].tolist() == [1.0, 3.0]
 
 
@@ -104,17 +104,8 @@ def test_bundled_sb_fixture_shape():
     assert d.n == 47
     assert d.s_categorical == 21
     assert len(d.degenerate) == 14
-    assert d.value_count_max == 7
-    assert d.value_count_min == 2
-
-
-def test_stats_match_recomputation():
-    d = fixtures.load_fixture("BC")
-    cards = [len(v) for v in d.dictionaries]
-    assert d.value_count_min <= d.value_count_mean <= d.value_count_max
-    assert d.value_count_mean == pytest.approx(np.mean(cards))
-    assert d.value_count_max == max(cards)
-    assert d.value_count_min == min(cards)
+    assert max(d.cardinalities) == 7
+    assert min(d.cardinalities) == 2
 
 
 def test_round_trip_decoding(tmp_path):
@@ -123,7 +114,7 @@ def test_round_trip_decoding(tmp_path):
     p = write(tmp_path, "t.csv", text)
     d = load_csv(p, [AttributeSchema("c1", "nominal"), AttributeSchema("c2", "nominal")])
     for i, row in enumerate(rows):
-        assert list(d.decode_row(i)) == row
+        assert [d.dictionaries[r][d.cat[i, r]] for r in range(2)] == row
 
 
 def test_ignore_and_label_columns(tmp_path):

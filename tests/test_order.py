@@ -110,45 +110,49 @@ def test_stacked_refresh_equals_per_row_oracle(rng):
         for r in range(len(cards)):
             assert table.density[r].tobytes() == density[r].tobytes()
             assert table.ranks[r].tolist() == ranks[r].tolist()
-            assert placed.positions[r].dtype == np.int64
-            assert placed.positions[r].tolist() == positions[r].tolist()
+            assert placed[r].dtype == np.int64
+            assert placed[r].tolist() == positions[r].tolist()
             # ascending scores, ties by value index
             assert consensus[r].tolist() == oracle.rank_descending(-scores[r]).tolist()
 
 
 def test_consensus_weighted_mean():
-    per_cluster = order.PerClusterOrder(positions=(np.array([[2, 1, 3], [4, 1, 3]]),))
+    per_cluster = (np.array([[2, 1, 3], [4, 1, 3]]),)
     ranks, scores = order.consensus_order(per_cluster, np.array([3, 1]), 4)
     assert scores[0][0] == pytest.approx(0.75 * 2 + 0.25 * 4)
 
 
 def test_consensus_single_cluster_identity():
-    per_cluster = order.PerClusterOrder(positions=(np.array([[2, 3, 1, 4]]),))
+    per_cluster = (np.array([[2, 3, 1, 4]]),)
     ranks, _ = order.consensus_order(per_cluster, np.array([5]), 5)
     assert ranks[0].tolist() == [2, 3, 1, 4]
 
 
 def test_consensus_tie_breaks_by_value_index():
     # weighted scores come out as (2.5, 1.75, 1.75) -> ranks (3, 1, 2)
-    per_cluster = order.PerClusterOrder(
-        positions=(np.array([[3, 1, 2], [3, 2, 1], [1, 3, 2]], dtype=np.int64),)
-    )
+    per_cluster = (np.array([[3, 1, 2], [3, 2, 1], [1, 3, 2]], dtype=np.int64),)
     ranks, scores = order.consensus_order(per_cluster, np.array([2, 1, 1]), 4)
     assert scores[0].tolist() == pytest.approx([2.5, 1.75, 1.75])
     assert ranks[0].tolist() == [3, 1, 2]
 
 
 def test_consensus_rejects_bad_sizes():
-    per_cluster = order.PerClusterOrder(positions=(np.array([[1, 2]]),))
+    per_cluster = (np.array([[1, 2]]),)
     with pytest.raises(ValueError):
         order.consensus_order(per_cluster, np.array([3]), 4)
+
+
+def refresh(d, q, current, **kw):
+    """``learn_orders`` fed the tables a fit holds for partition q under ``current``."""
+    prof = metric.compute_profile(d, q)
+    return order.learn_orders(d, prof, metric.value_distance_matrices(d, current), q.assign, current, **kw)
 
 
 def test_learn_orders_binary_pass_through(rng):
     d = synthesize(60, 5, 2, values_per_attribute=2, seed=13)
     q = Partition(rng.integers(0, 2, size=60).astype(np.int32), 2)
     start = order.dictionary_orders(d)
-    learned = order.learn_orders(d, q, start)
+    learned = refresh(d, q, start)
     for r in range(d.s_categorical):
         assert learned.ranks[r].tolist() == start.ranks[r].tolist()
 
@@ -158,7 +162,7 @@ def test_learn_orders_single_cluster_matches_placement():
     # (frequency ladder): densest value goes to the centre, then right, left
     d = make_dataset([["a"] * 8 + ["b"] * 4 + ["c"] * 2 + ["d"]])
     q = Partition(np.zeros(d.n, dtype=np.int32), 1)
-    learned = order.learn_orders(d, q, order.dictionary_orders(d))
+    learned = refresh(d, q, order.dictionary_orders(d))
     density_rank = oracle.rank_descending(
         order.link_density(
             metric.compute_profile(d, q), metric.objective(d, q, order.dictionary_orders(d))
@@ -173,7 +177,7 @@ def test_learn_orders_pure_clusters_hand_trace():
     # gives a=2, b=3, c=1: the dominant cluster's value takes the centre
     d = make_dataset([["a", "a", "a", "b", "c"]])
     q = Partition(np.array([0, 0, 0, 1, 2], dtype=np.int32), 3)
-    learned = order.learn_orders(d, q, order.dictionary_orders(d))
+    learned = refresh(d, q, order.dictionary_orders(d))
     assert learned.ranks[0].tolist() == [2, 3, 1]
     assert learned.ranks[0][0] == 2  # central rank of three
 
@@ -181,8 +185,8 @@ def test_learn_orders_pure_clusters_hand_trace():
 def test_learn_orders_deterministic(rng):
     d = synthesize(50, 3, 3, values_per_attribute=4, seed=17)
     q = Partition(rng.integers(0, 3, size=50).astype(np.int32), 3)
-    a = order.learn_orders(d, q, order.dictionary_orders(d))
-    b = order.learn_orders(d, q, order.dictionary_orders(d))
+    a = refresh(d, q, order.dictionary_orders(d))
+    b = refresh(d, q, order.dictionary_orders(d))
     for ra, rb in zip(a.ranks, b.ranks):
         assert ra.tolist() == rb.tolist()
 
@@ -191,8 +195,8 @@ def test_learn_orders_invariant_to_cluster_relabeling(rng):
     d = synthesize(50, 3, 3, values_per_attribute=4, seed=19)
     assign = rng.integers(0, 3, size=50).astype(np.int32)
     perm = np.array([2, 0, 1])
-    a = order.learn_orders(d, Partition(assign, 3), order.dictionary_orders(d))
-    b = order.learn_orders(d, Partition(perm[assign].astype(np.int32), 3), order.dictionary_orders(d))
+    a = refresh(d, Partition(assign, 3), order.dictionary_orders(d))
+    b = refresh(d, Partition(perm[assign].astype(np.int32), 3), order.dictionary_orders(d))
     for ra, rb in zip(a.ranks, b.ranks):
         assert ra.tolist() == rb.tolist()
 
@@ -203,7 +207,7 @@ def test_learn_orders_output_is_bijection(rng):
         k = int(rng.integers(1, 4))
         d = synthesize(n, 3, k, values_per_attribute=int(rng.integers(2, 6)), seed=int(rng.integers(1000)))
         q = Partition(rng.integers(0, k, size=n).astype(np.int32), k)
-        learned = order.learn_orders(d, q, order.dictionary_orders(d))
+        learned = refresh(d, q, order.dictionary_orders(d))
         learned.validate(d)
 
 
@@ -211,7 +215,7 @@ def test_learn_orders_respects_frozen_mask(rng):
     d = synthesize(40, 3, 2, values_per_attribute=4, seed=23)
     q = Partition(rng.integers(0, 2, size=40).astype(np.int32), 2)
     start = order.random_orders(d, np.random.default_rng(1))
-    learned = order.learn_orders(d, q, start, frozen=(True, False, True))
+    learned = refresh(d, q, start, frozen=(True, False, True))
     assert learned.ranks[0].tolist() == start.ranks[0].tolist()
     assert learned.ranks[2].tolist() == start.ranks[2].tolist()
 
