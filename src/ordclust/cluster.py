@@ -33,7 +33,7 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        a = np.asarray(self.assign)
+        a = np.array(self.assign)  # a copy: freezing it leaves the caller's array writeable
         if a.ndim != 1:
             raise ValueError("assignment must be one id per sample")
         if a.size and (a.min() < 0 or a.max() >= self.k):
@@ -120,10 +120,14 @@ def _distances(enc, matrices, prof, form):
 def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner):
     """Alternate assignment and profile refresh until L stops strictly decreasing.
 
-    ``prof`` is the profile of ``assign0``. Returns the last strictly-improving
-    state (or the start state when the first step already fails to improve)
-    as (assignment, profile, objective), plus whether the segment ended on a
-    non-improving step rather than at ``max_inner``.
+    ``prof`` is the profile of ``assign0``. Each step's profile is the
+    previous one updated by the samples that changed cluster, and its
+    objective comes from that profile's count table, so after the distances
+    a step costs O(k * sum l + moved * s) rather than O(n * s). Returns the
+    last strictly-improving state (or the start state when the first step
+    already fails to improve) as (assignment, profile, objective), plus
+    whether the segment ended on a non-improving step rather than at
+    ``max_inner``.
     """
     cur_assign, l_prev, k = assign0, l_base, prof.k
     trace.epoch_baselines.append(l_base)
@@ -131,8 +135,8 @@ def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner)
     for iters in range(1, max_inner + 1):
         dist = _distances(enc, matrices, prof, form)
         new_assign = dist.argmin(axis=1).astype(np.int32)
-        new_prof = metric.profile_from_assignment(enc, new_assign, k)
-        l_new = metric.objective_total(enc, matrices, new_prof, new_assign, form)
+        new_prof = metric.profile_from_assignment(enc, new_assign, k, prev=(cur_assign, prof))
+        l_new = metric.objective_total(matrices, new_prof, form)
         trace.objective_values.append(l_new)
         if l_new >= l_prev:
             converged = True
@@ -205,7 +209,7 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     trace = FitTrace()
     matrices = metric.value_distance_matrices(d, cur_orders)
     prof = metric.profile_from_assignment(enc, cur_assign, k)
-    l_cur = metric.objective_total(enc, matrices, prof, cur_assign, form)
+    l_cur = metric.objective_total(matrices, prof, form)
     trace.init_objective = l_cur
     trace.converged = True
     if not alternating:
@@ -217,7 +221,7 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     for _ in range(refreshes):
         new_orders = order.learn_orders(d, prof, matrices, cur_assign, cur_orders, form=form, frozen=frozen)
         new_matrices = metric.value_distance_matrices(d, new_orders)
-        l_base = metric.objective_total(enc, new_matrices, prof, cur_assign, form)
+        l_base = metric.objective_total(new_matrices, prof, form)
         trace.order_update_iterations.append(trace.total_inner_iterations)
         a_new, p_new, l_new, seg_converged = _inner_segment(
             enc, new_matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner

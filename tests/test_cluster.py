@@ -58,6 +58,14 @@ def test_partition_stores_a_read_only_array():
         q.assign[0] = 1
 
 
+def test_partition_leaves_the_callers_array_writeable():
+    a = np.array([0, 1, 0])
+    q = Partition(a, 2)
+    assert a.flags.writeable
+    a[0] = 1
+    assert q.assign.tolist() == [0, 1, 0]
+
+
 def test_refresh_reuses_the_fits_tables(monkeypatch):
     # The refresh takes the profile and distance matrices the fit holds, so a
     # fit builds one set of matrices up front and one per refreshed order set.

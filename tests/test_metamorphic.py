@@ -48,7 +48,7 @@ def test_relabeling_values_with_their_ranks_changes_nothing(name, rng):
             matrices = metric.value_distance_matrices(ds, os_)
             prof = metric.profile_from_assignment(ds.onehot, assign, k)
             totals.append((
-                metric.objective_total(ds.onehot, matrices, prof, assign),
+                metric.objective_total(matrices, prof),
                 metric.objective_report(ds.onehot, matrices, prof, assign).total,
             ))
         assert totals[0] == totals[1]
@@ -80,3 +80,33 @@ def test_duplicating_every_row_keeps_profiles_and_scores(name, rng):
         assert evaluate.compactness(twice, assign2) == evaluate.compactness(d, assign)
         ca = evaluate.clustering_accuracy(assign, d.labels)
         assert evaluate.clustering_accuracy(assign2, twice.labels) == ca
+
+
+def _permuted(d, perm):
+    """The same table with row i taken from row perm[i]."""
+    labels = None if d.labels is None else d.labels[perm]
+    return dataclasses.replace(d, cat=d.cat[perm], num=d.num[perm], labels=labels)
+
+
+@pytest.mark.parametrize("name", fixtures.SMALL_FIXTURES)
+def test_permuting_rows_keeps_objective_bits_and_permutes_the_fit(name, rng, monkeypatch):
+    d = fixtures.load_fixture(name)
+    k = 3
+    for seed in range(3):
+        perm = rng.permutation(d.n)
+        dp = _permuted(d, perm)
+        o = order.random_orders(d, rng)
+        start = rng.integers(0, k, size=d.n).astype(np.int32)
+        matrices = metric.value_distance_matrices(d, o)
+        for form in ("profile", "mode"):
+            got = [
+                metric.objective_total(matrices, metric.profile_from_assignment(ds.onehot, a, k), form)
+                for ds, a in ((d, start), (dp, start[perm]))
+            ]
+            assert got[0].hex() == got[1].hex()
+        starts = {id(d): start, id(dp): start[perm]}
+        monkeypatch.setattr(cluster, "_initial_partition", lambda ds, cfg, seed_seq: starts[id(ds)].copy())
+        a = cluster.fit_fixed_order(d, k, o, seed=seed)
+        b = cluster.fit_fixed_order(dp, k, o, seed=seed)
+        assert [v.hex() for v in b.trace.objective_values] == [v.hex() for v in a.trace.objective_values]
+        assert b.partition.assign.tolist() == a.partition.assign[perm].tolist()

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,13 +261,15 @@ def test_objective_total_matches_oracle(rng, form):
     for d, q, o in _kernel_instances(rng):
         prof = metric.compute_profile(d, q)
         table = oracle.build_distance_table(d, o)
-        got = metric.objective_total(d.onehot, table.matrices, prof, q.assign, form)
-        # the per-attribute loop, summed in attribute order, is reproduced exactly
-        looped = 0.0
+        got = metric.objective_total(table.matrices, prof, form)
+        # the exactly rounded sum of count x cost over the (k, sum l) cells, reproduced exactly
+        products = []
         for r, mat in enumerate(table.matrices):
             cols = mat @ prof.probs[r].T if form == "profile" else mat[:, prof.probs[r].argmax(axis=1)]
-            looped += float(cols[d.cat[:, r], q.assign].sum())
-        assert got == looped / d.s_categorical
+            for g in range(d.cardinalities[r]):
+                for m in range(q.k):
+                    products.append(int(((d.cat[:, r] == g) & (q.assign == m)).sum()) * cols[g, m])
+        assert got == math.fsum(products) / d.s_categorical
         expect = sum(reference(i, int(q.assign[i]), table, prof) for i in range(d.n))
         assert got == pytest.approx(expect, rel=1e-12)
         if form == "profile":
@@ -299,3 +304,62 @@ def test_unknown_form_rejected():
     q = Partition(np.zeros(3, dtype=np.int32), 1)
     with pytest.raises(ValueError, match="unknown form"):
         metric.objective(d, q, order.dictionary_orders(d), form="median")
+
+
+def _same_profile(a, b):
+    assert a.counts.tobytes() == b.counts.tobytes()
+    assert a.sizes.tobytes() == b.sizes.tobytes()
+    assert len(a.probs) == len(b.probs)
+    for pa, pb in zip(a.probs, b.probs):
+        assert pa.tobytes() == pb.tobytes()
+
+
+@pytest.mark.parametrize("share", [metric.DELTA_MAX_MOVED, 1.0])  # 1.0: the delta for any move count
+def test_delta_profile_equals_profile_from_scratch(rng, monkeypatch, share):
+    monkeypatch.setattr(metric, "DELTA_MAX_MOVED", share)
+    for _ in range(40):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 60))
+        d = synthesize(n, int(rng.integers(1, 5)), k, values_per_attribute=int(rng.integers(2, 6)),
+                       seed=int(rng.integers(1 << 30)))
+        enc = d.onehot
+        old = rng.integers(0, k, size=n).astype(np.int32)
+        if k > 1:
+            old[old == k - 1] = 0  # cluster k - 1 starts empty
+        shifted = ((old + rng.integers(1, k, size=n)) % k).astype(np.int32) if k > 1 else old.copy()
+        partial = np.where(rng.random(n) < 0.3, rng.integers(0, k, size=n), old).astype(np.int32)
+        emptied = old.copy()
+        emptied[old == 0] = k - 1  # cluster 0 empties into the empty cluster k - 1
+        base = metric.profile_from_assignment(enc, old, k)
+        for new in (old.copy(), shifted, partial, emptied):  # no moves, every sample moved, some, via empties
+            delta = metric.profile_from_assignment(enc, new, k, prev=(old, base))
+            _same_profile(delta, metric.profile_from_assignment(enc, new, k))
+            # and a second step chained onto the delta-built profile
+            back = metric.profile_from_assignment(enc, old, k, prev=(new, delta))
+            _same_profile(back, base)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_objective_and_delta_profile_allocate_no_per_sample_table():
+    # An (s, n) index table here is 16 MB; both kernels stay under 1 MiB.
+    d = synthesize(100_000, 20, 5, 5, seed=3)
+    enc, k = d.onehot, 5
+    rng = np.random.default_rng(0)
+    assign = rng.integers(0, k, size=d.n).astype(np.int32)
+    prof = metric.profile_from_assignment(enc, assign, k)
+    matrices = metric.value_distance_matrices(d, order.dictionary_orders(d))
+    for form in ("profile", "mode"):
+        assert _traced_peak(lambda: metric.objective_total(matrices, prof, form)) < 2**20
+    moved = assign.copy()
+    idx = rng.choice(d.n, size=100, replace=False)
+    moved[idx] = (moved[idx] + 1) % k
+    assert _traced_peak(lambda: metric.profile_from_assignment(enc, moved, k, prev=(assign, prof))) < 2**20
