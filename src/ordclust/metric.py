@@ -15,23 +15,24 @@ against each cluster: ``mat_r @ probs_r.T``, or ``mat_r[:, modes_r]`` for the
 mode form. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf;
-- the profile is one ``bincount`` over ``assign * sum(l) + column``, divided
-  once; ``ClusterProfile.probs`` holds per-attribute views of that table;
-- the objective gathers, per attribute, each sample's row of W at its own
-  cluster and sums those rows attribute by attribute;
+- the profile keeps the integer (k, sum(l)) value counts, one ``bincount``
+  over ``assign * sum(l) + column``, and divides them once;
+  ``ClusterProfile.probs`` holds per-attribute views of that table. Inside
+  the fit's inner loop the counts are updated from the samples that changed
+  cluster, the same integers, so the same frequencies to the bit;
+- the objective total is ``fsum(counts * W.T) / s``: a sample's cost depends
+  only on its (value, cluster) cell, so the total needs O(k * sum(l)) work
+  and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
+  total does not depend on the order of the rows;
 - the objective report's per-value costs are one weighted ``bincount`` over
   the same cells as the profile.
 
-The results are bit-identical to evaluating each attribute separately and
-summing in attribute order. Every stored value of X is 1.0, and the sparse
-product accumulates each row's s terms from zero in storage order, which is
-attribute order. A report cell belongs to one attribute and receives its
-costs in sample order, as the per-attribute ``bincount`` did. The objective
-total deliberately stays one contiguous cost row per attribute, summed by
-numpy: gathering all s rows into one (s, n) array and summing it keeps the
-result but allocates n*s floats per inner iteration; one capped fit of
-100k x 20 rows (60 iterations, 2-core host) took 2.7 s that way against
-1.8 s. k-prototypes (``cluster._centre_loop``)
+The distances and the report are bit-identical to evaluating each attribute
+separately and summing in attribute order. Every stored value of X is 1.0,
+and the sparse product accumulates each row's s terms from zero in storage
+order, which is attribute order. A report cell belongs to one attribute and
+receives its costs in sample order, as the per-attribute ``bincount`` did.
+k-prototypes (``cluster._centre_loop``)
 likewise adds its categorical mismatches onto the squared numerical
 distances one attribute at a time; adding their total in one step reorders
 the float sum and changes some fits.
@@ -49,7 +50,7 @@ from .data import Dataset, OneHot, split_columns
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """Within-cluster value frequencies, one (k, cardinality) table per attribute."""
+    """Within-cluster value frequencies, one (k, cardinality) table per attribute, and their counts."""
 
     probs: tuple  # per attribute: (k, l_r) float64
     sizes: np.ndarray  # (k,) int64 cluster sample counts
@@ -110,7 +111,7 @@ DELTA_MAX_MOVED = 1 / 3
 
 
 def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int, prev=None) -> ClusterProfile:
-    """Profile of ``assign``; ``prev`` = (assignment, profile) of the same rows under earlier ids.
+    """Profile of ``assign``; ``prev`` = (assignment, profile) of an earlier partition of the same rows.
 
     With ``prev`` and few moved samples, only the samples whose cluster
     changed are tallied: their cells are added under the new cluster and
