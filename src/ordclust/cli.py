@@ -30,7 +30,7 @@ REPORT_NOTES = (
     "numerical scaling: min-max onto [0, 1] (mixed pipeline only)",
     "nmi normalizer: arithmetic mean of the two entropies",
     "compactness: natural log; single-valued attributes and empty clusters excluded",
-    "order ties: broken by ascending value index; density ranks start at 1",
+    "order ties: values of equal cost keep ascending value index; ranks start at 1",
     "no-probability-weight ablation: distance taken to the cluster's modal value",
 )
 

@@ -219,7 +219,7 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     # Invariant at every refresh: ``prof`` is the profile of ``cur_assign`` and
     # ``matrices`` the value distances of ``cur_orders``.
     for _ in range(refreshes):
-        new_orders = order.learn_orders(d, prof, matrices, cur_assign, cur_orders, form=form, frozen=frozen)
+        new_orders = order.learn_orders(d, prof, matrices, cur_orders, form=form, frozen=frozen)
         new_matrices = metric.value_distance_matrices(d, new_orders)
         l_base = metric.objective_total(new_matrices, prof, form)
         trace.order_update_iterations.append(trace.total_inner_iterations)

@@ -10,9 +10,9 @@ The kernels work on the Dataset's one-hot encoding (``Dataset.onehot``): a
 CSR matrix X with one column per (attribute, value) and exactly s ones per
 row, stored in attribute order. Per-(cluster, value) tables share its stacked
 (k, sum(l)) layout, attribute r owning columns ``offsets[r]:offsets[r + 1]``.
-A profile becomes one table W that stacks, per attribute, each value's cost
-against each cluster: ``mat_r @ probs_r.T``, or ``mat_r[:, modes_r]`` for the
-mode form. Then
+A profile becomes one table W (``value_costs``) that stacks, per attribute,
+each value's cost against each cluster: ``mat_r @ probs_r.T``, or
+``mat_r[:, modes_r]`` for the mode form. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf;
 - the profile keeps the integer (k, sum(l)) value counts, one ``bincount``
@@ -24,18 +24,16 @@ mode form. Then
   only on its (value, cluster) cell, so the total needs O(k * sum(l)) work
   and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
   total does not depend on the order of the rows;
-- the objective report's per-value costs are one weighted ``bincount`` over
-  the same cells as the profile.
+- the order refresh (``order.learn_orders``) ranks each value by its cost
+  in W.
 
-The distances and the report are bit-identical to evaluating each attribute
-separately and summing in attribute order. Every stored value of X is 1.0,
-and the sparse product accumulates each row's s terms from zero in storage
-order, which is attribute order. A report cell belongs to one attribute and
-receives its costs in sample order, as the per-attribute ``bincount`` did.
-k-prototypes (``cluster._centre_loop``)
-likewise adds its categorical mismatches onto the squared numerical
-distances one attribute at a time; adding their total in one step reorders
-the float sum and changes some fits.
+The distances are bit-identical to evaluating each attribute separately and
+summing in attribute order. Every stored value of X is 1.0, and the sparse
+product accumulates each row's s terms from zero in storage order, which is
+attribute order. k-prototypes (``cluster._centre_loop``) likewise adds its
+categorical mismatches onto the squared numerical distances one attribute at
+a time; adding their total in one step reorders the float sum and changes
+some fits.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ class ClusterProfile:
 
     probs: tuple  # per attribute: (k, l_r) float64
     sizes: np.ndarray  # (k,) int64 cluster sample counts
-    counts: np.ndarray | None = None  # (k, sum of l_r) int64 value counts, attributes stacked
+    counts: np.ndarray  # (k, sum of l_r) int64 value counts, attributes stacked
 
     @property
     def k(self) -> int:
@@ -64,15 +62,6 @@ class ClusterProfile:
     def empty(self) -> np.ndarray:
         """Boolean mask of clusters that currently hold no samples."""
         return self.sizes == 0
-
-
-@dataclass(frozen=True)
-class ObjectiveReport:
-    """Objective total plus its per-cluster / per-value decompositions."""
-
-    total: float
-    per_cluster_attribute: np.ndarray  # (k, s_cat)
-    per_value: tuple  # per attribute: (k, l_r)
 
 
 def rank_difference_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -94,15 +83,6 @@ def value_distance_matrices(d: Dataset, orders) -> tuple:
         1.0 - np.eye(card) if orders.ranks[r] is None else rank_difference_matrix(orders.ranks[r])
         for r, card in enumerate(d.cardinalities)
     )
-
-
-def compute_profile(d: Dataset, q) -> ClusterProfile:
-    """Within-cluster relative value frequencies for a partition.
-
-    Empty clusters get an all-zero row; callers treat them via
-    ``ClusterProfile.empty``.
-    """
-    return profile_from_assignment(d.onehot, q.assign, q.k)
 
 
 # A delta tallies every moved sample twice, after a gather; past this share of
@@ -137,8 +117,12 @@ def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int, prev=None) 
     return ClusterProfile(probs=split_columns(probs, enc.offsets), sizes=sizes, counts=counts)
 
 
-def _weights(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
-    """(sum of cardinalities, k) cost of each value against each cluster, attributes stacked."""
+def value_costs(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
+    """(sum of cardinalities, k) cost of each value against each cluster, attributes stacked.
+
+    A sample holding value c costs ``W[c, m]`` on c's attribute in cluster m.
+    An empty cluster's column is not a distance; callers mask it.
+    """
     if form == "profile":
         return np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
     if form == "mode":
@@ -147,7 +131,7 @@ def _weights(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
 
 
 def _distances(enc: OneHot, matrices, prof: ClusterProfile, form: str) -> np.ndarray:
-    dist = enc.X @ _weights(matrices, prof, form)
+    dist = enc.X @ value_costs(matrices, prof, form)
     dist /= max(len(matrices), 1)
     dist[:, prof.empty] = np.inf
     return dist
@@ -163,28 +147,15 @@ def mode_distances(enc: OneHot, matrices, prof: ClusterProfile) -> np.ndarray:
     return _distances(enc, matrices, prof, "mode")
 
 
-def objective(d: Dataset, q, orders, form: str = "profile") -> ObjectiveReport:
-    """Evaluate the clustering objective of a partition under given orders.
+def objective(d: Dataset, q, orders, form: str = "profile") -> float:
+    """Clustering objective of partition ``q`` under ``orders``.
 
     ``form`` selects the per-attribute sample-cluster distance: the
     profile-weighted form (default) or the distance to the cluster's modal
     value, used by the no-probability-weight ablation.
     """
-    matrices = value_distance_matrices(d, orders)
-    return objective_report(d.onehot, matrices, compute_profile(d, q), q.assign, form)
-
-
-def objective_report(enc: OneHot, matrices, prof: ClusterProfile, assign, form: str = "profile") -> ObjectiveReport:
-    k, s, width = prof.k, len(matrices), int(enc.offsets[-1])
-    cost = _weights(matrices, prof, form).ravel().take(enc.codes * k + assign)
-    # Each (cluster, column) cell sums one attribute's costs in sample order.
-    cells = np.bincount((assign * width + enc.codes).ravel(), weights=cost.ravel(), minlength=k * width)
-    per_value = split_columns(cells.reshape(k, width), enc.offsets)
-    per_ca = np.zeros((k, s))
-    for r, cell in enumerate(per_value):
-        per_ca[:, r] = cell.sum(axis=1)
-    total = float(per_ca.sum()) / max(s, 1)
-    return ObjectiveReport(total=total, per_cluster_attribute=per_ca, per_value=per_value)
+    prof = profile_from_assignment(d.onehot, q.assign, q.k)
+    return objective_total(value_distance_matrices(d, orders), prof, form)
 
 
 def objective_total(matrices, prof: ClusterProfile, form: str = "profile") -> float:
@@ -193,7 +164,7 @@ def objective_total(matrices, prof: ClusterProfile, form: str = "profile") -> fl
     Every sample with value c in cluster m costs W[c, m], so the total is
     the exactly rounded sum of ``counts * W.T`` over the (k, sum l) table.
     """
-    cells = prof.counts * _weights(matrices, prof, form).T
+    cells = prof.counts * value_costs(matrices, prof, form).T
     return math.fsum(cells.ravel().tolist()) / max(len(matrices), 1)
 
 

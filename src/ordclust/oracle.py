@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cluster, evaluate, metric, order
-from .data import Dataset, synthesize
+from .data import Dataset, split_columns, synthesize
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def sample_mode_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
 
 
 def rank_descending(density: np.ndarray) -> np.ndarray:
-    """1-based ranks of a density vector, largest first, ties by value index."""
+    """1-based ranks of a vector, largest first, ties by value index."""
     l = density.shape[0]
     by_density = np.lexsort((np.arange(l), -density))
     density_rank = np.empty(l, dtype=np.int64)
@@ -95,22 +95,23 @@ def unimodal_place(density_rank: np.ndarray, l: int) -> np.ndarray:
     return math.ceil(l / 2) - sign * (density_rank // 2)
 
 
-def per_row_orders(prof, obj):
-    """Link densities, density ranks and unimodal positions, one (cluster, attribute) row at a time.
+def per_row_orders(prof, matrices, form: str = "profile"):
+    """Cost ranks and unimodal positions, one (cluster, attribute) row at a time.
 
-    Returns three per-attribute tuples of (k, l_r) arrays: the reference for
-    ``order.link_density`` and ``order.per_cluster_orders``.
+    Takes what ``order.learn_orders`` takes. A row ranks its present values
+    by ascending cost (``metric.value_costs``), absent values last, ties by
+    value index. Returns two per-attribute tuples of (k, l_r) arrays: the
+    reference for the refresh's ranks and ``order.per_cluster_orders``.
     """
-    density_all, rank_all, pos_all = [], [], []
-    for probs, cost in zip(prof.probs, obj.per_value):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            density = np.where(probs > 0, probs / cost, 0.0)
-        density[(probs > 0) & (cost == 0)] = np.inf
-        ranks = np.vstack([rank_descending(row) for row in density])
-        density_all.append(density)
+    offsets = np.concatenate([[0], np.cumsum([mat.shape[0] for mat in matrices])])
+    counts = split_columns(prof.counts, offsets)
+    costs = split_columns(metric.value_costs(matrices, prof, form).T, offsets)
+    rank_all, pos_all = [], []
+    for count, cost in zip(counts, costs):
+        ranks = np.vstack([rank_descending(-np.where(n > 0, c, np.inf)) for n, c in zip(count, cost)])
         rank_all.append(ranks)
-        pos_all.append(np.vstack([unimodal_place(row, probs.shape[1]) for row in ranks]))
-    return tuple(density_all), tuple(rank_all), tuple(pos_all)
+        pos_all.append(np.vstack([unimodal_place(row, count.shape[1]) for row in ranks]))
+    return tuple(rank_all), tuple(pos_all)
 
 
 def exhaustive_order_search(d: Dataset, q, r: int, m: int):
@@ -294,7 +295,7 @@ def verify_suite(rounds: int = 200, seed: int = 0):
     ok = True
     for _ in range(rounds):
         d, q, o = random_instance(rng)
-        fast = metric.objective(d, q, o).total
+        fast = metric.objective(d, q, o)
         slow = objective_direct(d, q, o)
         rel = abs(fast - slow) / max(abs(slow), 1e-30)
         if rel > worst[0]:
@@ -342,17 +343,14 @@ def verify_suite(rounds: int = 200, seed: int = 0):
     total = 0
     for _ in range(20):
         d, q, _ = random_instance(rng, n_max=30, s_max=2, l_max=4, k_max=2)
-        sizes = np.bincount(q.assign, minlength=q.k)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+        _, placed = per_row_orders(prof, metric.value_distance_matrices(d, order.dictionary_orders(d)))
         for m in range(q.k):
-            if sizes[m] == 0:
+            if prof.sizes[m] == 0:
                 continue
             r = 0
             exhaust_pos, exhaust_cost = exhaustive_order_search(d, q, r, m)
-            prof = metric.compute_profile(d, q)
-            obj = metric.objective(d, q, order.dictionary_orders(d))
-            density = order.link_density(prof, obj)
-            placed = unimodal_place(density.ranks[r][m], d.cardinalities[r])
-            placed_cost = within_cluster_cost(d, q, r, m, placed)
+            placed_cost = within_cluster_cost(d, q, r, m, placed[r][m])
             total += 1
             if exhaust_cost <= placed_cost + 1e-12:
                 better += 1

@@ -1,22 +1,26 @@
 """Learning integer value orders from a partition.
 
-Per cluster and attribute, each value gets a link density: its within-cluster
-frequency divided by its contribution to the objective. Values are placed on
-a line by descending density (densest in the middle, alternating outward),
-and the per-cluster placements are blended by cluster size into one integer
-rank per value. A refresh is handed the profile and value distance matrices
-the fit already holds for its partition and orders, and rebuilds neither.
+The paper places each (cluster, attribute) row's values by link density: a
+value's within-cluster frequency divided by its contribution to the
+objective. For a present value that is (c / size) / (c * W[g, m]) =
+1 / (size * W[g, m]), with W the value costs of ``metric.value_costs``, so
+descending density within a row is ascending cost. A refresh therefore
+ranks each row's present values by ascending cost, absent values last, ties
+by value index, and never divides: equal costs stay equal. Values are placed
+on a line by that rank (lowest cost in the middle, alternating outward), and
+the per-cluster placements are blended by cluster size into one integer rank
+per value. A refresh is handed the profile and value distance matrices the
+fit already holds for its partition and orders, and rebuilds neither.
 
 A refresh works on the stacked (k, sum(l)) layout of ``Dataset.onehot``
 (attribute r owns columns ``offsets[r]:offsets[r + 1]``), so it makes a fixed
-number of numpy calls rather than a few per (cluster, attribute) row. The
-density is one elementwise pass over the stacked profile and cost tables;
-every row's density ranks come from one ``lexsort`` keyed by (value index,
-density, segment), and the closed-form placement applies to the whole table.
-The consensus keeps one ``weights @ positions`` product per attribute, the
-summation order of the per-attribute form, and ranks all scores with one
-more ``lexsort``. The per-row reference (``oracle.rank_descending``,
-``oracle.unimodal_place``) gives identical results.
+number of numpy calls rather than a few per (cluster, attribute) row, and
+no pass over the samples. Every row's cost ranks come from one ``lexsort``
+keyed by (value index, cost, segment), and the closed-form placement applies
+to the whole table. The consensus keeps one ``weights @ positions`` product
+per attribute, the summation order of the per-attribute form, and ranks all
+scores with one more ``lexsort``. The per-row reference
+(``oracle.per_row_orders``) gives identical results.
 """
 
 from __future__ import annotations
@@ -76,29 +80,6 @@ def semantic_orders(d: Dataset) -> OrderSet:
     return OrderSet(tuple(r if r is None else r.copy() for r in d.semantic_ranks))
 
 
-@dataclass(frozen=True)
-class LinkDensityTable:
-    """Per (cluster, attribute, value) link densities and their descending ranks.
-
-    Both tables are stacked (k, sum of cardinalities); attribute r owns
-    columns ``offsets[r]:offsets[r + 1]``, as in ``Dataset.onehot``.
-    """
-
-    stacked_density: np.ndarray  # (k, sum l) float64, +inf marks zero-cost values
-    stacked_ranks: np.ndarray  # (k, sum l) int64, 1-based descending ranks per attribute
-    offsets: np.ndarray  # (s + 1,) int64
-
-    @property
-    def density(self) -> tuple:
-        """Per attribute: (k, l_r) views of ``stacked_density``."""
-        return split_columns(self.stacked_density, self.offsets)
-
-    @property
-    def ranks(self) -> tuple:
-        """Per attribute: (k, l_r) views of ``stacked_ranks``."""
-        return split_columns(self.stacked_ranks, self.offsets)
-
-
 def _segment_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """1-based ascending ranks of ``keys`` within each (row, attribute) segment.
 
@@ -115,31 +96,17 @@ def _segment_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return ranks.reshape(keys.shape)
 
 
-def link_density(prof: metric.ClusterProfile, obj: metric.ObjectiveReport) -> LinkDensityTable:
-    """Frequency / objective-contribution ratio per value.
-
-    Absent values (zero frequency) get density 0; values present at zero
-    objective cost get +inf so they outrank every finite density.
-    """
-    offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in prof.probs])])
-    probs, cost = np.hstack(prof.probs), np.hstack(obj.per_value)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        density = np.where(probs > 0, probs / cost, 0.0)
-    density[(probs > 0) & (cost == 0)] = np.inf
-    return LinkDensityTable(density, _segment_ranks(-density, offsets), offsets)
-
-
-def per_cluster_orders(density: LinkDensityTable) -> tuple:
+def per_cluster_orders(ranks: np.ndarray, offsets: np.ndarray) -> tuple:
     """Closed-form unimodal placement of every (cluster, attribute) row at once.
 
-    The rank-1 value lands on the central position ceil(l/2); later ranks
+    ``ranks`` are the stacked (k, sum l) 1-based ranks within each row. The
+    rank-1 value lands on the central position ceil(l/2); later ranks
     alternate right, left, right, ... at growing offsets, a bijection onto 1..l.
     Returns per attribute the (k, l_r) int64 positions.
     """
-    rank = density.stacked_ranks
-    centre = np.repeat((np.diff(density.offsets) + 1) // 2, np.diff(density.offsets))
-    positions = centre - np.where(rank % 2 == 1, 1, -1) * (rank // 2)
-    return split_columns(positions, density.offsets)
+    centre = np.repeat((np.diff(offsets) + 1) // 2, np.diff(offsets))
+    positions = centre - np.where(ranks % 2 == 1, 1, -1) * (ranks // 2)
+    return split_columns(positions, offsets)
 
 
 def consensus_order(positions: tuple, cluster_sizes: np.ndarray, n: int):
@@ -162,25 +129,27 @@ def learn_orders(
     d: Dataset,
     prof: metric.ClusterProfile,
     matrices: tuple,
-    assign: np.ndarray,
     current: OrderSet,
     form: str = "profile",
     frozen: tuple | None = None,
 ) -> OrderSet:
-    """One full order refresh from the partition ``assign``.
+    """One full order refresh from a partition's profile.
 
-    ``prof`` is the profile of ``assign`` and ``matrices`` the value distances
+    ``prof`` is the partition's profile and ``matrices`` the value distances
     of ``current`` (``metric.value_distance_matrices(d, current)``), the tables
-    the fit already holds. The objective decomposition is evaluated under the
-    orders of the previous round, so the refresh sees the metric it is about
-    to replace. Attributes with two values pass through unchanged (any order
+    the fit already holds. Costs are taken under the orders of the previous
+    round, so the refresh sees the metric it is about to replace. Within each
+    (cluster, attribute) row, present values rank by ascending cost (the
+    paper's descending link density), absent values last, ties by value
+    index. Attributes with two values pass through unchanged (any order
     induces the same distances), as do attributes marked frozen.
     """
     if not prof.sizes.any():
         raise ValueError("all clusters are empty")
-    obj = metric.objective_report(d.onehot, matrices, prof, assign, form)
-    density = link_density(prof, obj)
-    ranks, scores = consensus_order(per_cluster_orders(density), prof.sizes, d.n)
+    offsets = np.concatenate([[0], np.cumsum(d.cardinalities)])
+    cost = np.where(prof.counts > 0, metric.value_costs(matrices, prof, form).T, np.inf)
+    positions = per_cluster_orders(_segment_ranks(cost, offsets), offsets)
+    ranks, scores = consensus_order(positions, prof.sizes, d.n)
 
     out_ranks, out_scores = [], []
     for r, l in enumerate(d.cardinalities):

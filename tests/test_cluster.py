@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ def identical_rows_dataset(n=6):
 def _nearest(d, q, o):
     """The fit's assignment step: argmin of the profile distances."""
     matrices = metric.value_distance_matrices(d, o)
-    return metric.cluster_distances(d.onehot, matrices, metric.compute_profile(d, q)).argmin(axis=1)
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+    return metric.cluster_distances(d.onehot, matrices, prof).argmin(axis=1)
 
 
 def test_assign_tie_breaks_to_lowest_id():
@@ -68,8 +71,9 @@ def test_partition_leaves_the_callers_array_writeable():
 
 def test_refresh_reuses_the_fits_tables(monkeypatch):
     # The refresh takes the profile and distance matrices the fit holds, so a
-    # fit builds one set of matrices up front and one per refreshed order set.
-    calls = {"value_distance_matrices": 0, "compute_profile": 0}
+    # fit builds one set of matrices up front and one per refreshed order set,
+    # and a refresh tallies no profile, sums no objective and reads no sample.
+    calls = {"value_distance_matrices": 0, "profile_from_assignment": 0, "objective_total": 0}
     in_refresh = {name: 0 for name in calls}
     refreshing = []
 
@@ -80,10 +84,11 @@ def test_refresh_reuses_the_fits_tables(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def refresh(*args, **kwargs):
+    def refresh(d, *args, **kwargs):
         refreshing.append(True)
         try:
-            return learn_orders(*args, **kwargs)
+            # the dataset's shape only: no per-sample table to pass over
+            return learn_orders(SimpleNamespace(n=d.n, cardinalities=d.cardinalities), *args, **kwargs)
         finally:
             refreshing.pop()
 
@@ -95,7 +100,8 @@ def test_refresh_reuses_the_fits_tables(monkeypatch):
     refreshes = len(res.trace.order_update_iterations)
     assert refreshes > 0
     assert calls["value_distance_matrices"] == 1 + refreshes
-    assert in_refresh == {"value_distance_matrices": 0, "compute_profile": 0}
+    assert calls["profile_from_assignment"] > 0 and calls["objective_total"] > 0
+    assert in_refresh == {name: 0 for name in calls}
 
 
 def test_fit_separable():

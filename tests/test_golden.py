@@ -7,11 +7,15 @@ claims "same behaviour" leaves the file byte-identical. Regenerate it only
 for an intended behaviour change, and say so in the change log:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it overwrites the file, the script prints how many entries change
+against the recorded ones and how many change in each field.
 """
 
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from ordclust import cli, cluster, fixtures
@@ -78,16 +82,40 @@ def dumps(entries: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def changes(old: dict, new: dict) -> tuple[list, Counter]:
+    """Keys whose entry differs between ``old`` and ``new``, and per field the number of changed entries."""
+    changed = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    fields = Counter()
+    for key in changed:
+        a, b = old.get(key, {}), new.get(key, {})
+        fields.update(field for field in a.keys() | b.keys() if a.get(field) != b.get(field))
+    return changed, fields
+
+
+def test_changes_counts_entries_and_fields():
+    same, moved = {"partition": "p", "ranks": [1]}, {"partition": "q", "ranks": [1]}
+    changed, fields = changes({"a": same, "b": same, "gone": same}, {"a": same, "b": moved, "added": same})
+    assert changed == ["added", "b", "gone"]
+    # b changed its partition only; an added or dropped entry counts in every field
+    assert fields == {"partition": 3, "ranks": 2}
+
+
 def test_golden_fits_unchanged():
     expected = json.loads(GOLDEN.read_text())
     got = compute()
     assert sorted(got) == sorted(expected)
-    changed = [key for key in sorted(got) if got[key] != expected[key]]
-    assert not changed, f"{len(changed)} fits changed, first: {changed[:5]}"
+    changed, fields = changes(expected, got)
+    assert not changed, f"{len(changed)} fits changed ({dict(fields)}), first: {changed[:5]}"
     assert dumps(got) == GOLDEN.read_text()
 
 
 if __name__ == "__main__":
+    got = compute()
+    if GOLDEN.exists():
+        changed, fields = changes(json.loads(GOLDEN.read_text()), got)
+        print(f"{len(changed)} of {len(got)} entries change", file=sys.stderr)
+        for field, count in sorted(fields.items()):
+            print(f"  {field}: {count}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(dumps(compute()))
+    GOLDEN.write_text(dumps(got))
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -14,7 +14,7 @@ from ordclust.data import synthesize
 def test_profile_counts_within_cluster():
     d = make_dataset([["a", "a", "b", "c"]])
     q = Partition(np.array([0, 0, 0, 1], dtype=np.int32), 2)
-    prof = metric.compute_profile(d, q)
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
     assert prof.probs[0][0].tolist() == pytest.approx([2 / 3, 1 / 3, 0.0])
     assert prof.probs[0][1].tolist() == pytest.approx([0.0, 0.0, 1.0])
     assert prof.sizes.tolist() == [3, 1]
@@ -23,7 +23,7 @@ def test_profile_counts_within_cluster():
 def test_profile_rows_sum_to_one(rng):
     d = synthesize(60, 3, 4, values_per_attribute=4, seed=5)
     q = Partition(rng.integers(0, 4, size=60).astype(np.int32), 4)
-    prof = metric.compute_profile(d, q)
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
     for probs in prof.probs:
         sums = probs.sum(axis=1)
         for m in range(4):
@@ -37,14 +37,14 @@ def test_profile_rows_sum_to_one(rng):
 def test_profile_empty_cluster_flagged():
     d = make_dataset([["a", "b"]])
     q = Partition(np.array([0, 0], dtype=np.int32), 3)
-    prof = metric.compute_profile(d, q)
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
     assert prof.empty.tolist() == [False, True, True]
 
 
 def test_profile_matches_brute_tally():
     d = make_dataset([["a", "b", "a", "c", "b", "b"], ["x", "x", "y", "y", "x", "y"]])
     assign = np.array([0, 1, 0, 1, 0, 1], dtype=np.int32)
-    prof = metric.compute_profile(d, Partition(assign, 2))
+    prof = metric.profile_from_assignment(d.onehot, assign, 2)
     for r in range(2):
         for m in range(2):
             members = d.cat[assign == m, r]
@@ -89,7 +89,7 @@ def test_binary_table_off_value_is_one():
 def test_sample_cluster_distance_examples():
     d = make_dataset([["a", "a", "b", "c"]])
     q = Partition(np.array([0, 0, 0, 1], dtype=np.int32), 2)
-    prof = metric.compute_profile(d, q)
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
     table = oracle.build_distance_table(d, order.dictionary_orders(d))
     # d = [0, .5, 1] against p = [2/3, 1/3, 0]
     assert oracle.sample_cluster_distance(0, 0, table, prof) == pytest.approx(1 / 6)
@@ -101,7 +101,7 @@ def test_sample_cluster_distance_is_mean_over_attributes():
     # per-attribute distances 0.2 and 0.6 average to 0.4
     d = make_dataset([["a", "b", "a", "b", "b"], ["x", "y", "y", "y", "x"]])
     assign = np.zeros(5, dtype=np.int32)
-    prof = metric.compute_profile(d, Partition(assign, 1))
+    prof = metric.profile_from_assignment(d.onehot, assign, 1)
     table = oracle.build_distance_table(d, order.dictionary_orders(d))
     t0 = float(table.vector(0, 0) @ prof.probs[0][0])
     t1 = float(table.vector(0, 1) @ prof.probs[1][0])
@@ -111,7 +111,7 @@ def test_sample_cluster_distance_is_mean_over_attributes():
 
 def test_sample_cluster_distance_rejects_empty_cluster():
     d = make_dataset([["a", "b"]])
-    prof = metric.compute_profile(d, Partition(np.array([0, 0], dtype=np.int32), 2))
+    prof = metric.profile_from_assignment(d.onehot, np.array([0, 0], dtype=np.int32), 2)
     table = oracle.build_distance_table(d, order.dictionary_orders(d))
     with pytest.raises(ValueError, match="empty"):
         oracle.sample_cluster_distance(0, 1, table, prof)
@@ -129,8 +129,7 @@ def test_objective_zero_for_identical_samples():
         num_names=(),
     )
     q = Partition(np.zeros(3, dtype=np.int32), 1)
-    rep = metric.objective(d, q, order.dictionary_orders(d))
-    assert rep.total == 0.0
+    assert metric.objective(d, q, order.dictionary_orders(d)) == 0.0
 
 
 def test_objective_matches_hand_evaluation():
@@ -138,8 +137,7 @@ def test_objective_matches_hand_evaluation():
     # p = (.5, .25, .25); form(a) = .375, form(b) = .375, form(c) = .625
     d = make_dataset([["a", "a", "b", "c"]])
     q = Partition(np.zeros(4, dtype=np.int32), 1)
-    rep = metric.objective(d, q, order.dictionary_orders(d))
-    assert rep.total == pytest.approx(1.75, rel=1e-12)
+    assert metric.objective(d, q, order.dictionary_orders(d)) == pytest.approx(1.75, rel=1e-12)
     assert oracle.objective_direct(d, q, order.dictionary_orders(d)) == pytest.approx(1.75)
 
 
@@ -147,21 +145,9 @@ def test_objective_invariant_to_cluster_relabeling(rng):
     d = synthesize(40, 3, 2, values_per_attribute=4, seed=3)
     assign = rng.integers(0, 2, size=40).astype(np.int32)
     o = order.random_orders(d, rng)
-    a = metric.objective(d, Partition(assign, 2), o).total
-    b = metric.objective(d, Partition((1 - assign).astype(np.int32), 2), o).total
+    a = metric.objective(d, Partition(assign, 2), o)
+    b = metric.objective(d, Partition((1 - assign).astype(np.int32), 2), o)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_objective_decompositions(rng):
-    for trial in range(25):
-        d, q, o = oracle.random_instance(rng)
-        rep = metric.objective(d, q, o)
-        total = rep.per_cluster_attribute.sum() / d.s_categorical
-        assert rep.total == pytest.approx(total, rel=1e-9)
-        for r in range(d.s_categorical):
-            assert rep.per_value[r].sum(axis=1) == pytest.approx(
-                rep.per_cluster_attribute[:, r], rel=1e-9, abs=1e-12
-            )
 
 
 def test_order_reversal_leaves_distances_unchanged(rng):
@@ -169,9 +155,7 @@ def test_order_reversal_leaves_distances_unchanged(rng):
     q = Partition(rng.integers(0, 2, size=50).astype(np.int32), 2)
     o = order.random_orders(d, rng)
     mirrored = order.OrderSet(tuple(len(r) + 1 - r for r in o.ranks))
-    assert metric.objective(d, q, o).total == pytest.approx(
-        metric.objective(d, q, mirrored).total, rel=1e-12
-    )
+    assert metric.objective(d, q, o) == pytest.approx(metric.objective(d, q, mirrored), rel=1e-12)
     ta = metric.value_distance_matrices(d, o)
     tb = metric.value_distance_matrices(d, mirrored)
     for a, b in zip(ta, tb):
@@ -183,9 +167,7 @@ def test_binary_collapse_is_exact(rng):
     q = Partition(rng.integers(0, 3, size=80).astype(np.int32), 3)
     for _ in range(5):
         o = order.random_orders(d, rng)
-        assert metric.objective(d, q, o).total == metric.objective(
-            d, q, order.hamming_orders(d)
-        ).total
+        assert metric.objective(d, q, o) == metric.objective(d, q, order.hamming_orders(d))
 
 
 def test_pairwise_distance_matrix_properties():
@@ -213,7 +195,7 @@ def test_distance_kernels_match_per_sample_oracle(rng, form):
     reference = oracle.sample_cluster_distance if form == "profile" else oracle.sample_mode_distance
     saw_empty = False
     for d, q, o in _kernel_instances(rng):
-        prof = metric.compute_profile(d, q)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         table = oracle.build_distance_table(d, o)
         dist = kernel(d.onehot, table.matrices, prof)
         assert dist.shape == (d.n, q.k)
@@ -231,7 +213,7 @@ def test_distance_kernels_match_per_sample_oracle(rng, form):
 def test_distance_kernels_sum_attributes_in_order(rng, form):
     # X @ W must reproduce the attribute-ordered float sum bit for bit
     for d, q, o in _kernel_instances(rng):
-        prof = metric.compute_profile(d, q)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         mats = metric.value_distance_matrices(d, o)
         expect = np.zeros((d.n, q.k))
         for r, mat in enumerate(mats):
@@ -259,7 +241,7 @@ def test_profile_kernel_matches_tally(rng):
 def test_objective_total_matches_oracle(rng, form):
     reference = oracle.sample_cluster_distance if form == "profile" else oracle.sample_mode_distance
     for d, q, o in _kernel_instances(rng):
-        prof = metric.compute_profile(d, q)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         table = oracle.build_distance_table(d, o)
         got = metric.objective_total(table.matrices, prof, form)
         # the exactly rounded sum of count x cost over the (k, sum l) cells, reproduced exactly
@@ -274,8 +256,6 @@ def test_objective_total_matches_oracle(rng, form):
         assert got == pytest.approx(expect, rel=1e-12)
         if form == "profile":
             assert got == pytest.approx(oracle.objective_direct(d, q, o), rel=1e-12)
-        rep = metric.objective_report(d.onehot, table.matrices, prof, q.assign, form)
-        assert rep.total == pytest.approx(got, rel=1e-12)
 
 
 def test_onehot_built_once_with_s_ones_per_row():
@@ -289,14 +269,6 @@ def test_onehot_built_once_with_s_ones_per_row():
     expect = d.cat + enc.offsets[:-1]
     assert np.array_equal(enc.X.indices.reshape(50, 4), expect)
     assert np.array_equal(enc.codes, expect.T)
-
-
-def test_objective_report_cells_sum_to_total(rng):
-    for form in ("profile", "mode"):
-        for d, q, o in _kernel_instances(rng):
-            rep = metric.objective(d, q, o, form=form)
-            cells = sum(float(v.sum()) for v in rep.per_value)
-            assert cells == pytest.approx(rep.total * d.s_categorical, rel=1e-12, abs=1e-15)
 
 
 def test_unknown_form_rejected():
@@ -350,15 +322,18 @@ def _traced_peak(fn):
 
 
 def test_objective_and_delta_profile_allocate_no_per_sample_table():
-    # An (s, n) index table here is 16 MB; both kernels stay under 1 MiB.
+    # An (s, n) index table here is 16 MB; the objective, the order refresh and
+    # a small delta profile each stay under 1 MiB.
     d = synthesize(100_000, 20, 5, 5, seed=3)
     enc, k = d.onehot, 5
     rng = np.random.default_rng(0)
     assign = rng.integers(0, k, size=d.n).astype(np.int32)
     prof = metric.profile_from_assignment(enc, assign, k)
-    matrices = metric.value_distance_matrices(d, order.dictionary_orders(d))
+    start = order.dictionary_orders(d)
+    matrices = metric.value_distance_matrices(d, start)
     for form in ("profile", "mode"):
         assert _traced_peak(lambda: metric.objective_total(matrices, prof, form)) < 2**20
+        assert _traced_peak(lambda: order.learn_orders(d, prof, matrices, start, form)) < 2**20
     moved = assign.copy()
     idx = rng.choice(d.n, size=100, replace=False)
     moved[idx] = (moved[idx] + 1) % k

@@ -25,16 +25,13 @@ def test_exhaustive_search_pure_cluster_zero_cost():
 def test_exhaustive_search_lower_bounds_unimodal_placement(rng):
     for _ in range(10):
         d, q, _ = oracle.random_instance(rng, n_max=25, s_max=2, l_max=4, k_max=2)
-        sizes = np.bincount(q.assign, minlength=q.k)
-        prof = metric.compute_profile(d, q)
-        obj = metric.objective(d, q, order.dictionary_orders(d))
-        density = order.link_density(prof, obj)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+        _, placed = oracle.per_row_orders(prof, metric.value_distance_matrices(d, order.dictionary_orders(d)))
         for m in range(q.k):
-            if sizes[m] == 0:
+            if prof.sizes[m] == 0:
                 continue
             _, best = oracle.exhaustive_order_search(d, q, 0, m)
-            placed = oracle.unimodal_place(density.ranks[0][m], d.cardinalities[0])
-            assert best <= oracle.within_cluster_cost(d, q, 0, m, placed) + 1e-12
+            assert best <= oracle.within_cluster_cost(d, q, 0, m, placed[0][m]) + 1e-12
 
 
 def test_exhaustive_search_guards():
@@ -47,7 +44,7 @@ def test_exhaustive_search_guards():
 def test_objective_direct_agrees_with_fast_path(rng):
     for _ in range(50):
         d, q, o = oracle.random_instance(rng)
-        fast = metric.objective(d, q, o).total
+        fast = metric.objective(d, q, o)
         slow = oracle.objective_direct(d, q, o)
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
@@ -112,16 +109,13 @@ def test_placement_vs_exhaustive_exploration(rng, capsys):
     hits = total = 0
     for _ in range(15):
         d, q, _ = oracle.random_instance(rng, n_max=20, s_max=1, l_max=4, k_max=2)
-        sizes = np.bincount(q.assign, minlength=q.k)
-        prof = metric.compute_profile(d, q)
-        obj = metric.objective(d, q, order.dictionary_orders(d))
-        density = order.link_density(prof, obj)
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+        _, placed = oracle.per_row_orders(prof, metric.value_distance_matrices(d, order.dictionary_orders(d)))
         for m in range(q.k):
-            if sizes[m] == 0:
+            if prof.sizes[m] == 0:
                 continue
             _, best = oracle.exhaustive_order_search(d, q, 0, m)
-            placed = oracle.unimodal_place(density.ranks[0][m], d.cardinalities[0])
-            got = oracle.within_cluster_cost(d, q, 0, m, placed)
+            got = oracle.within_cluster_cost(d, q, 0, m, placed[0][m])
             total += 1
             hits += abs(got - best) <= 1e-9
     print(f"\nplacement reached the exhaustive optimum on {hits}/{total} instances")

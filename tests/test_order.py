@@ -4,40 +4,34 @@ import pytest
 from conftest import make_dataset
 from ordclust import metric, oracle, order
 from ordclust.cluster import Partition
-from ordclust.data import synthesize
+from ordclust.data import Dataset, split_columns, synthesize
 
 
 def test_link_density_division():
-    d = make_dataset([["a", "a", "b", "b"]])
-    q = Partition(np.zeros(4, dtype=np.int32), 1)
-    prof = metric.compute_profile(d, q)
-    obj = metric.objective(d, q, order.dictionary_orders(d))
-    table = order.link_density(prof, obj)
-    # p = .5 each, form(a) = form(b) = .5 -> cost share .5*2 = 1 each
-    assert table.density[0][0].tolist() == pytest.approx([0.5, 0.5])
+    # density = (c / size) / (c * W) = 1 / (size * W): frequency cancels. The
+    # rarest value b sits between a and c and costs least, so it takes the
+    # centre; a and c cost the same and keep value-index order
+    d = make_dataset([["a"] * 3 + ["b"] + ["c"] * 3])
+    q = Partition(np.zeros(d.n, dtype=np.int32), 1)
+    assert refresh(d, q, order.dictionary_orders(d)).ranks[0].tolist() == [3, 2, 1]
 
 
 def test_link_density_absent_value_is_zero():
-    d = make_dataset([["a", "a", "b", "c"]])
-    q = Partition(np.array([0, 0, 0, 1], dtype=np.int32), 2)
-    prof = metric.compute_profile(d, q)
-    obj = metric.objective(d, q, order.dictionary_orders(d))
-    table = order.link_density(prof, obj)
-    # value c never occurs in cluster 0
-    assert table.density[0][0, 2] == 0.0
+    # cluster 0 holds a and c only; a, b and c all cost 0.5 there, and the
+    # absent b ranks last, at the edge. Cluster 1 is b alone. Blended 8:1,
+    # b ends first ([2, 3, 1] if b ranked second in cluster 0)
+    d = make_dataset([["a", "b", "c"] + ["a", "c"] * 3])
+    q = Partition((np.arange(d.n) == 1).astype(np.int32), 2)
+    assert refresh(d, q, order.dictionary_orders(d)).ranks[0].tolist() == [2, 1, 3]
 
 
 def test_link_density_pure_cluster_sentinel():
-    d = make_dataset([["a", "a", "b", "c"]])
-    q = Partition(np.array([1, 1, 0, 0], dtype=np.int32), 2)
-    prof = metric.compute_profile(d, q)
-    obj = metric.objective(d, q, order.dictionary_orders(d))
-    table = order.link_density(prof, obj)
-    # cluster 1 holds only value a: zero cost share at positive probability
-    assert np.isinf(table.density[0][1, 0])
-    assert table.density[0][1, 1] == 0.0
-    assert table.density[0][1, 2] == 0.0
-    assert table.ranks[0][1].tolist() == [1, 2, 3]
+    # cluster 1 holds only a: a costs 0 there and ranks first, the absent b
+    # and c follow by value index; cluster 0 holds b and c at cost 0.25 each
+    # and the absent a last. Blended 2:6, a takes the centre
+    d = make_dataset([["a"] * 6 + ["b", "c"]])
+    q = Partition((np.arange(d.n) < 6).astype(np.int32), 2)
+    assert refresh(d, q, order.dictionary_orders(d)).ranks[0].tolist() == [2, 3, 1]
 
 
 def test_rank_descending_examples():
@@ -91,29 +85,49 @@ def test_unimodal_place_unimodal_walk(rng):
 
 
 def test_stacked_refresh_equals_per_row_oracle(rng):
-    # densities drawn from a few values tie often; a zero cost at a positive
-    # frequency gives +inf, a zero frequency gives 0; one cluster is empty
-    for _ in range(300):
+    # Costs drawn from a few values tie often and are often zero, clusters of
+    # at most five rows leave most values absent, and one cluster is empty.
+    ties = zero_costs = 0
+    for trial in range(300):
+        form = ("profile", "mode")[trial % 2]
         k = int(rng.integers(2, 5))
-        cards = rng.integers(2, 10, size=int(rng.integers(1, 5)))
+        cards = [int(l) for l in rng.integers(2, 10, size=int(rng.integers(1, 5)))]
         sizes = rng.integers(1, 6, size=k)
         sizes[rng.integers(k)] = 0
-        probs = tuple(rng.choice([0.0, 0.25, 0.5], size=(k, l)) * (sizes > 0)[:, None] for l in cards)
-        costs = tuple(rng.choice([0.0, 0.5, 1.0], size=(k, l)) for l in cards)
-        prof = metric.ClusterProfile(probs=probs, sizes=sizes)
-        obj = metric.ObjectiveReport(total=0.0, per_cluster_attribute=np.zeros((k, len(cards))), per_value=costs)
+        n = int(sizes.sum())
+        d = Dataset(
+            cat=np.column_stack([rng.integers(0, l, size=n) for l in cards]).astype(np.int32),
+            num=np.empty((n, 0)),
+            dictionaries=tuple(tuple(str(g) for g in range(l)) for l in cards),
+            cat_names=tuple(f"a{r}" for r in range(len(cards))),
+            cat_kinds=tuple("nominal" for _ in cards),
+            semantic_ranks=tuple(None for _ in cards),
+            num_names=(),
+        )
+        prof = metric.profile_from_assignment(d.onehot, np.repeat(np.arange(k), sizes).astype(np.int32), k)
+        matrices = tuple(rng.choice([0.0, 0.5, 1.0], size=(l, l)) for l in cards)
+        costs = metric.value_costs(matrices, prof, form).T
+        offsets = d.onehot.offsets
 
-        density, ranks, positions = oracle.per_row_orders(prof, obj)
-        table = order.link_density(prof, obj)
-        placed = order.per_cluster_orders(table)
-        consensus, scores = order.consensus_order(placed, sizes, int(sizes.sum()))
-        for r in range(len(cards)):
-            assert table.density[r].tobytes() == density[r].tobytes()
-            assert table.ranks[r].tolist() == ranks[r].tolist()
+        ranks, positions = oracle.per_row_orders(prof, matrices, form)
+        stacked = order._segment_ranks(np.where(prof.counts > 0, costs, np.inf), offsets)
+        placed = order.per_cluster_orders(stacked, offsets)
+        consensus, scores = order.consensus_order(positions, sizes, n)
+        learned = order.learn_orders(d, prof, matrices, order.dictionary_orders(d), form)
+        for r, l in enumerate(cards):
+            assert split_columns(stacked, offsets)[r].tolist() == ranks[r].tolist()
             assert placed[r].dtype == np.int64
             assert placed[r].tolist() == positions[r].tolist()
             # ascending scores, ties by value index
             assert consensus[r].tolist() == oracle.rank_descending(-scores[r]).tolist()
+            if l > 2:
+                assert learned.ranks[r].tolist() == consensus[r].tolist()
+                assert learned.scores[r].tobytes() == scores[r].tobytes()
+            for count, cost in zip(split_columns(prof.counts, offsets)[r], split_columns(costs, offsets)[r]):
+                present = cost[count > 0]
+                ties += np.unique(present).size < present.size
+                zero_costs += (present == 0).sum()
+    assert ties > 0 and zero_costs > 0
 
 
 def test_consensus_weighted_mean():
@@ -144,8 +158,8 @@ def test_consensus_rejects_bad_sizes():
 
 def refresh(d, q, current, **kw):
     """``learn_orders`` fed the tables a fit holds for partition q under ``current``."""
-    prof = metric.compute_profile(d, q)
-    return order.learn_orders(d, prof, metric.value_distance_matrices(d, current), q.assign, current, **kw)
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+    return order.learn_orders(d, prof, metric.value_distance_matrices(d, current), current, **kw)
 
 
 def test_learn_orders_binary_pass_through(rng):
@@ -158,17 +172,22 @@ def test_learn_orders_binary_pass_through(rng):
 
 
 def test_learn_orders_single_cluster_matches_placement():
-    # single cluster, four values with strictly decreasing link density
-    # (frequency ladder): densest value goes to the centre, then right, left
+    # single cluster, frequency ladder 8/4/2/1: costs 11/45 < 12/45 < 21/45 <
+    # 34/45, so a is cheapest (densest) and goes to the centre, then right, left
     d = make_dataset([["a"] * 8 + ["b"] * 4 + ["c"] * 2 + ["d"]])
     q = Partition(np.zeros(d.n, dtype=np.int32), 1)
     learned = refresh(d, q, order.dictionary_orders(d))
-    density_rank = oracle.rank_descending(
-        order.link_density(
-            metric.compute_profile(d, q), metric.objective(d, q, order.dictionary_orders(d))
-        ).density[0][0]
-    )
-    assert learned.ranks[0].tolist() == oracle.unimodal_place(density_rank, 4).tolist()
+    assert learned.ranks[0].tolist() == oracle.unimodal_place(np.array([1, 2, 3, 4]), 4).tolist()
+
+
+def test_learn_orders_equal_costs_keep_value_index():
+    # mode form, mode b: a and c are both exactly 1/3 from it. Equal costs
+    # keep value-index order, so a ranks before c; a density computed by
+    # division ranked c first by rounding and learned [1, 2, 3, 4]
+    d = make_dataset([["a"] + ["b"] * 6 + ["c"] * 5 + ["d"]])
+    q = Partition(np.zeros(d.n, dtype=np.int32), 1)
+    learned = refresh(d, q, order.dictionary_orders(d), form="mode")
+    assert learned.ranks[0].tolist() == [3, 2, 1, 4]
 
 
 def test_learn_orders_pure_clusters_hand_trace():
