@@ -240,26 +240,27 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     return FitResult(Partition(cur_assign, k), cur_orders, trace)
 
 
-def _centre_loop(enc, num, k, seed, max_iter, monotone) -> tuple[Partition, FitTrace]:
-    """Lloyd loop over k distinct random samples as centres: modes, plus means when ``num`` is given.
+def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, FitTrace]:
+    """Lloyd loop over k distinct random samples as centres: modes, plus means when ``cols`` is given.
 
     Stops on a repeated assignment and, when ``monotone``, on an objective
     that fails to decrease, reporting the last decreasing objective instead
     of the last one computed. An emptied cluster keeps its stale centre.
 
-    Modes are kept as one-hot columns of ``enc``. Without ``num`` the mismatch
+    Modes are kept as one-hot columns of ``enc``. Without ``cols`` the mismatch
     count is ``s - X @ M`` for the (sum l, k) one-hot M of the modes, exact in
-    floats; with ``num`` the mismatches are added onto the squared distances
-    one attribute at a time, the summation order of the per-attribute form.
+    floats; with ``cols``, (dim, n) numerical rows, the mismatches are added onto
+    the (k, n) squared distances one attribute at a time, the summation order
+    of the per-attribute form.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     s_cat, n = enc.codes.shape
     width = int(enc.offsets[-1])
-    s = s_cat + (0 if num is None else num.shape[1])
+    s = s_cat + (0 if cols is None else cols.shape[0])
     idx = rng.choice(n, size=k, replace=False)
     modes = enc.codes[:, idx].T.copy()  # (k, s_cat) one-hot columns
-    means = None if num is None else num[idx].copy()
+    means = None if cols is None else cols[:, idx].T.copy()
     attr = np.repeat(np.arange(s_cat), np.diff(enc.offsets))  # attribute of each column
 
     trace = FitTrace()
@@ -270,22 +271,21 @@ def _centre_loop(enc, num, k, seed, max_iter, monotone) -> tuple[Partition, FitT
             onehot[modes, np.arange(k)[:, None]] = 1.0
             dist = enc.X @ onehot
             np.subtract(s_cat, dist, out=dist)
+            a = dist.argmin(axis=1).astype(np.int32)
+            l_new = float(dist[np.arange(n), a].sum()) / s
         else:
-            dist = _squared_distances(num, means)
+            dist = _squared_distances(cols, means)
             for r in range(s_cat):
-                dist += enc.codes[r][:, None] != modes[None, :, r]
-        a = dist.argmin(axis=1).astype(np.int32)
-        l_new = float(dist[np.arange(n), a].sum()) / s
+                dist += enc.codes[r] != modes[:, r, None]
+            a, nearest = _nearest(dist)
+            l_new = float(nearest.sum()) / s
         trace.objective_values.append(l_new)
         if cur_assign is not None and (np.array_equal(a, cur_assign) or (monotone and l_new >= l_prev)):
             trace.converged = True
             trace.final_objective = l_new
             break
         if means is not None:
-            for m in range(k):
-                members = a == m
-                if members.any():
-                    means[m] = num[members].mean(axis=0)
+            _update_means(cols, a, means)
         counts = np.bincount((a * width + enc.codes).ravel(), minlength=k * width).reshape(k, width)
         # Lowest-index most frequent value per attribute: the first of its
         # columns that reaches the attribute's maximum.
@@ -299,7 +299,7 @@ def _centre_loop(enc, num, k, seed, max_iter, monotone) -> tuple[Partition, FitT
     trace.epochs = 1
     trace.best_objective = l_prev if monotone else trace.objective_values[-1]
     trace.wall_time = time.perf_counter() - t0
-    return Partition(cur_assign, k), trace
+    return Partition(cur_assign.astype(np.int32, copy=False), k), trace
 
 
 def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partition, FitTrace]:
@@ -336,74 +336,115 @@ def _seed_int(seed) -> int:
     raise ValueError("seed must be an integer")
 
 
-def _kmeans_pp_init(data: np.ndarray, k: int, rng) -> np.ndarray:
-    n = data.shape[0]
-    centers = np.empty((k, data.shape[1]))
-    centers[0] = data[rng.integers(n)]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+def _kmeans_pp_init(cols: np.ndarray, k: int, rng) -> np.ndarray:
+    n = cols.shape[1]
+    centers = np.empty((k, cols.shape[0]))
+    centers[0] = cols[:, rng.integers(n)]
+    d2 = _squared_distances(cols, centers[:1])[0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centers[j:] = data[rng.integers(n, size=k - j)]
+            centers[j:] = cols[:, rng.integers(n, size=k - j)].T
             break
-        centers[j] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+        centers[j] = cols[:, rng.choice(n, p=d2 / total)]
+        np.minimum(d2, _squared_distances(cols, centers[j:j + 1])[0], out=d2)
     return centers
 
 
-def _squared_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, one center at a time: no (n, k, dim) temporary."""
-    out = np.empty((data.shape[0], centers.shape[0]))
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a (dim, n) array, added in place in the order of numpy's pairwise sum
+    of one contiguous row: for x >= 0, bit-identical to ``x.T.sum(axis=1)``. Returns the row holding them."""
+    dim = x.shape[0]
+    if dim > 128:  # two halves, split at a multiple of 8
+        half = dim // 2 - dim // 2 % 8
+        return np.add(_row_sums(x[:half]), _row_sums(x[half:]), out=x[0])
+    blocked = dim - dim % 8 if dim >= 8 else 1  # below 8 the rows are added in turn
+    for i in range(8, blocked, 8):  # eight accumulators, then a fixed tree
+        x[:8] += x[i:i + 8]
+    for step in (1, 2, 4) if dim >= 8 else ():
+        x[:8:2 * step] += x[step:8:2 * step]
+    for row in x[blocked:]:
+        x[0] += row
+    return x[0]
+
+
+def _squared_distances(cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(k, n) squared distances from the columns of a (dim, n) array to each centre, bit-identical
+    to ``((data - c) ** 2).sum(axis=1)`` over the (n, dim) rows: the same subtractions and squares,
+    summed by ``_row_sums``, with every numpy call over n-long rows of one reused (dim, n) buffer."""
+    diff, out = np.empty_like(cols), np.empty((len(centers), cols.shape[1]))
     for m, center in enumerate(centers):
-        out[:, m] = ((data - center) ** 2).sum(axis=1)
+        np.subtract(cols, center[:, None], out=diff)
+        np.square(diff, out=diff)
+        out[m] = _row_sums(diff)
     return out
 
 
-def lloyd_kmeans(data: np.ndarray, k: int, seed=0, max_iter: int = 100) -> np.ndarray:
-    """Plain seeded k-means (k-means++ init); returns the assignment."""
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(data, k, rng)
+def _nearest(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and value of each column's first minimum in ``dist``, as ``argmin`` picks for finite values."""
+    nearest, a = dist[0].copy(), np.zeros(dist.shape[1], dtype=np.intp)
+    for m in range(1, len(dist)):
+        a[dist[m] < nearest] = m
+        np.minimum(nearest, dist[m], out=nearest)
+    return a, nearest
+
+
+def _update_means(cols: np.ndarray, a: np.ndarray, centers: np.ndarray) -> None:
+    """Set each live cluster's centre to its members' mean, bit-identical to
+    ``data[a == m].mean(axis=0)``; an emptied cluster keeps its stale centre."""
+    counts = np.bincount(a, minlength=len(centers))
+    live = counts > 0
+    if len(cols) == 1:  # a one-column mean is numpy's pairwise sum
+        centers[live, 0] = [cols[0][a == m].mean() for m in np.flatnonzero(live)]
+        return
+    for r, row in enumerate(cols):  # in sample order from zero, as numpy's axis-0 sum adds
+        centers[live, r] = np.bincount(a, weights=row, minlength=len(centers))[live] / counts[live]
+
+
+def lloyd_kmeans(cols: np.ndarray, k: int, seed=0, max_iter: int = 100) -> tuple[np.ndarray, bool]:
+    """Plain seeded k-means (k-means++ init) over the columns of a (dim, n) array; returns the
+    assignment and False when ``max_iter`` ran out before it repeated. Distances, assignment
+    and means are each bit-identical to the (n, dim) form, so it finds that form's partition."""
+    centers = _kmeans_pp_init(cols, k, np.random.default_rng(seed))
     assign_prev = None
     for _ in range(max_iter):
-        d2 = _squared_distances(data, centers)
-        a = d2.argmin(axis=1).astype(np.int32)
+        a = _nearest(_squared_distances(cols, centers))[0]
         if assign_prev is not None and np.array_equal(a, assign_prev):
-            break
-        for m in range(k):
-            members = data[a == m]
-            if len(members):
-                centers[m] = members.mean(axis=0)
+            return a.astype(np.int32), True
+        _update_means(cols, a, centers)
         assign_prev = a
-    return assign_prev
+    return assign_prev.astype(np.int32), False
 
 
 def encode_with_orders(d: Dataset, o: order.OrderSet) -> np.ndarray:
-    """Map categorical cells onto [0, 1] by normalized learned rank."""
-    cols = []
+    """(s_categorical, n) rows: each categorical cell mapped onto [0, 1] by normalized learned rank."""
+    rows = np.empty((d.s_categorical, d.n))
     for r, card in enumerate(d.cardinalities):
         ranks = o.ranks[r]
         if ranks is None:
             ranks = np.arange(1, card + 1, dtype=np.int64)
-        cols.append((np.asarray(ranks, dtype=np.float64)[d.cat[:, r]] - 1.0) / (card - 1))
-    return np.column_stack(cols) if cols else np.empty((d.n, 0))
+        rows[r] = (np.asarray(ranks, dtype=np.float64)[d.cat[:, r]] - 1.0) / (card - 1)
+    return rows
 
 
 def fit_mixed(d: Dataset, cfg: FitConfig) -> FitResult:
     """Two-stage mixed-data fit.
 
     Stage one learns value orders on the categorical columns. Stage two
-    re-encodes those columns by normalized rank, concatenates them with the
+    re-encodes those columns by normalized rank, stacks them with the
     min-max scaled numerical columns, and runs plain k-means on the result.
+    The trace is stage one's; a k-means stopped by its cap makes it unconverged.
     """
     if d.s_numerical < 1:
         raise ValueError("dataset has no numerical columns; use fit directly")
     t0 = time.perf_counter()
-    stage1 = fit(d, cfg)
     dn = normalize_numerical(d)
-    features = np.hstack([encode_with_orders(d, stage1.orders), dn.num])
+    stage1 = fit(d, cfg)
+    cols = np.concatenate([encode_with_orders(d, stage1.orders), dn.num.T])
     kmeans_seed = np.random.SeedSequence(cfg.seed).spawn(3)[2]
-    labels = lloyd_kmeans(features, cfg.k, seed=kmeans_seed)
+    labels, kmeans_converged = lloyd_kmeans(cols, cfg.k, seed=kmeans_seed)
     trace = stage1.trace
+    trace.converged = trace.converged and kmeans_converged
     trace.wall_time = time.perf_counter() - t0
     return FitResult(Partition(labels, cfg.k), stage1.orders, trace)
 
@@ -414,4 +455,4 @@ def fit_kprototypes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Pa
     if d.s_numerical < 1:
         raise ValueError("dataset has no numerical columns")
     # d.onehot, not the scaled copy's: the copy would encode the table again.
-    return _centre_loop(d.onehot, normalize_numerical(d).num, k, seed, max_iter, monotone=False)
+    return _centre_loop(d.onehot, normalize_numerical(d).num.T.copy(), k, seed, max_iter, monotone=False)

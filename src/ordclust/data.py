@@ -460,7 +460,10 @@ def normalize_numerical(d: Dataset) -> Dataset:
         raise DataError("dataset has no numerical columns")
     num = d.num.copy()
     lo = num.min(axis=0)
-    span = num.max(axis=0) - lo
+    with np.errstate(over="ignore"):  # reported as a DataError just below
+        span = num.max(axis=0) - lo
+    if not np.isfinite(span).all():
+        raise DataError(f"numerical column {d.num_names[np.isinf(span).argmax()]!r}: max - min overflows")
     keep = span > 0
     num[:, keep] = (num[:, keep] - lo[keep]) / span[keep]
     num[:, ~keep] = 0.0

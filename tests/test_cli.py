@@ -62,6 +62,19 @@ def test_fit_bad_config_exit_code(tmp_path):
     assert code == 2
 
 
+def test_mixed_fit_with_an_overflowing_range_is_data_error(tmp_path, capsys):
+    data = tmp_path / "t.csv"
+    data.write_text("a,x\np,-1.7e308\nq,1.7e308\np,0\nq,1\n")
+    schema = tmp_path / "t.schema"
+    schema.write_text("a,nominal\nx,numerical\n")
+    code = run([
+        "fit", "--data", str(data), "--schema", str(schema), "--mixed",
+        "--k", "2", "--runs", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert "'x'" in capsys.readouterr().err
+
+
 def test_demo_orders_counts_and_sections(tmp_path):
     out = tmp_path / "demo"
     code = run([

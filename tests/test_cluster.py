@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import make_dataset
 from ordclust import cli, cluster, evaluate, fixtures, metric, order
 from ordclust.cluster import ABLATIONS, FitConfig, Partition
-from ordclust.data import Dataset, synthesize
+from ordclust.data import DataError, Dataset, normalize_numerical, synthesize
 
 
 def separable_dataset():
@@ -379,4 +380,148 @@ def test_squared_distances_equal_the_broadcast_form(rng):
         data = rng.normal(size=(n, dim))
         centers = rng.normal(size=(k, dim))
         broadcast = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assert cluster._squared_distances(data, centers).tobytes() == broadcast.tobytes()
+        cols = np.ascontiguousarray(data.T)
+        assert cluster._squared_distances(cols, centers).tobytes() == broadcast.T.tobytes()
+
+
+def test_row_sums_follow_numpys_row_sum_order(rng):
+    # Pins numpy's pairwise summation order on the installed version: a
+    # numpy whose contiguous row sum adds in another order fails here.
+    for dim in [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 200, 257]:
+        x = 10.0 ** rng.uniform(-6, 6, size=(300, dim))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        expected = x.sum(axis=1)
+        assert cluster._row_sums(np.ascontiguousarray(x.T)).tobytes() == expected.tobytes(), dim
+
+
+def test_squared_distances_allocate_one_feature_buffer():
+    # One (dim, n) buffer of squared differences plus the (k, n) result;
+    # the row-major form allocated two (n, dim) temporaries per centre.
+    n, dim, k = 100_000, 14, 5
+    rng = np.random.default_rng(0)
+    cols, centers = rng.random((dim, n)), rng.random((k, dim))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cluster._squared_distances(cols, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (dim + k) * n * 8 + 2**16
+
+
+# Row-major reference loops: the (n, dim) k-means and k-prototypes forms the
+# column-major kernels must reproduce bit for bit.
+def _reference_distances(data, centers):
+    out = np.empty((data.shape[0], centers.shape[0]))
+    for m, center in enumerate(centers):
+        out[:, m] = ((data - center) ** 2).sum(axis=1)
+    return out
+
+
+def _reference_lloyd(data, k, seed, max_iter):
+    rng = np.random.default_rng(seed)
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j:] = data[rng.integers(n, size=k - j)]
+            break
+        centers[j] = data[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+    prev = None
+    for _ in range(max_iter):
+        a = _reference_distances(data, centers).argmin(axis=1)
+        if prev is not None and np.array_equal(a, prev):
+            return a, True
+        for m in range(k):
+            if (a == m).any():
+                centers[m] = data[a == m].mean(axis=0)
+        prev = a
+    return prev, False
+
+
+def _reference_kprototypes(d, k, seed, max_iter):
+    codes, num = d.onehot.codes, normalize_numerical(d).num
+    rng = np.random.default_rng(seed)
+    s_cat, n = codes.shape
+    idx = rng.choice(n, size=k, replace=False)
+    modes, means = codes[:, idx].T.copy(), num[idx].copy()
+    values, prev = [], None
+    for _ in range(max_iter):
+        dist = _reference_distances(num, means)
+        for r in range(s_cat):
+            dist += codes[r][:, None] != modes[None, :, r]
+        a = dist.argmin(axis=1)
+        values.append(float(dist[np.arange(n), a].sum()) / (s_cat + num.shape[1]))
+        if prev is not None and np.array_equal(a, prev):
+            break
+        for m in range(k):
+            if (a == m).any():
+                means[m] = num[a == m].mean(axis=0)
+                modes[m] = [np.bincount(codes[r][a == m]).argmax() for r in range(s_cat)]
+        prev = a
+    return a, values
+
+
+def _mixed_rows(rng, n, dim, distinct):
+    """(categorical, numerical) rows: random, or copies of ``distinct`` grid rows (exact distance ties)."""
+    if distinct is None:
+        return rng.integers(0, 3, size=(n, 2)), rng.normal(size=(n, dim))
+    pick = np.r_[0, 1, rng.integers(0, distinct, size=n - 2)]
+    cat = np.r_[[[0, 0], [1, 1]], rng.integers(0, 2, size=(distinct - 2, 2))]
+    return cat[pick], (rng.integers(0, 3, size=(distinct, dim)) / 2.0)[pick]
+
+
+# (n, dim, k, distinct grid rows): k = 1, dim = 1, dim >= 9, ties, emptied clusters
+EQUIVALENCE_CASES = [(40, 1, 1, None), (200, 1, 3, None), (300, 9, 4, None), (400, 14, 2, None),
+                     (150, 130, 3, None), (257, 20, 5, 12), (300, 2, 4, 6), (60, 3, 4, 2)]
+
+
+def test_lloyd_kmeans_reproduces_the_row_major_loop(rng):
+    emptied = 0
+    for n, dim, k, distinct in EQUIVALENCE_CASES:
+        data = _mixed_rows(rng, n, dim, distinct)[1]
+        cols = np.ascontiguousarray(data.T)
+        for seed in range(3):
+            for max_iter in (1, 2, 100):
+                ref, ref_converged = _reference_lloyd(data, k, seed, max_iter)
+                got, converged = cluster.lloyd_kmeans(cols, k, seed=seed, max_iter=max_iter)
+                assert np.array_equal(got, ref) and converged == ref_converged, (n, dim, k, seed)
+            emptied += np.bincount(ref, minlength=k).min() == 0
+    assert emptied > 0
+
+
+def test_fit_kprototypes_reproduces_the_row_major_loop(rng):
+    emptied = 0
+    for n, dim, k, distinct in EQUIVALENCE_CASES:
+        cat, num = _mixed_rows(rng, n, dim, distinct)
+        d = make_dataset([[f"v{x}" for x in col] for col in cat.T], num=num)
+        for seed in range(3):
+            for max_iter in (1, 3, 100):
+                ref, values = _reference_kprototypes(d, k, seed, max_iter)
+                part, trace = cluster.fit_kprototypes(d, k, seed=seed, max_iter=max_iter)
+                assert np.array_equal(part.assign, ref), (n, dim, k, seed)
+                assert [v.hex() for v in trace.objective_values] == [v.hex() for v in values]
+            emptied += np.bincount(ref, minlength=k).min() == 0
+    assert emptied > 0
+
+
+def test_fit_mixed_reports_a_capped_kmeans(monkeypatch):
+    d = fixtures.load_fixture("AC")
+    full = cluster.fit_mixed(d, FitConfig(k=2, seed=0))
+    assert full.trace.converged
+    lloyd = cluster.lloyd_kmeans
+    monkeypatch.setattr(cluster, "lloyd_kmeans", lambda *args, **kwargs: lloyd(*args, **kwargs, max_iter=1))
+    capped = cluster.fit_mixed(d, FitConfig(k=2, seed=0))
+    assert not capped.trace.converged
+    assert capped.trace.objective_values == full.trace.objective_values  # stage one is untouched
+
+
+def test_fit_kprototypes_rejects_a_range_that_overflows():
+    d = make_dataset([["a", "b", "a", "b"]], num=[-1.7e308, 1.7e308, 0.0, 1.0])
+    with pytest.raises(DataError, match="'x0'"):
+        cluster.fit_kprototypes(d, 2, seed=0)

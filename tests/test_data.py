@@ -178,6 +178,17 @@ def test_loads_csv_rejects_short_and_long_rows():
         loads_csv("a,b\nx,y,extra\nz,w\n", schema)
 
 
+def test_normalize_rejects_a_range_that_overflows():
+    # Both ends are finite, but max - min is inf: scaling would give NaN features.
+    d = loads_csv("a,x,y\np,1,-1.7e308\nq,2,1.7e308\n", [
+        AttributeSchema("a", "nominal"),
+        AttributeSchema("x", "numerical"),
+        AttributeSchema("y", "numerical"),
+    ])
+    with pytest.raises(DataError, match="'y'"):
+        normalize_numerical(d)
+
+
 def test_normalize_requires_numericals():
     d = loads_csv("a\nx\ny\n", [AttributeSchema("a", "nominal")])
     with pytest.raises(DataError):
