@@ -395,8 +395,8 @@ def test_row_sums_follow_numpys_row_sum_order(rng):
 
 
 def test_squared_distances_allocate_one_feature_buffer():
-    # One (dim, n) buffer of squared differences plus the (k, n) result;
-    # the row-major form allocated two (n, dim) temporaries per centre.
+    # One (dim, n) buffer of squared differences plus the (k, n) result, and
+    # nothing per centre: the row-major form also took an n-long sum per centre.
     n, dim, k = 100_000, 14, 5
     rng = np.random.default_rng(0)
     cols, centers = rng.random((dim, n)), rng.random((k, dim))
@@ -407,7 +407,7 @@ def test_squared_distances_allocate_one_feature_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (dim + k) * n * 8 + 2**16
+    assert peak <= (dim + k) * n * 8 + 2**18
 
 
 # Row-major reference loops: the (n, dim) k-means and k-prototypes forms the
