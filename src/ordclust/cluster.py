@@ -98,7 +98,6 @@ class FitTrace:
     wall_time: float = 0.0
     init_objective: float = float("nan")
     best_objective: float = float("nan")
-    final_objective: float = float("nan")  # objective at the terminal, non-improving step
 
     @property
     def total_inner_iterations(self) -> int:
@@ -140,7 +139,6 @@ def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner)
         trace.objective_values.append(l_new)
         if l_new >= l_prev:
             converged = True
-            trace.final_objective = l_new
             break
         cur_assign, prof, l_prev = new_assign, new_prof, l_new
     trace.inner_counts.append(iters)
@@ -282,7 +280,6 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
         trace.objective_values.append(l_new)
         if cur_assign is not None and (np.array_equal(a, cur_assign) or (monotone and l_new >= l_prev)):
             trace.converged = True
-            trace.final_objective = l_new
             break
         if means is not None:
             _update_means(cols, a, means)

@@ -24,7 +24,6 @@ import numpy as np
 from scipy import sparse
 
 KINDS = ("nominal", "ordinal", "numerical", "label", "ignore")
-CATEGORICAL_KINDS = ("nominal", "ordinal")
 MISSING_POLICIES = ("drop_row", "error")
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 

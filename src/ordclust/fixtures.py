@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeSchema, Dataset, load_csv, load_schema
+from .data import AttributeSchema, Dataset, load_dataset
 
 
 @dataclass(frozen=True)
@@ -221,33 +221,16 @@ def _tail_pvecs(l: int, k: int, spill: float, noise: float, rng) -> list:
     core = l // 2
     flip = int(rng.integers(2))
     reach = min(3, max(1, (l - 1) // 2))
+    right = [t for t in range(core + 1, core + 1 + reach) if t < l]
+    left = [t for t in range(core - 1, core - 1 - reach, -1) if t >= 0]
     out = []
     for m in range(k):
-        p = np.zeros(l)
-        p[core] = 1.0 - spill
-        pattern = (m + flip) % 3 if l > 2 else (m + flip) % 2
         strength = spill / (1 + m // 3)
+        targets = (right, left, right + left)[(m + flip) % (3 if l > 2 else 2)]
+        p = np.zeros(l)
         p[core] = 1.0 - strength
-
-        def run(direction):
-            steps = []
-            for j in range(reach):
-                t = core + direction * (j + 1)
-                if 0 <= t < l:
-                    steps.append(t)
-            return steps
-
-        if pattern == 0:
-            targets = run(+1)
-            shares = [1.0] * len(targets)
-        elif pattern == 1:
-            targets = run(-1)
-            shares = [1.0] * len(targets)
-        else:
-            targets = run(+1) + run(-1)
-            shares = [1.0] * len(targets)
-        for t, w in zip(targets, shares):
-            p[t] += strength * w / sum(shares)
+        for t in targets:
+            p[t] += strength / len(targets)
         p = (1.0 - noise) * p + noise / l
         out.append(p / p.sum())
     return out
@@ -305,15 +288,16 @@ def build_fixture(spec: FixtureSpec) -> tuple[list[list[str]], list[AttributeSch
     columns = []  # (name, kind, literals per sample, declared order or None)
     for j, col in enumerate(spec.cats):
         values, value_of_pos = _categorical_column(rng, col, gen_cluster, k)
-        lits = np.array([f"v{v + 1}" for v in range(col.card)])
+        # an object array, so each row cell refers to one of the column's few literal strings
+        lits = np.array([f"v{v + 1}" for v in range(col.card)], dtype=object)
         declared = None
         if col.kind == "ordinal":
-            by_line = [f"v{value_of_pos[p] + 1}" for p in range(col.card)]
-            declared = by_line if col.semantic_match else [str(x) for x in rng.permutation(by_line)]
+            by_line = lits[value_of_pos].tolist()
+            declared = tuple(by_line if col.semantic_match else rng.permutation(by_line).tolist())
         columns.append((f"a{j + 1:02d}", col.kind, lits[values], declared))
 
     for j in range(spec.single_valued):
-        columns.append((f"s{j + 1:02d}", "nominal", np.array(["only"] * n), None))
+        columns.append((f"s{j + 1:02d}", "nominal", np.full(n, "only", dtype=object), None))
     rng.shuffle(columns)
 
     num_cols = [
@@ -323,17 +307,12 @@ def build_fixture(spec: FixtureSpec) -> tuple[list[list[str]], list[AttributeSch
 
     perm = rng.permutation(n)
     header = [name for name, _, _, _ in columns] + [name for name, _ in num_cols] + ["class"]
-    rows = [header]
-    for i in perm:
-        row = [str(vals[i]) for _, _, vals, _ in columns]
-        row += [f"{vals[i]:.6f}" for _, vals in num_cols]
-        row.append(f"c{labels[i] + 1}")
-        rows.append(row)
+    body = [vals[perm].tolist() for _, _, vals, _ in columns]
+    body += [[f"{v:.6f}" for v in vals[perm].tolist()] for _, vals in num_cols]
+    body.append(np.array([f"c{m + 1}" for m in range(k)], dtype=object)[labels[perm]].tolist())
+    rows = [header] + [list(r) for r in zip(*body)]
 
-    schema = [
-        AttributeSchema(name, kind, tuple(declared) if declared else None)
-        for name, kind, _, declared in columns
-    ]
+    schema = [AttributeSchema(name, kind, declared) for name, kind, _, declared in columns]
     schema += [AttributeSchema(name, "numerical") for name, _ in num_cols]
     schema.append(AttributeSchema("class", "label"))
     return rows, schema
@@ -347,9 +326,7 @@ def write_fixture(spec: FixtureSpec, directory: str | Path) -> tuple[Path, Path]
     schema_path = directory / f"{spec.name}.schema"
     csv_path.write_text("\n".join(",".join(row) for row in rows) + "\n")
     lines = ["# name,kind[,ordered values...]"]
-    for col in schema:
-        cells = [col.name, col.kind] + list(col.semantic_order or ())
-        lines.append(",".join(cells))
+    lines += [",".join([col.name, col.kind, *(col.semantic_order or ())]) for col in schema]
     schema_path.write_text("\n".join(lines) + "\n")
     return csv_path, schema_path
 
@@ -364,7 +341,7 @@ def fixture_paths(name: str) -> tuple[Path, Path]:
 
 def load_fixture(name: str) -> Dataset:
     csv_path, schema_path = fixture_paths(name)
-    return load_csv(csv_path, load_schema(schema_path))
+    return load_dataset(csv_path, schema_path)
 
 
 def main(argv=None) -> int:

@@ -146,7 +146,7 @@ def learn_orders(
     """
     if not prof.sizes.any():
         raise ValueError("all clusters are empty")
-    offsets = np.concatenate([[0], np.cumsum(d.cardinalities)])
+    offsets = d.onehot.offsets
     cost = np.where(prof.counts > 0, metric.value_costs(matrices, prof, form).T, np.inf)
     positions = per_cluster_orders(_segment_ranks(cost, offsets), offsets)
     ranks, scores = consensus_order(positions, prof.sizes, d.n)

@@ -1,9 +1,12 @@
 import csv
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ordclust import cli, fixtures, metric
+from ordclust.data import load_dataset
 
 
 def run(argv):
@@ -217,6 +220,32 @@ def test_export_distances(tmp_path):
     assert mat.shape == (n, n)
     assert np.allclose(mat, mat.T)
     assert np.allclose(np.diag(mat), 0.0)
+
+
+def test_export_distances_formats_one_row_at_a_time(tmp_path):
+    rows = np.random.default_rng(3).integers(0, 5, size=(900, 4))
+    data, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+    data.write_text("a,b,c,e\n" + "".join(",".join(f"v{x}" for x in row) + "\n" for row in rows))
+    schema.write_text("a,nominal\nb,nominal\nc,nominal\ne,nominal\n")
+    out_file = tmp_path / "distances.csv"
+    tracemalloc.start()
+    try:
+        code = run(["export-distances", "--data", str(data), "--schema", str(schema),
+                    "--order-mode", "dictionary", "--out-file", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the (n, n) matrix plus one attribute's gathered table, not n * n strings
+    n = len(rows)
+    assert peak < 2.5 * n * n * 8
+    d = load_dataset(data, schema)
+    mat = metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([f"s{i}" for i in range(n)])
+    writer.writerows([[f"{x:.6g}" for x in row] for row in mat])
+    assert out_file.read_bytes() == expected.getvalue().encode()
 
 
 def test_quadratic_export_refused_before_any_fit(tmp_path, monkeypatch, capsys):

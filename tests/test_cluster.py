@@ -89,7 +89,9 @@ def test_refresh_reuses_the_fits_tables(monkeypatch):
         refreshing.append(True)
         try:
             # the dataset's shape only: no per-sample table to pass over
-            return learn_orders(SimpleNamespace(n=d.n, cardinalities=d.cardinalities), *args, **kwargs)
+            shape = SimpleNamespace(n=d.n, cardinalities=d.cardinalities,
+                                    onehot=SimpleNamespace(offsets=d.onehot.offsets))
+            return learn_orders(shape, *args, **kwargs)
         finally:
             refreshing.pop()
 
