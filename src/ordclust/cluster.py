@@ -249,17 +249,21 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     count is ``s - X @ M`` for the (sum l, k) one-hot M of the modes, exact in
     floats; with ``cols``, (dim, n) numerical rows, the mismatches are added onto
     the (k, n) squared distances one attribute at a time, the summation order
-    of the per-attribute form.
+    of the per-attribute form, over a contiguous (s_cat, n) copy of the codes.
     """
     t0 = time.perf_counter()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n, s_cat = enc.codes.shape
+    if k > n:
+        raise ValueError("k exceeds the sample count")
     rng = np.random.default_rng(seed)
-    s_cat, n = enc.codes.shape
     width = int(enc.offsets[-1])
     s = s_cat + (0 if cols is None else cols.shape[0])
     idx = rng.choice(n, size=k, replace=False)
-    modes = enc.codes[:, idx].T.copy()  # (k, s_cat) one-hot columns
+    modes = enc.codes[idx]  # (k, s_cat) one-hot columns
     means = None if cols is None else cols[:, idx].T.copy()
-    attr = np.repeat(np.arange(s_cat), np.diff(enc.offsets))  # attribute of each column
+    code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
 
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
@@ -274,7 +278,7 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
         else:
             dist = _squared_distances(cols, means)
             for r in range(s_cat):
-                dist += enc.codes[r] != modes[:, r, None]
+                dist += code_rows[r] != modes[:, r, None]
             a, nearest = _nearest(dist)
             l_new = float(nearest.sum()) / s
         trace.objective_values.append(l_new)
@@ -283,11 +287,11 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
             break
         if means is not None:
             _update_means(cols, a, means)
-        counts = np.bincount((a * width + enc.codes).ravel(), minlength=k * width).reshape(k, width)
+        counts = enc.counts(a, k)
         # Lowest-index most frequent value per attribute: the first of its
         # columns that reaches the attribute's maximum.
-        peak = np.maximum.reduceat(counts, enc.offsets[:-1], axis=1)
-        tied = np.where(counts == peak[:, attr], np.arange(width), width)
+        peak = np.maximum.reduceat(counts, enc.offsets[:-1], axis=1).repeat(np.diff(enc.offsets), axis=1)
+        tied = np.where(counts == peak, np.arange(width), width)
         best = np.minimum.reduceat(tied, enc.offsets[:-1], axis=1)
         occupied = np.bincount(a, minlength=k) > 0
         modes[occupied] = best[occupied]
@@ -307,10 +311,6 @@ def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partiti
     """
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > d.n:
-        raise ValueError("k exceeds the sample count")
     return _centre_loop(d.onehot, None, k, seed, max_iter, monotone=True)
 
 
@@ -435,9 +435,9 @@ def fit_mixed(d: Dataset, cfg: FitConfig) -> FitResult:
     if d.s_numerical < 1:
         raise ValueError("dataset has no numerical columns; use fit directly")
     t0 = time.perf_counter()
-    dn = normalize_numerical(d)
+    num = normalize_numerical(d)
     stage1 = fit(d, cfg)
-    cols = np.concatenate([encode_with_orders(d, stage1.orders), dn.num.T])
+    cols = np.concatenate([encode_with_orders(d, stage1.orders), num])
     kmeans_seed = np.random.SeedSequence(cfg.seed).spawn(3)[2]
     labels, kmeans_converged = lloyd_kmeans(cols, cfg.k, seed=kmeans_seed)
     trace = stage1.trace
@@ -451,5 +451,4 @@ def fit_kprototypes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Pa
     match/mismatch on categoricals, mean/mode centers."""
     if d.s_numerical < 1:
         raise ValueError("dataset has no numerical columns")
-    # d.onehot, not the scaled copy's: the copy would encode the table again.
-    return _centre_loop(d.onehot, normalize_numerical(d).num.T.copy(), k, seed, max_iter, monotone=False)
+    return _centre_loop(d.onehot, normalize_numerical(d), k, seed, max_iter, monotone=False)

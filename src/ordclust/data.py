@@ -14,7 +14,6 @@ Files with quotes, carriage returns or NUL bytes are tokenized by
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 from dataclasses import dataclass
@@ -73,25 +72,37 @@ class OneHot:
     """Categorical table as a one-hot matrix with one column per (attribute, value).
 
     Attribute r owns columns ``offsets[r]:offsets[r + 1]``. Row i of ``X`` holds
-    exactly s ones, at columns ``offsets[r] + cat[i, r]`` in attribute order;
-    ``codes[r]`` holds those columns for attribute r as one contiguous row.
+    exactly s ones, at columns ``offsets[r] + cat[i, r]`` in attribute order.
+    Those column indices are stored once, in ``X.indices``: ``codes`` views
+    them as an (n, s) table and ``counts`` tallies them per cluster.
     """
 
     X: sparse.csr_matrix  # (n, sum of cardinalities) float64
     offsets: np.ndarray  # (s_cat + 1,) int64
-    codes: np.ndarray  # (s_cat, n) int32
 
     @classmethod
     def encode(cls, cat: np.ndarray, cards) -> OneHot:
         n, s = cat.shape
         offsets = np.concatenate([[0], np.cumsum(cards, dtype=np.int64)])
-        cols = (cat + offsets[:-1]).astype(np.int32)
+        cols = cat + offsets[:-1].astype(np.int32)
         indptr = np.arange(n + 1) * s
         X = sparse.csr_matrix((np.ones(n * s), cols.ravel(), indptr), shape=(n, int(offsets[-1])))
-        codes = np.ascontiguousarray(cols.T)
-        for arr in (X.data, X.indices, X.indptr, offsets, codes):
+        for arr in (X.data, X.indices, X.indptr, offsets):
             arr.flags.writeable = False
-        return cls(X=X, offsets=offsets, codes=codes)
+        return cls(X=X, offsets=offsets)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(n, s_cat) int32 view of ``X.indices``: the one-hot column of every cell."""
+        return self.X.indices.reshape(self.X.shape[0], len(self.offsets) - 1)
+
+    def counts(self, assign: np.ndarray, k: int, rows=None) -> np.ndarray:
+        """(k, sum of cardinalities) int64 count of each value per cluster of ``assign``, over ``rows`` if given."""
+        codes, width = self.codes, int(self.offsets[-1])
+        if rows is not None:
+            assign, codes = assign[rows], codes[rows]
+        cells = assign[:, None] * width + codes
+        return np.bincount(cells.ravel(), minlength=k * width).reshape(k, width)
 
 
 def split_columns(table: np.ndarray, offsets) -> tuple:
@@ -453,20 +464,19 @@ def loads_csv(text: str, schema: list[AttributeSchema], **kwargs) -> Dataset:
                   kwargs.get("missing_values", ("",)), "<memory>")
 
 
-def normalize_numerical(d: Dataset) -> Dataset:
-    """Min-max scale every numerical column onto [0, 1]; constant columns go to 0."""
+def normalize_numerical(d: Dataset) -> np.ndarray:
+    """Numerical columns min-max scaled onto [0, 1], constant ones to 0, as new C-contiguous (s_num, n) rows."""
     if d.s_numerical == 0:
         raise DataError("dataset has no numerical columns")
-    num = d.num.copy()
-    lo = num.min(axis=0)
+    rows = d.num.T.copy()
+    lo = rows.min(axis=1)
     with np.errstate(over="ignore"):  # reported as a DataError just below
-        span = num.max(axis=0) - lo
+        span = rows.max(axis=1) - lo
     if not np.isfinite(span).all():
         raise DataError(f"numerical column {d.num_names[np.isinf(span).argmax()]!r}: max - min overflows")
-    keep = span > 0
-    num[:, keep] = (num[:, keep] - lo[keep]) / span[keep]
-    num[:, ~keep] = 0.0
-    return dataclasses.replace(d, num=num)
+    rows -= lo[:, None]
+    rows /= np.where(span > 0, span, 1.0)[:, None]
+    return rows
 
 
 def synthesize(

@@ -122,8 +122,7 @@ def _nmi(table: np.ndarray) -> float:
 def compactness(d: Dataset, pred) -> float:
     """Mean normalized within-cluster value entropy; 0 is perfectly pure.
 
-    Attributes with fewer than two values and empty clusters are left out of
-    both the sum and the divisor.
+    Empty clusters are left out of both the sum and the divisor.
     """
     p = _as_labels(pred)
     if p.shape[0] != d.n:
@@ -131,21 +130,17 @@ def compactness(d: Dataset, pred) -> float:
     k = int(p.max()) + 1 if p.size else 0
     sizes = np.bincount(p, minlength=k)
     live = np.where(sizes > 0)[0]
-    cards = [l for l in d.cardinalities if l >= 2]
-    if not cards or live.size == 0:
+    if d.s_categorical == 0 or live.size == 0:
         return 0.0
     enc = d.onehot
-    width = int(enc.offsets[-1])
-    counts = np.bincount((p * width + enc.codes).ravel(), minlength=k * width).reshape(k, width)[live]
+    counts = enc.counts(p, k)[live]
     total = 0.0
     for cell, l in zip(split_columns(counts, enc.offsets), d.cardinalities):
-        if l < 2:
-            continue
         probs = cell / sizes[live, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where(probs > 0, -probs * np.log(probs), 0.0).sum(axis=1)
         total += float(h.sum()) / math.log(l)
-    return total / (len(cards) * live.size)
+    return total / (d.s_categorical * live.size)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ each value's cost against each cluster: ``mat_r @ probs_r.T``, or
 ``mat_r[:, modes_r]`` for the mode form. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf;
-- the profile keeps the integer (k, sum(l)) value counts, one ``bincount``
-  over ``assign * sum(l) + column``, and divides them once;
+- the profile keeps the integer (k, sum(l)) value counts, tallied by
+  ``OneHot.counts`` over the column indices X stores, and divides them once;
   ``ClusterProfile.probs`` holds per-attribute views of that table. Inside
   the fit's inner loop the counts are updated from the samples that changed
   cluster, the same integers, so the same frequencies to the bit;
@@ -98,20 +98,15 @@ def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int, prev=None) 
     removed under the old one. Counts are integers either way, so the result
     is the same to the bit.
     """
-    width = int(enc.offsets[-1])
     moved = None if prev is None else np.flatnonzero(assign != prev[0])
     if moved is None or moved.size > DELTA_MAX_MOVED * assign.size:
         sizes = np.bincount(assign, minlength=k).astype(np.int64)
-        counts = np.bincount((assign * width + enc.codes).ravel(), minlength=k * width)
+        counts = enc.counts(assign, k)
     else:
         prev_assign, prev_prof = prev
-        dst, src, codes = assign[moved], prev_assign[moved], enc.codes.take(moved, axis=1)
-        sizes = prev_prof.sizes + np.bincount(dst, minlength=k) - np.bincount(src, minlength=k)
-        counts = prev_prof.counts.ravel() + (
-            np.bincount((dst * width + codes).ravel(), minlength=k * width)
-            - np.bincount((src * width + codes).ravel(), minlength=k * width)
-        )
-    counts = counts.reshape(k, width)
+        sizes = (prev_prof.sizes + np.bincount(assign[moved], minlength=k)
+                 - np.bincount(prev_assign[moved], minlength=k))
+        counts = prev_prof.counts + enc.counts(assign, k, moved) - enc.counts(prev_assign, k, moved)
     nonzero = np.where(sizes > 0, sizes, 1).astype(np.float64)
     probs = counts / nonzero[:, None]
     return ClusterProfile(probs=split_columns(probs, enc.offsets), sizes=sizes, counts=counts)
@@ -170,6 +165,7 @@ def objective_total(matrices, prof: ClusterProfile, form: str = "profile") -> fl
 
 # Largest (n, n) matrix ``pairwise_distance_matrix`` builds: 2**27 float64 cells, 1 GiB.
 MAX_PAIRWISE_CELLS = 2**27
+PAIRWISE_BLOCK_CELLS = 2**16  # cells of one row block's term, the export's only temporary
 
 
 def check_pairwise_size(n: int) -> None:
@@ -189,10 +185,10 @@ def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
     """
     check_pairwise_size(d.n)
     matrices = value_distance_matrices(d, orders)
-    n = d.n
-    out = np.zeros((n, n))
-    for r, mat in enumerate(matrices):
-        col = d.cat[:, r]
-        out += mat[np.ix_(col, col)]
+    out = np.zeros((d.n, d.n))
+    step = max(1, PAIRWISE_BLOCK_CELLS // d.n)
+    for lo in range(0, d.n, step):  # every entry adds its attribute terms in attribute order
+        for mat, col in zip(matrices, d.cat.T):
+            out[lo:lo + step] += mat[np.ix_(col[lo:lo + step], col)]
     out /= max(len(matrices), 1)
     return out

@@ -15,7 +15,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def make_dataset(columns, labels=None, kinds=None, semantic=None, num=None):
     """Build a Dataset from literal columns: each column is a list of strings."""
-    n = len(columns[0])
+    n = len(columns[0]) if columns else len(num)
     cat_cols, dictionaries = [], []
     for col in columns:
         vocab = {}
@@ -45,6 +45,16 @@ def make_dataset(columns, labels=None, kinds=None, semantic=None, num=None):
         labels=label_arr,
         label_values=label_values,
     )
+
+
+def minmax_columns(num):
+    """Per-column min-max scaling of an (n, s_num) table, constant columns to 0."""
+    num = num.copy()
+    lo, span = num.min(axis=0), num.max(axis=0) - num.min(axis=0)
+    keep = span > 0
+    num[:, keep] = (num[:, keep] - lo[keep]) / span[keep]
+    num[:, ~keep] = 0.0
+    return num
 
 
 @pytest.fixture

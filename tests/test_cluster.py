@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, minmax_columns
 from ordclust import cli, cluster, evaluate, fixtures, metric, order
 from ordclust.cluster import ABLATIONS, FitConfig, Partition
-from ordclust.data import DataError, Dataset, normalize_numerical, synthesize
+from ordclust.data import DataError, Dataset, synthesize
 
 
 def separable_dataset():
@@ -447,7 +447,8 @@ def _reference_lloyd(data, k, seed, max_iter):
 
 
 def _reference_kprototypes(d, k, seed, max_iter):
-    codes, num = d.onehot.codes, normalize_numerical(d).num
+    # mismatches and lowest-index modes do not depend on the one-hot column offsets
+    codes, num = d.cat.T, minmax_columns(d.num)
     rng = np.random.default_rng(seed)
     s_cat, n = codes.shape
     idx = rng.choice(n, size=k, replace=False)
@@ -501,15 +502,25 @@ def test_fit_kprototypes_reproduces_the_row_major_loop(rng):
     emptied = 0
     for n, dim, k, distinct in EQUIVALENCE_CASES:
         cat, num = _mixed_rows(rng, n, dim, distinct)
-        d = make_dataset([[f"v{x}" for x in col] for col in cat.T], num=num)
-        for seed in range(3):
-            for max_iter in (1, 3, 100):
-                ref, values = _reference_kprototypes(d, k, seed, max_iter)
-                part, trace = cluster.fit_kprototypes(d, k, seed=seed, max_iter=max_iter)
-                assert np.array_equal(part.assign, ref), (n, dim, k, seed)
-                assert [v.hex() for v in trace.objective_values] == [v.hex() for v in values]
-            emptied += np.bincount(ref, minlength=k).min() == 0
+        mixed = make_dataset([[f"v{x}" for x in col] for col in cat.T], num=num)
+        for d in (mixed, make_dataset([], num=num)):  # and with no categorical column
+            for seed in range(3):
+                for max_iter in (1, 3, 100):
+                    ref, values = _reference_kprototypes(d, k, seed, max_iter)
+                    part, trace = cluster.fit_kprototypes(d, k, seed=seed, max_iter=max_iter)
+                    assert np.array_equal(part.assign, ref), (n, dim, k, seed, d.s_categorical)
+                    assert [v.hex() for v in trace.objective_values] == [v.hex() for v in values]
+                emptied += np.bincount(ref, minlength=k).min() == 0
     assert emptied > 0
+
+
+def test_fit_kprototypes_validates_k_like_fit_kmodes():
+    d = make_dataset([["a", "b", "a", "b"]], num=[0.0, 1.0, 2.0, 3.0])
+    for baseline in (cluster.fit_kmodes, cluster.fit_kprototypes):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            baseline(d, 0, seed=0)
+        with pytest.raises(ValueError, match=r"^k exceeds the sample count$"):
+            baseline(d, 5, seed=0)
 
 
 def test_fit_mixed_reports_a_capped_kmeans(monkeypatch):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import make_dataset, minmax_columns
 from ordclust import fixtures
 from ordclust.data import (
     AttributeSchema,
@@ -151,23 +154,30 @@ def test_normalize_numerical():
         AttributeSchema("y", "numerical"),
         AttributeSchema("z", "numerical"),
     ])
-    nd = normalize_numerical(d)
-    assert nd.num[:, 0].tolist() == [0.0, 0.5, 1.0]
-    assert nd.num[:, 1].tolist() == [0.0, 0.0, 0.0]  # constant column
-    assert nd.num[:, 2].tolist() == [0.0, 1.0, 0.5]  # already [0, 1]: unchanged
+    rows = normalize_numerical(d)
+    assert rows[0].tolist() == [0.0, 0.5, 1.0]
+    assert rows[1].tolist() == [0.0, 0.0, 0.0]  # constant column
+    assert rows[2].tolist() == [0.0, 1.0, 0.5]  # already [0, 1]: unchanged
 
 
-def test_normalize_numerical_shares_the_categorical_table():
-    d = loads_csv("a,x,c\np,1,u\nq,3,v\n", [
-        AttributeSchema("a", "nominal"),
-        AttributeSchema("x", "numerical"),
-        AttributeSchema("c", "label"),
-    ])
-    nd = normalize_numerical(d)
-    assert nd.cat is d.cat and nd.labels is d.labels
-    assert nd.num[:, 0].tolist() == [0.0, 1.0]
-    assert d.num[:, 0].tolist() == [1.0, 3.0]
-    assert not nd.num.flags.writeable
+def test_normalize_numerical_rows_equal_the_column_formula_in_one_table(rng):
+    n = 200_000
+    columns = [np.full(n, -7.25), rng.normal(size=n), -50 * rng.random(n), 1e300 * rng.normal(size=n),
+               1e-300 * rng.normal(size=n), rng.integers(-3, 3, size=n).astype(np.float64)]
+    for num in (np.column_stack(columns), columns[3][:, None]):
+        d = make_dataset([], num=num)
+        rows = normalize_numerical(d)
+        assert rows.shape == (num.shape[1], n) and rows.flags.c_contiguous
+        assert rows.tobytes() == minmax_columns(num).T.tobytes()
+    d = make_dataset([], num=np.column_stack(columns))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        normalize_numerical(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= d.num.nbytes + 2**20
 
 
 def test_loads_csv_rejects_short_and_long_rows():

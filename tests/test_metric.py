@@ -180,6 +180,25 @@ def test_pairwise_distance_matrix_properties():
     assert mat[0, 3] == pytest.approx(0.5)
 
 
+def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng):
+    d = synthesize(1000, 5, 3, values_per_attribute=6, seed=4)
+    o = order.OrderSet((None,) + order.random_orders(d, rng).ranks[1:])  # one match/mismatch attribute
+    expect = np.zeros((d.n, d.n))
+    for mat, col in zip(metric.value_distance_matrices(d, o), d.cat.T):
+        expect += mat[np.ix_(col, col)]
+    expect /= d.s_categorical
+    assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
+    del expect
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        metric.pairwise_distance_matrix(d, o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * d.n * d.n * 8
+
+
 def _kernel_instances(rng):
     # random small instances, plus one whose last cluster is empty
     out = [oracle.random_instance(rng) for _ in range(15)]
@@ -268,7 +287,25 @@ def test_onehot_built_once_with_s_ones_per_row():
     assert (enc.X.data == 1.0).all()
     expect = d.cat + enc.offsets[:-1]
     assert np.array_equal(enc.X.indices.reshape(50, 4), expect)
-    assert np.array_equal(enc.codes, expect.T)
+    assert enc.codes.shape == (50, 4) and np.array_equal(enc.codes, expect)
+    assert np.shares_memory(enc.codes, enc.X.indices)
+    assign = np.random.default_rng(0).integers(0, 3, size=50)
+    for rows in (np.arange(50), np.array([1, 4, 9, 30, 49])):
+        tally = np.zeros((4, 12), dtype=np.int64)  # cluster 3 stays empty
+        for i in rows:
+            for c in expect[i]:
+                tally[assign[i], c] += 1
+        got = enc.counts(assign, 4, None if rows.size == 50 else rows)
+        assert got.dtype == np.int64 and np.array_equal(got, tally)
+    # one stored copy of the codes: building the encoding retains only X's arrays
+    big = synthesize(100_000, 20, 5, 5, seed=3)
+    tracemalloc.start()
+    try:
+        enc = big.onehot
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= enc.X.data.nbytes + enc.X.indices.nbytes + enc.X.indptr.nbytes + 2**20
 
 
 def test_unknown_form_rejected():
