@@ -254,6 +254,8 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     t0 = time.perf_counter()
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_iter < 1:
+        raise ValueError("iteration caps must be >= 1")
     n, s_cat = enc.codes.shape
     if k > n:
         raise ValueError("k exceeds the sample count")
@@ -337,14 +339,14 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng) -> np.ndarray:
     n = cols.shape[1]
     centers = np.empty((k, cols.shape[0]))
     centers[0] = cols[:, rng.integers(n)]
-    d2 = _squared_distances(cols, centers[:1])[0]
-    for j in range(1, k):
+    d2 = np.full(n, np.inf)
+    for j in range(1, k):  # one distance pass per draw that reads it
+        np.minimum(d2, _squared_distances(cols, centers[j - 1:j])[0], out=d2)
         total = d2.sum()
         if total <= 0:
             centers[j:] = cols[:, rng.integers(n, size=k - j)].T
             break
         centers[j] = cols[:, rng.choice(n, p=d2 / total)]
-        np.minimum(d2, _squared_distances(cols, centers[j:j + 1])[0], out=d2)
     return centers
 
 
@@ -398,14 +400,44 @@ def _update_means(cols: np.ndarray, a: np.ndarray, centers: np.ndarray) -> None:
         centers[live, r] = np.bincount(a, weights=row, minlength=len(centers))[live] / counts[live]
 
 
+def _assign(cols: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``_nearest(_squared_distances(cols, centers))[0]``, exact distances computed only for the
+    columns whose nearest centre is in doubt; ``norms`` holds each column's |x|^2.
+
+    The centres are ranked by ``|c|^2 - 2 c.x``, the squared distance less |x|^2. Over dim terms
+    this value and the exact distance each lie within E = (dim + 2) eps (|x|^2 + |c|^2) of their
+    true values (2 |c.x| <= |x|^2 + |c|^2; the smallest normal float added to the magnitudes
+    covers underflow). A top-two gap above 4 E at the largest |c|^2 leaves one nearest centre
+    on both forms; the tolerance is four times that. Every other column, overflowed and NaN
+    ones included, takes the exact path, elementwise per column, so bits and ties are kept.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = np.einsum("ij,ij->i", centers, centers)
+        ranks = sizes[:, None] - 2.0 * (centers @ cols)
+        a, best, second = np.zeros(cols.shape[1], dtype=np.intp), ranks[0].copy(), np.inf
+        for m in range(1, len(ranks)):
+            a[ranks[m] < best] = m
+            second = np.minimum(second, np.maximum(best, ranks[m]))
+            np.minimum(best, ranks[m], out=best)
+        f64 = np.finfo(np.float64)
+        tol = 16 * (len(cols) + 2) * f64.eps * (norms + (sizes.max() + f64.tiny))
+        doubt = np.flatnonzero(~(second - best > tol))
+    if doubt.size:
+        a[doubt] = _nearest(_squared_distances(cols[:, doubt], centers))[0]
+    return a
+
+
 def lloyd_kmeans(cols: np.ndarray, k: int, seed=0, max_iter: int = 100) -> tuple[np.ndarray, bool]:
     """Plain seeded k-means (k-means++ init) over the columns of a (dim, n) array; returns the
     assignment and False when ``max_iter`` ran out before it repeated. Distances, assignment
     and means are each bit-identical to the (n, dim) form, so it finds that form's partition."""
+    if max_iter < 1:
+        raise ValueError("iteration caps must be >= 1")
     centers = _kmeans_pp_init(cols, k, np.random.default_rng(seed))
+    norms = np.einsum("ij,ij->j", cols, cols)
     assign_prev = None
     for _ in range(max_iter):
-        a = _nearest(_squared_distances(cols, centers))[0]
+        a = _assign(cols, centers, norms)
         if assign_prev is not None and np.array_equal(a, assign_prev):
             return a.astype(np.int32), True
         _update_means(cols, a, centers)

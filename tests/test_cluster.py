@@ -514,6 +514,65 @@ def test_fit_kprototypes_reproduces_the_row_major_loop(rng):
     assert emptied > 0
 
 
+def test_filtered_assignment_equals_the_exact_path(rng, monkeypatch):
+    exact = cluster._squared_distances
+    verified = []
+    monkeypatch.setattr(cluster, "_squared_distances", lambda c, ce: verified.append(c.shape[1]) or exact(c, ce))
+
+    def columns_verified(cols, centers):
+        verified.clear()
+        got = cluster._assign(cols, centers, np.einsum("ij,ij->j", cols, cols))
+        assert np.array_equal(got, cluster._nearest(exact(cols, centers))[0])
+        return sum(verified)
+
+    cols = rng.normal(size=(5, 2000))
+    assert columns_verified(cols, rng.normal(size=(4, 5))) < 20
+    assert columns_verified(cols, rng.normal(size=(1, 5))) == 0  # k = 1
+    # near-ties: points within a few ulps of the bisector of two centres, a third centre far off
+    centers = np.r_[rng.random((2, 4)), np.full((1, 4), 9.0)]
+    normal = (centers[1] - centers[0]) / np.linalg.norm(centers[1] - centers[0])
+    plane = rng.normal(size=(600, 4)) * 0.1
+    plane -= (plane @ normal)[:, None] * normal
+    steps = np.repeat(np.arange(-3, 3), 100)[:, None] * np.spacing(1.0) * normal
+    near = np.ascontiguousarray(((centers[0] + centers[1]) / 2 + plane + steps).T)
+    assert columns_verified(near, centers) == 600
+    nearest = cluster._nearest(exact(near, centers))[0]
+    ranking = np.einsum("ij,ij->i", centers, centers)[:, None] - 2.0 * (centers @ near)
+    assert set(nearest.tolist()) == {0, 1} and (ranking.argmin(axis=0) != nearest).any()
+    # exact grid ties, among them a repeated centre
+    grid = rng.integers(0, 3, size=(3, 500)) / 2.0
+    assert columns_verified(grid, np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0], [0.5, 1, 0]])) > 0
+    # magnitudes where |c|^2 - 2 c.x overflows: distances overflow too, or stay finite
+    huge = 1e200 * rng.integers(-2, 3, size=(3, 300)).astype(float)
+    with np.errstate(over="ignore"):
+        assert columns_verified(huge, huge[:, :3].T.copy()) == 300
+    big = 1.5e154 + rng.normal(size=(3, 300)) * 1e152
+    assert np.isfinite(exact(big, big[:, :2].T)).all()
+    assert columns_verified(big, big[:, :2].T.copy()) == 300
+
+
+def test_kmeans_pp_init_makes_one_distance_pass_per_draw(rng, monkeypatch):
+    cols = rng.random((3, 200))
+    exact = cluster._squared_distances
+    calls = []
+    monkeypatch.setattr(cluster, "_squared_distances", lambda c, ce: calls.append(len(ce)) or exact(c, ce))
+    for k in range(1, 6):
+        calls.clear()
+        cluster._kmeans_pp_init(cols, k, np.random.default_rng(k))
+        assert calls == [1] * (k - 1)
+
+
+def test_baselines_reject_a_zero_iteration_cap():
+    d = fixtures.load_fixture("AC")
+    cols = np.ascontiguousarray(minmax_columns(d.num).T)
+    for run in (lambda cap: cluster.fit_kmodes(d, 2, max_iter=cap),
+                lambda cap: cluster.fit_kprototypes(d, 2, max_iter=cap),
+                lambda cap: cluster.lloyd_kmeans(cols, 2, max_iter=cap)):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match=r"^iteration caps must be >= 1$"):
+                run(cap)
+
+
 def test_fit_kprototypes_validates_k_like_fit_kmodes():
     d = make_dataset([["a", "b", "a", "b"]], num=[0.0, 1.0, 2.0, 3.0])
     for baseline in (cluster.fit_kmodes, cluster.fit_kprototypes):

@@ -4,6 +4,7 @@ reference loader on random tables, and the exit codes of unusable CSV files."""
 import csv
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,56 @@ def test_numpy_cast_of_ascii_cells_equals_float():
              " 7 ", "\t8\n", "1_000.5", "00012", ".5", "5.", "+1E-3"]
     got = data._floats(np.array([c.encode() for c in cells]), "x", "t.csv")
     assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def _decimal_cells(rng, count):
+    """Random ``[-]digits[.digits]`` cells with 1 to 17 digits, the point anywhere or absent."""
+    cells = []
+    for _ in range(count):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 17)))
+        point = rng.randint(-1, len(digits))
+        cell = digits if point < 0 else digits[:point] + "." + digits[point:]
+        cells.append(rng.choice(("", "-")) + cell)
+    return cells
+
+
+def assert_floats_equal_float(cells):
+    got = data._floats(np.array([c.encode() for c in cells]), "x", "t.csv")
+    assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def test_decimal_fast_path_equals_float_bit_for_bit():
+    cells = _decimal_cells(random.Random(12), 20000)
+    cells += ["0", "-0", "-0.000", "0.0", ".5", "5.", "-.5", "-5.", "00012.500", "000000000000001",
+              "999999999999999", "-99999999.9999999", ".000000000000001", "1" * 16, "1" * 17]
+    values, slow = data._decimals(np.array([c.encode() for c in cells]))
+    digits = [sum(ch.isdigit() for ch in c) for c in cells]
+    assert slow.tolist() == [n > 15 for n in digits]  # 16 and 17 digits take the cast
+    assert values[~slow].tobytes() == np.array([float(c) for c, s in zip(cells, slow) if not s]).tobytes()
+    assert_floats_equal_float(cells)
+    assert np.signbit(data._floats(np.array([b"-0", b"-0.000", b"-.0"]), "x", "t.csv")).all()
+
+
+def test_decimal_and_cast_cells_mix_in_one_column():
+    rng = random.Random(13)
+    others = ["1e5", "-2.5E-3", "+1", "+.5", " 7", "8 ", "\t9", "1_000", "inf", "-inf", "nan", "Infinity",
+              "1" * 16 + ".5", "-0e0"]
+    assert data._decimals(np.array([c.encode() for c in others]))[1].all()
+    for _ in range(50):
+        cells = _decimal_cells(rng, 40) + rng.sample(others, 4)
+        rng.shuffle(cells)
+        assert_floats_equal_float(cells)
+
+
+@pytest.mark.parametrize("bad", [".", "-", "1.2.3", "--1", "1-", "-.", "1\x002"])
+def test_malformed_decimals_raise_naming_the_first_bad_cell(bad):
+    message = rf"^t\.csv: column 'x': could not convert string to float: {re.escape(repr(bad))}$"
+    for cells in ([b"1.5", bad.encode(), b"zz"], [b"1e5", b"2", bad.encode(), b"-", b"."]):
+        with pytest.raises(DataError, match=message):
+            data._floats(np.array(cells), "x", "t.csv")
+    if "\0" not in bad:
+        with pytest.raises(DataError, match=message.replace("t\\.csv", "<memory>")):
+            loads_csv(f"x\n1.5\n{bad}\n7\n", [AttributeSchema("x", "numerical")])
 
 
 def test_one_long_cell_does_not_widen_its_column():
