@@ -215,54 +215,39 @@ def cmd_demo_orders(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if d.labels is None:
         raise DataError("the order demo needs ground-truth labels")
-    rows = []
-
-    def ca_of(part):
-        return evaluate.clustering_accuracy(part, d.labels)
-
-    wo = []
-    for i in range(args.wo_seeds):
-        wo.append(ca_of(cluster.fit_fixed_order(d, args.k, None, seed=args.seed + i).partition))
-        rows.append(["wo", i, wo[-1]])
-    so = None
-    try:
-        so_orders = order.semantic_orders(d)
-        so = []
-        for i in range(args.so_seeds):
-            so.append(ca_of(cluster.fit_fixed_order(d, args.k, so_orders, seed=args.seed + i).partition))
-            rows.append(["so", i, so[-1]])
-    except ValueError:
-        pass
+    declared = any(r is not None for r in d.semantic_ranks)
     rng = np.random.default_rng(args.seed)
-    ro = []
-    for i in range(args.ro_draws):
-        draw = order.random_orders(d, rng)
-        ro.append(ca_of(cluster.fit_fixed_order(d, args.k, draw, seed=args.seed + i).partition))
-        rows.append(["ro", i, ro[-1]])
-    overlay = []
-    for i in range(args.overlay_seeds):
-        res = cluster.fit(d, cluster.FitConfig(k=args.k, seed=args.seed + i))
-        overlay.append(ca_of(res.partition))
-        rows.append(["main", i, overlay[-1]])
+    groups = {  # FitConfig keywords; the fits of one group run under seeds args.seed + 0, 1, ...
+        "wo": [{"order_mode": "hamming"}] * args.wo_seeds,
+        "so": [{"order_mode": "semantic"}] * args.so_seeds if declared else None,
+        "ro": [{"order_mode": "fixed", "fixed_orders": order.random_orders(d, rng)} for _ in range(args.ro_draws)],
+        "main": [{}] * args.overlay_seeds,
+    }
+    ca = {
+        name: [
+            evaluate.clustering_accuracy(
+                cluster.fit(d, cluster.FitConfig(k=args.k, seed=args.seed + i, **kw)).partition, d.labels
+            )
+            for i, kw in enumerate(configs)
+        ]
+        for name, configs in groups.items() if configs is not None
+    }
+    _write_csv(outdir / "demo_orders.csv", ["method", "index", "ca"],
+               [[name, i, x] for name, xs in ca.items() for i, x in enumerate(xs)])
 
-    _write_csv(outdir / "demo_orders.csv", ["method", "index", "ca"], rows)
-
-    def q(xs, p):
-        return float(np.quantile(xs, p))
-
-    lines = ["order demo report", "=" * 60,
-             f"dataset: {args.data} (n={d.n}), k={args.k}, base seed {args.seed}",
-             f"wo: {args.wo_seeds} runs, mean {np.mean(wo):.4f}"]
-    if so is None:
-        lines.append("so: inapplicable (no attribute declares a semantic order)")
-    else:
-        lines.append(f"so: {args.so_seeds} runs, mean {np.mean(so):.4f}")
-    lines.append(
-        f"ro: {args.ro_draws} draws, quantiles "
-        f"p00={min(ro):.4f} p25={q(ro, .25):.4f} p50={q(ro, .5):.4f} "
-        f"p75={q(ro, .75):.4f} p100={max(ro):.4f}"
-    )
-    lines.append(f"main-fit overlay: {args.overlay_seeds} runs, mean {np.mean(overlay):.4f}")
+    ro = ca["ro"]
+    p00, p100 = min(ro), max(ro)  # first: zero draws raise ValueError here, a config error
+    p25, p50, p75 = np.quantile(ro, [0.25, 0.5, 0.75])
+    lines = [
+        "order demo report", "=" * 60,
+        f"dataset: {args.data} (n={d.n}), k={args.k}, base seed {args.seed}",
+        f"wo: {args.wo_seeds} runs, mean {np.mean(ca['wo']):.4f}",
+        f"so: {args.so_seeds} runs, mean {np.mean(ca['so']):.4f}" if declared
+        else "so: inapplicable (no attribute declares a semantic order)",
+        f"ro: {args.ro_draws} draws, quantiles p00={p00:.4f} p25={p25:.4f} p50={p50:.4f} "
+        f"p75={p75:.4f} p100={p100:.4f}",
+        f"main-fit overlay: {args.overlay_seeds} runs, mean {np.mean(ca['main']):.4f}",
+    ]
     (outdir / "demo_report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines[2:]))
     return EXIT_OK

@@ -110,12 +110,6 @@ class FitResult(NamedTuple):
     trace: FitTrace
 
 
-def _distances(enc, matrices, prof, form):
-    if form == "mode":
-        return metric.mode_distances(enc, matrices, prof)
-    return metric.cluster_distances(enc, matrices, prof)
-
-
 def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner):
     """Alternate assignment and profile refresh until L stops strictly decreasing.
 
@@ -126,13 +120,14 @@ def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner)
     last strictly-improving state (or the start state when the first step
     already fails to improve) as (assignment, profile, objective), plus
     whether the segment ended on a non-improving step rather than at
-    ``max_inner``.
+    ``max_inner``. The distance kernel is read off ``metric`` at every step,
+    so a wrapper installed there sees each call.
     """
     cur_assign, l_prev, k = assign0, l_base, prof.k
     trace.epoch_baselines.append(l_base)
     converged = False
     for iters in range(1, max_inner + 1):
-        dist = _distances(enc, matrices, prof, form)
+        dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(enc, matrices, prof)
         new_assign = dist.argmin(axis=1).astype(np.int32)
         new_prof = metric.profile_from_assignment(enc, new_assign, k, prev=(cur_assign, prof))
         l_new = metric.objective_total(matrices, new_prof, form)
@@ -238,6 +233,15 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     return FitResult(Partition(cur_assign, k), cur_orders, trace)
 
 
+def _check_centres(k: int, n: int, max_iter: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if max_iter < 1:
+        raise ValueError("iteration caps must be >= 1")
+    if k > n:
+        raise ValueError("k exceeds the sample count")
+
+
 def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, FitTrace]:
     """Lloyd loop over k distinct random samples as centres: modes, plus means when ``cols`` is given.
 
@@ -252,13 +256,8 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     of the per-attribute form, over a contiguous (s_cat, n) copy of the codes.
     """
     t0 = time.perf_counter()
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if max_iter < 1:
-        raise ValueError("iteration caps must be >= 1")
     n, s_cat = enc.codes.shape
-    if k > n:
-        raise ValueError("k exceeds the sample count")
+    _check_centres(k, n, max_iter)
     rng = np.random.default_rng(seed)
     width = int(enc.offsets[-1])
     s = s_cat + (0 if cols is None else cols.shape[0])
@@ -314,25 +313,6 @@ def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partiti
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     return _centre_loop(d.onehot, None, k, seed, max_iter, monotone=True)
-
-
-def fit_fixed_order(d: Dataset, k: int, o: order.OrderSet | None, seed=0, init: str = "kmodes_once") -> FitResult:
-    """Partition-only fit under a frozen distance metric.
-
-    ``o=None`` measures every attribute by match/mismatch; a declared-order
-    OrderSet gives the semantic baseline; a random OrderSet gives one random
-    draw of the order space.
-    """
-    orders = order.hamming_orders(d) if o is None else o
-    orders.validate(d)
-    cfg = FitConfig(k=k, init=init, order_mode="fixed", fixed_orders=orders, seed=_seed_int(seed))
-    return fit(d, cfg)
-
-
-def _seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise ValueError("seed must be an integer")
 
 
 def _kmeans_pp_init(cols: np.ndarray, k: int, rng) -> np.ndarray:
@@ -431,8 +411,7 @@ def lloyd_kmeans(cols: np.ndarray, k: int, seed=0, max_iter: int = 100) -> tuple
     """Plain seeded k-means (k-means++ init) over the columns of a (dim, n) array; returns the
     assignment and False when ``max_iter`` ran out before it repeated. Distances, assignment
     and means are each bit-identical to the (n, dim) form, so it finds that form's partition."""
-    if max_iter < 1:
-        raise ValueError("iteration caps must be >= 1")
+    _check_centres(k, cols.shape[1], max_iter)
     centers = _kmeans_pp_init(cols, k, np.random.default_rng(seed))
     norms = np.einsum("ij,ij->j", cols, cols)
     assign_prev = None

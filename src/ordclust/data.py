@@ -532,32 +532,17 @@ def synthesize(
     if min(n, s, k, values_per_attribute) < 1:
         raise DataError("all synthesis counts must be >= 1")
     rng = np.random.default_rng(seed)
-    labels = np.arange(n, dtype=np.int32) % k if planted_labels else None
-    label_values = tuple(f"c{m}" for m in range(k)) if planted_labels else None
-    if values_per_attribute == 1:
-        # every column collapses to a single value
-        return Dataset(
-            cat=np.empty((n, 0), dtype=np.int32),
-            num=np.empty((n, 0), dtype=np.float64),
-            dictionaries=(),
-            cat_names=(),
-            cat_kinds=(),
-            semantic_ranks=(),
-            num_names=(),
-            labels=labels,
-            label_values=label_values,
-            degenerate=tuple(DegenerateColumn(f"a{r}", "v0") for r in range(s)),
-        )
-    cat = rng.integers(0, values_per_attribute, size=(n, s), dtype=np.int32)
+    used = s if values_per_attribute > 1 else 0  # one value per column: every column is degenerate
     vocab = tuple(f"v{g}" for g in range(values_per_attribute))
     return Dataset(
-        cat=cat,
+        cat=rng.integers(0, values_per_attribute, size=(n, used), dtype=np.int32),
         num=np.empty((n, 0), dtype=np.float64),
-        dictionaries=tuple(vocab for _ in range(s)),
-        cat_names=tuple(f"a{r}" for r in range(s)),
-        cat_kinds=tuple("nominal" for _ in range(s)),
-        semantic_ranks=tuple(None for _ in range(s)),
+        dictionaries=(vocab,) * used,
+        cat_names=tuple(f"a{r}" for r in range(used)),
+        cat_kinds=("nominal",) * used,
+        semantic_ranks=(None,) * used,
         num_names=(),
-        labels=labels,
-        label_values=label_values,
+        labels=np.arange(n, dtype=np.int32) % k if planted_labels else None,
+        label_values=tuple(f"c{m}" for m in range(k)) if planted_labels else None,
+        degenerate=() if used else tuple(DegenerateColumn(f"a{r}", "v0") for r in range(s)),
     )

@@ -95,12 +95,15 @@ def test_criterion_4_ablation_trend(datasets, ocl_sweep):
 def test_criterion_5_order_demo_on_hr(datasets):
     d = datasets["HR"]
     wo = np.array([
-        evaluate.clustering_accuracy(cluster.fit_fixed_order(d, 3, None, seed=s).partition, d.labels)
+        evaluate.clustering_accuracy(
+            cluster.fit(d, FitConfig(k=3, seed=s, order_mode="hamming")).partition, d.labels
+        )
         for s in range(100)
     ])
-    so_orders = order.semantic_orders(d)
     so = np.array([
-        evaluate.clustering_accuracy(cluster.fit_fixed_order(d, 3, so_orders, seed=s).partition, d.labels)
+        evaluate.clustering_accuracy(
+            cluster.fit(d, FitConfig(k=3, seed=s, order_mode="semantic")).partition, d.labels
+        )
         for s in range(100)
     ])
     rng = np.random.default_rng(1234)
@@ -108,7 +111,7 @@ def test_criterion_5_order_demo_on_hr(datasets):
     for j in range(1000):
         draw = order.random_orders(d, rng)
         ca = evaluate.clustering_accuracy(
-            cluster.fit_fixed_order(d, 3, draw, seed=j).partition, d.labels
+            cluster.fit(d, FitConfig(k=3, seed=j, order_mode="fixed", fixed_orders=draw)).partition, d.labels
         )
         ro_max = max(ro_max, ca)
     ok = ro_max > so.mean() and ro_max > wo.mean()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ordclust import cli, fixtures, metric
+from ordclust import cli, cluster, evaluate, fixtures, metric, order
 from ordclust.data import load_dataset
 
 
@@ -109,6 +109,40 @@ def test_demo_orders_so_inapplicable(tmp_path):
     with open(out / "demo_orders.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert all(r[0] != "so" for r in rows)
+
+
+def test_demo_orders_rows_are_the_direct_fits(tmp_path):
+    out, seed = tmp_path / "demo", 4
+    code = run([
+        "demo-orders", "--data", "fixture:HR", "--k", "3", "--seed", str(seed),
+        "--wo-seeds", "3", "--so-seeds", "2", "--ro-draws", "4", "--overlay-seeds", "2",
+        "--out", str(out),
+    ])
+    assert code == 0
+    with open(out / "demo_orders.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[0], int(r[1])) for r in rows] == (
+        [("wo", i) for i in range(3)] + [("so", i) for i in range(2)]
+        + [("ro", i) for i in range(4)] + [("main", i) for i in range(2)]
+    )
+    d = fixtures.load_fixture("HR")
+    rng = np.random.default_rng(seed)
+    draws = [order.random_orders(d, rng) for _ in range(4)]
+    configs = {"wo": {"order_mode": "hamming"}, "so": {"order_mode": "semantic"}, "main": {}}
+    for method, i, ca in rows:
+        i = int(i)
+        kw = {"order_mode": "fixed", "fixed_orders": draws[i]} if method == "ro" else configs[method]
+        res = cluster.fit(d, cluster.FitConfig(k=3, seed=seed + i, **kw))
+        assert float(ca) == evaluate.clustering_accuracy(res.partition, d.labels), (method, i)
+
+
+def test_mixed_fit_with_k_above_the_sample_count_is_config_error(tmp_path, capsys):
+    code = run([
+        "fit", "--data", "fixture:AC", "--mixed", "--init", "random_partition",
+        "--k", "700", "--runs", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "k exceeds the sample count" in capsys.readouterr().err
 
 
 def test_bench_suite(tmp_path):

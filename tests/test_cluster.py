@@ -226,8 +226,9 @@ def test_fixed_order_binary_collapse_per_seed(rng):
         parts = []
         for _ in range(3):
             o = order.random_orders(d, rng)
-            parts.append(cluster.fit_fixed_order(d, 2, o, seed=seed).partition.assign)
-        wo = cluster.fit_fixed_order(d, 2, None, seed=seed).partition.assign
+            cfg = FitConfig(k=2, seed=seed, order_mode="fixed", fixed_orders=o)
+            parts.append(cluster.fit(d, cfg).partition.assign)
+        wo = cluster.fit(d, FitConfig(k=2, seed=seed, order_mode="hamming")).partition.assign
         for p in parts:
             assert np.array_equal(p, wo)
 
@@ -240,8 +241,7 @@ def test_fixed_order_semantic_baseline():
         cat_kinds=("ordinal",), semantic_ranks=(np.array([1, 3, 2]),),
         num_names=(), labels=d.labels, label_values=d.label_values,
     )
-    o = order.semantic_orders(d)
-    res = cluster.fit_fixed_order(d, 2, o, seed=0)
+    res = cluster.fit(d, FitConfig(k=2, seed=0, order_mode="semantic"))
     assert res.orders.ranks[0].tolist() == [1, 3, 2]
 
 
@@ -256,7 +256,8 @@ def test_learned_orders_no_worse_than_random_median():
     for s in seeds:
         for _ in range(9):
             o = order.random_orders(d, rng)
-            random_ls.append(cluster.fit_fixed_order(d, 3, o, seed=s).trace.best_objective)
+            cfg = FitConfig(k=3, seed=s, order_mode="fixed", fixed_orders=o)
+            random_ls.append(cluster.fit(d, cfg).trace.best_objective)
     assert np.mean(learned) <= np.median(random_ls)
 
 
@@ -264,7 +265,7 @@ def test_hamming_ablation_equals_wo_fit(rng):
     d = synthesize(60, 4, 3, values_per_attribute=4, seed=47, planted_labels=True)
     for seed in range(3):
         a = cluster.fit(d, FitConfig(k=3, seed=seed, ablation="hamming_only"))
-        b = cluster.fit_fixed_order(d, 3, None, seed=seed)
+        b = cluster.fit(d, FitConfig(k=3, seed=seed, order_mode="hamming"))
         assert np.array_equal(a.partition.assign, b.partition.assign)
         for mat in metric.value_distance_matrices(d, a.orders):
             l = mat.shape[0]
@@ -571,6 +572,31 @@ def test_baselines_reject_a_zero_iteration_cap():
         for cap in (0, -1):
             with pytest.raises(ValueError, match=r"^iteration caps must be >= 1$"):
                 run(cap)
+
+
+def test_lloyd_kmeans_validates_k_like_the_baselines():
+    cols = np.random.default_rng(0).random((2, 10))
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        cluster.lloyd_kmeans(cols, 0, max_iter=0)  # k is checked before the cap, as in the baselines
+    with pytest.raises(ValueError, match=r"^iteration caps must be >= 1$"):
+        cluster.lloyd_kmeans(cols, 11, max_iter=0)
+    with pytest.raises(ValueError, match=r"^k exceeds the sample count$"):
+        cluster.lloyd_kmeans(cols, 11)
+    assert sorted(cluster.lloyd_kmeans(cols, 10)[0].tolist()) == list(range(10))  # k = n: one sample each
+
+
+@pytest.mark.parametrize("method, kernel", [("main", "cluster_distances"), ("mode_dist", "mode_distances")])
+def test_every_inner_iteration_calls_the_distance_kernel_through_metric(method, kernel, monkeypatch):
+    d = fixtures.load_fixture("HR")
+    calls = {"cluster_distances": 0, "mode_distances": 0}
+    for name in calls:
+        def counted(*args, name=name, wrapped=getattr(metric, name)):
+            calls[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(metric, name, counted)
+    iterations = sum(cli._run_method(d, method, 3, seed)[2].total_inner_iterations for seed in range(3))
+    assert iterations > 0
+    assert calls == {"cluster_distances": 0, "mode_distances": 0, kernel: iterations}
 
 
 def test_fit_kprototypes_validates_k_like_fit_kmodes():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ordclust import cluster, evaluate, fixtures, metric, order
+from ordclust.cluster import FitConfig
 
 
 def _moved(ranks, perm):
@@ -50,8 +51,9 @@ def test_relabeling_values_with_their_ranks_changes_nothing(name, rng):
             totals.append(metric.objective_total(matrices, prof))
         assert totals[0] == totals[1]
         # random_partition: the k-modes init also breaks mode ties by value index
-        a = cluster.fit_fixed_order(d, k, o, seed=seed, init="random_partition")
-        b = cluster.fit_fixed_order(d2, k, o2, seed=seed, init="random_partition")
+        fixed = dict(k=k, seed=seed, init="random_partition", order_mode="fixed")
+        a = cluster.fit(d, FitConfig(fixed_orders=o, **fixed))
+        b = cluster.fit(d2, FitConfig(fixed_orders=o2, **fixed))
         assert a.partition.assign.tolist() == b.partition.assign.tolist()
         assert a.trace.best_objective == b.trace.best_objective
 
@@ -103,7 +105,7 @@ def test_permuting_rows_keeps_objective_bits_and_permutes_the_fit(name, rng, mon
             assert got[0].hex() == got[1].hex()
         starts = {id(d): start, id(dp): start[perm]}
         monkeypatch.setattr(cluster, "_initial_partition", lambda ds, cfg, seed_seq: starts[id(ds)].copy())
-        a = cluster.fit_fixed_order(d, k, o, seed=seed)
-        b = cluster.fit_fixed_order(dp, k, o, seed=seed)
+        a = cluster.fit(d, FitConfig(k=k, seed=seed, order_mode="fixed", fixed_orders=o))
+        b = cluster.fit(dp, FitConfig(k=k, seed=seed, order_mode="fixed", fixed_orders=o))
         assert [v.hex() for v in b.trace.objective_values] == [v.hex() for v in a.trace.objective_values]
         assert b.partition.assign.tolist() == a.partition.assign[perm].tolist()
