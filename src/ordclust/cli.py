@@ -69,6 +69,17 @@ def _fit_config(args, seed: int) -> cluster.FitConfig:
     )
 
 
+FIT_METHODS = {  # FitConfig keywords of the benchmark methods that run the main fit
+    "main": {},
+    "mode_dist": {"ablation": "no_prob_weight"},
+    "single_update": {"ablation": "single_order_update"},
+    "hamming": {"ablation": "hamming_only"},
+    "learn_nominal_only": {"ordinal_policy": "preserve_ordinal"},
+    "no_order_learning": {"ordinal_policy": "preserve_all"},
+}
+METHODS = (*FIT_METHODS, "kmd", "kpt", "mixed")
+
+
 def _run_method(d: Dataset, method: str, k: int, seed: int):
     """One fit of a named benchmark method; returns (Partition, orders, trace)."""
     if method in ("kmd", "kpt"):
@@ -77,17 +88,14 @@ def _run_method(d: Dataset, method: str, k: int, seed: int):
         return part, None, trace
     if method == "mixed":
         return cluster.fit_mixed(d, cluster.FitConfig(k=k, seed=seed))
-    named = {
-        "main": {},
-        "mode_dist": {"ablation": "no_prob_weight"},
-        "single_update": {"ablation": "single_order_update"},
-        "hamming": {"ablation": "hamming_only"},
-        "learn_nominal_only": {"ordinal_policy": "preserve_ordinal"},
-        "no_order_learning": {"ordinal_policy": "preserve_all"},
-    }
-    if method not in named:
-        raise ValueError(f"unknown method {method!r}")
-    return cluster.fit(d, cluster.FitConfig(k=k, seed=seed, **named[method]))
+    return cluster.fit(d, cluster.FitConfig(k=k, seed=seed, **FIT_METHODS[method]))
+
+
+def _count(text: str) -> int:
+    """An option that counts runs, seeds or draws: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _format_orders(d: Dataset, o: order.OrderSet) -> list[str]:
@@ -236,7 +244,7 @@ def cmd_demo_orders(args) -> int:
                [[name, i, x] for name, xs in ca.items() for i, x in enumerate(xs)])
 
     ro = ca["ro"]
-    p00, p100 = min(ro), max(ro)  # first: zero draws raise ValueError here, a config error
+    p00, p100 = min(ro), max(ro)
     p25, p50, p75 = np.quantile(ro, [0.25, 0.5, 0.75])
     lines = [
         "order demo report", "=" * 60,
@@ -277,9 +285,11 @@ def _write_matrix(outdir: Path, rows: list) -> None:
 
 
 def cmd_bench(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or not set(methods) <= set(METHODS):
+        raise ValueError(f"--methods must name methods among {', '.join(METHODS)}, got {args.methods!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     seeds = _seed_list(args.seed, args.runs)
 
     suite = []
@@ -425,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one dataset over multiple seeds and write a report")
     _add_data_args(p)
     _add_fit_args(p)
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_count, default=10)
     p.add_argument("--mixed", action="store_true", help="two-stage pipeline for mixed data")
     p.add_argument("--out", default=str(_default_outdir() / "fit"))
     p.add_argument("--export-orders", action="store_true")
@@ -437,17 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--wo-seeds", type=int, default=100)
-    p.add_argument("--so-seeds", type=int, default=100)
-    p.add_argument("--ro-draws", type=int, default=1000)
-    p.add_argument("--overlay-seeds", type=int, default=10)
+    p.add_argument("--wo-seeds", type=_count, default=100)
+    p.add_argument("--so-seeds", type=_count, default=100)
+    p.add_argument("--ro-draws", type=_count, default=1000)
+    p.add_argument("--overlay-seeds", type=_count, default=10)
     p.add_argument("--out", default=str(_default_outdir() / "demo"))
     p.set_defaults(func=cmd_demo_orders)
 
     p = sub.add_parser("bench", help="benchmark matrix over a dataset suite")
     p.add_argument("--suite", required=True, help="CSV: name,data,schema,k per line")
     p.add_argument("--methods", default="main,kmd")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--missing-policy", default="drop_row", choices=("drop_row", "error"))
     p.add_argument("--out", default=str(_default_outdir() / "bench"))
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--name", default="dataset")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=str(_default_outdir() / "ablate"))
     p.set_defaults(func=cmd_ablate)

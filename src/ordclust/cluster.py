@@ -266,16 +266,18 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     means = None if cols is None else cols[:, idx].T.copy()
     code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
 
+    starts, lengths = enc.offsets[:-1], np.diff(enc.offsets)
+    columns, rows, clusters = np.arange(width), np.arange(n), np.arange(k)[:, None]
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
     for _ in range(max_iter):
         if means is None:
             onehot = np.zeros((width, k))
-            onehot[modes, np.arange(k)[:, None]] = 1.0
+            onehot[modes, clusters] = 1.0
             dist = enc.X @ onehot
             np.subtract(s_cat, dist, out=dist)
             a = dist.argmin(axis=1).astype(np.int32)
-            l_new = float(dist[np.arange(n), a].sum()) / s
+            l_new = float(dist[rows, a].sum()) / s
         else:
             dist = _squared_distances(cols, means)
             for r in range(s_cat):
@@ -291,9 +293,9 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
         counts = enc.counts(a, k)
         # Lowest-index most frequent value per attribute: the first of its
         # columns that reaches the attribute's maximum.
-        peak = np.maximum.reduceat(counts, enc.offsets[:-1], axis=1).repeat(np.diff(enc.offsets), axis=1)
-        tied = np.where(counts == peak, np.arange(width), width)
-        best = np.minimum.reduceat(tied, enc.offsets[:-1], axis=1)
+        peak = np.maximum.reduceat(counts, starts, axis=1).repeat(lengths, axis=1)
+        tied = np.where(counts == peak, columns, width)
+        best = np.minimum.reduceat(tied, starts, axis=1)
         occupied = np.bincount(a, minlength=k) > 0
         modes[occupied] = best[occupied]
         cur_assign, l_prev = a, l_new

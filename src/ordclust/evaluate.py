@@ -1,16 +1,16 @@
 """Clustering validity: accuracy under optimal matching, ARI, NMI, compactness.
 
-Accuracy and ARI are computed in exact integer/rational arithmetic with a
-single final division, so independent implementations of the same quantity
-produce bit-identical floats. Entropy-based scores accumulate their per-cell
-terms with ``math.fsum``, which is order-independent, for the same reason.
+Accuracy and ARI are computed in exact integer arithmetic with a single,
+correctly rounded division, so independent implementations of the same
+quantity produce bit-identical floats. Entropy-based scores accumulate their
+per-cell terms with ``math.fsum``, which is order-independent, for the same
+reason.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -35,8 +35,15 @@ def _check_pair(pred, truth):
 
 
 def contingency(pred, truth) -> np.ndarray:
-    """Joint count table; rows are predicted clusters, columns true labels."""
+    """Joint count table; rows are predicted clusters, columns true labels, each in ascending
+    order of the labels that occur. Small non-negative integer labels take one ``bincount``."""
     p, t = _check_pair(pred, truth)
+    if p.dtype.kind in "iu" and t.dtype.kind in "iu" and p.min() >= 0 and t.min() >= 0:
+        kp, kt = int(p.max()) + 1, int(t.max()) + 1
+        if kp * kt <= 8 * p.size:  # the dense table holds at most 8 cells per sample
+            cells = p.astype(np.int64) * kt + t.astype(np.int64)
+            table = np.bincount(cells, minlength=kp * kt).reshape(kp, kt)
+            return table[table.any(axis=1)][:, table.any(axis=0)]  # the labels that occur
     _, pi = np.unique(p, return_inverse=True)
     _, ti = np.unique(t, return_inverse=True)
     kp, kt = pi.max() + 1, ti.max() + 1
@@ -61,33 +68,25 @@ def _accuracy(table: np.ndarray) -> float:
     return matched / int(table.sum())
 
 
-def _comb2(x: int) -> int:
-    return x * (x - 1) // 2
-
-
 def adjusted_rand_index(pred, truth) -> float:
     """Pair-counting agreement corrected for chance; 1 means identical structure."""
     return _ari(contingency(pred, truth))
 
 
 def _ari(table: np.ndarray) -> float:
+    # (cells - expected) / (maximum - expected) over pair counts, expected = rows * cols / pairs
+    # and maximum = (rows + cols) / 2, scaled by 2 * pairs: one correctly rounded int / int
     n = int(table.sum())
-    sum_cells = sum(_comb2(int(v)) for v in table.flat)
-    sum_rows = sum(_comb2(int(v)) for v in table.sum(axis=1))
-    sum_cols = sum(_comb2(int(v)) for v in table.sum(axis=0))
-    pairs = _comb2(n)
-    if pairs == 0:
-        return 1.0
-    expected = Fraction(sum_rows * sum_cols, pairs)
-    maximum = Fraction(sum_rows + sum_cols, 2)
-    if maximum == expected:
-        # both trivially fine or trivially coarse partitions
-        return 1.0 if Fraction(sum_cells) == expected else 0.0
-    return float((Fraction(sum_cells) - expected) / (maximum - expected))
+    pairs = n * (n - 1) // 2
+    cells, rows, cols = (int((x * (x - 1)).sum()) // 2 for x in (table, table.sum(1), table.sum(0)))
+    den = pairs * (rows + cols) - 2 * rows * cols
+    if den == 0:  # one sample, or both partitions trivially fine or trivially coarse
+        return 1.0 if cells * pairs == rows * cols else 0.0
+    return 2 * (pairs * cells - rows * cols) / den
 
 
-def _entropy_terms(counts: np.ndarray, n: int) -> list[float]:
-    return [-(c / n) * math.log(c / n) for c in counts.tolist() if c > 0]
+def _entropy_terms(counts: list, n: int) -> list[float]:
+    return [-(c / n) * math.log(c / n) for c in counts if c > 0]
 
 
 def normalized_mutual_info(pred, truth) -> float:
@@ -101,21 +100,15 @@ def normalized_mutual_info(pred, truth) -> float:
 
 def _nmi(table: np.ndarray) -> float:
     n = int(table.sum())
-    rows = table.sum(axis=1)
-    cols = table.sum(axis=0)
+    rows, cols = table.sum(axis=1).tolist(), table.sum(axis=0).tolist()
     hp = math.fsum(_entropy_terms(rows, n))
     ht = math.fsum(_entropy_terms(cols, n))
     if hp == 0.0 and ht == 0.0:
         return 1.0
     if hp == 0.0 or ht == 0.0:
         return 0.0
-    terms = []
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            c = int(table[i, j])
-            if c > 0:
-                terms.append((c / n) * math.log((n * c) / (int(rows[i]) * int(cols[j]))))
-    mi = math.fsum(terms)
+    mi = math.fsum((c / n) * math.log((n * c) / (rows[i] * cols[j]))
+                   for i, row in enumerate(table.tolist()) for j, c in enumerate(row) if c > 0)
     return mi / ((hp + ht) / 2.0)
 
 
@@ -133,13 +126,12 @@ def compactness(d: Dataset, pred) -> float:
     if d.s_categorical == 0 or live.size == 0:
         return 0.0
     enc = d.onehot
-    counts = enc.counts(p, k)[live]
+    probs = enc.counts(p, k)[live] / sizes[live, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = np.where(probs > 0, -probs * np.log(probs), 0.0)
     total = 0.0
-    for cell, l in zip(split_columns(counts, enc.offsets), d.cardinalities):
-        probs = cell / sizes[live, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where(probs > 0, -probs * np.log(probs), 0.0).sum(axis=1)
-        total += float(h.sum()) / math.log(l)
+    for cell, l in zip(split_columns(cells, enc.offsets), d.cardinalities):
+        total += float(cell.sum(axis=1).sum()) / math.log(l)
     return total / (d.s_categorical * live.size)
 
 

@@ -39,7 +39,7 @@ some fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,7 @@ class ClusterProfile:
     probs: tuple  # per attribute: (k, l_r) float64
     sizes: np.ndarray  # (k,) int64 cluster sample counts
     counts: np.ndarray  # (k, sum of l_r) int64 value counts, attributes stacked
+    _costs: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # value_costs memo
 
     @property
     def k(self) -> int:
@@ -116,13 +117,24 @@ def value_costs(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
     """(sum of cardinalities, k) cost of each value against each cluster, attributes stacked.
 
     A sample holding value c costs ``W[c, m]`` on c's attribute in cluster m.
-    An empty cluster's column is not a distance; callers mask it.
+    An empty cluster's column is not a distance; callers mask it. Built once per
+    (profile, matrices tuple, form): objective, distances and refresh share it read-only.
     """
+    key = (id(matrices), form)  # the entry keeps ``matrices`` alive, so its id is not reused
+    if key not in prof._costs:
+        prof._costs[key] = (matrices, _cost_table(matrices, prof, form))
+    return prof._costs[key][1]
+
+
+def _cost_table(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
     if form == "profile":
-        return np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
-    if form == "mode":
-        return np.vstack([mat[:, probs.argmax(axis=1)] for mat, probs in zip(matrices, prof.probs)])
-    raise ValueError(f"unknown form {form!r}")
+        table = np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
+    elif form == "mode":
+        table = np.vstack([mat[:, probs.argmax(axis=1)] for mat, probs in zip(matrices, prof.probs)])
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    table.flags.writeable = False
+    return table
 
 
 def _distances(enc: OneHot, matrices, prof: ClusterProfile, form: str) -> np.ndarray:

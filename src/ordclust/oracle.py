@@ -221,19 +221,7 @@ def pair_count_metrics(pred, truth):
                 n00 += 1
     counts = PairCounts(n11, n10, n01, n00)
 
-    pairs = n * (n - 1) // 2
-    if pairs == 0:
-        ari = 1.0
-    else:
-        sum_rows = n11 + n10
-        sum_cols = n11 + n01
-        expected = Fraction(sum_rows * sum_cols, pairs)
-        maximum = Fraction(sum_rows + sum_cols, 2)
-        if maximum == expected:
-            ari = 1.0 if Fraction(n11) == expected else 0.0
-        else:
-            ari = float((Fraction(n11) - expected) / (maximum - expected))
-
+    ari = fraction_ari(n11, n11 + n10, n11 + n01, n * (n - 1) // 2)
     joint = Counter(zip(p, t))
     rows = Counter(p)
     cols = Counter(t)
@@ -249,6 +237,31 @@ def pair_count_metrics(pred, truth):
         )
         nmi = mi / ((hp + ht) / 2.0)
     return counts, ari, nmi
+
+
+def fraction_ari(cells: int, rows: int, cols: int, pairs: int) -> float:
+    """ARI in rational arithmetic from the pairs together in both partitions, in each, and all pairs."""
+    if pairs == 0:
+        return 1.0
+    expected = Fraction(rows * cols, pairs)
+    maximum = Fraction(rows + cols, 2)
+    if maximum == expected:  # both trivially fine or trivially coarse partitions
+        return 1.0 if Fraction(cells) == expected else 0.0
+    return float((Fraction(cells) - expected) / (maximum - expected))
+
+
+def attribute_compactness(d: Dataset, pred) -> float:
+    """``evaluate.compactness`` one attribute at a time, each attribute's counts divided on their own."""
+    p = np.asarray(getattr(pred, "assign", pred))
+    sizes = np.bincount(p)
+    live = sizes > 0
+    total = 0.0
+    for cell, l in zip(split_columns(d.onehot.counts(p, sizes.size)[live], d.onehot.offsets), d.cardinalities):
+        probs = cell / sizes[live, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(probs > 0, -probs * np.log(probs), 0.0).sum(axis=1)
+        total += float(h.sum()) / math.log(l)
+    return total / (d.s_categorical * int(live.sum()))
 
 
 def brute_force_accuracy(pred, truth) -> float:

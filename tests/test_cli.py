@@ -313,3 +313,34 @@ def test_pairwise_distance_matrix_checks_its_size(monkeypatch):
         metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d))
     monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", d.n * d.n)
     assert metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d)).shape == (d.n, d.n)
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo-orders", "--k", "2", "--wo-seeds", "0"],
+    ["demo-orders", "--k", "2", "--so-seeds", "0"],
+    ["demo-orders", "--k", "2", "--ro-draws", "0"],
+    ["demo-orders", "--k", "2", "--overlay-seeds", "-1"],
+    ["ablate", "--k", "2", "--runs", "0"],
+    ["fit", "--k", "2", "--runs", "0"],
+])
+def test_counts_below_one_are_config_errors_before_loading(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:  # the data path does not exist: nothing is loaded
+        run([*argv, "--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "missing.schema"),
+             "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {argv[3]}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--runs", "0"], ["--methods", ","], ["--methods", "main,nope"]])
+def test_bench_config_errors_exit_before_reading_the_suite(flags, tmp_path, capsys):
+    argv = ["bench", "--suite", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "b"), *flags]
+    if flags[0] == "--runs":
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        code = exc.value.code
+    else:
+        code = run(argv)
+    assert code == cli.EXIT_CONFIG
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()

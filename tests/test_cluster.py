@@ -623,3 +623,31 @@ def test_fit_kprototypes_rejects_a_range_that_overflows():
     d = make_dataset([["a", "b", "a", "b"]], num=[-1.7e308, 1.7e308, 0.0, 1.0])
     with pytest.raises(DataError, match="'x0'"):
         cluster.fit_kprototypes(d, 2, seed=0)
+
+
+@pytest.mark.parametrize("method", ["main", "mode_dist"])
+def test_fit_builds_one_cost_table_per_objective(method, monkeypatch):
+    # The objective of a step builds its profile's table; the next step's
+    # distances and an order refresh of that profile read it back.
+    calls = {"objective_total": 0, "_cost_table": 0, "cluster_distances": 0, "mode_distances": 0}
+    reading, built_while_reading = [], []
+
+    def counted(name, fn, reads):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "_cost_table":
+                built_while_reading.append(any(reading))
+            reading.append(reads)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                reading.pop()
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(metric, name, counted(name, getattr(metric, name), name.endswith("distances")))
+    monkeypatch.setattr(order, "learn_orders", counted("learn_orders", order.learn_orders, True))
+    res = cli._run_method(fixtures.load_fixture("HR"), method, 3, 0)[2]
+    assert calls["learn_orders"] > 0 and res.total_inner_iterations > 0
+    assert calls["_cost_table"] == calls["objective_total"]
+    assert not any(built_while_reading)

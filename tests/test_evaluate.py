@@ -6,6 +6,7 @@ import pytest
 from conftest import make_dataset
 from ordclust import evaluate, oracle
 from ordclust.cluster import Partition
+from ordclust.data import synthesize
 
 
 def test_accuracy_identity():
@@ -165,3 +166,44 @@ def test_metric_ranges(rng):
         assert 0.0 <= evaluate.clustering_accuracy(pred, truth) <= 1.0
         assert -1.0 <= evaluate.adjusted_rand_index(pred, truth) <= 1.0
         assert 0.0 <= evaluate.normalized_mutual_info(pred, truth) <= 1.0 + 1e-12
+
+
+def _labels(rng, n):
+    """Random labels with a random number of distinct ids, some skipped: empty clusters, gaps, k = 1."""
+    k = int(rng.integers(1, 6))
+    ids = np.sort(rng.choice(3 * k, size=k, replace=False))
+    return ids[rng.integers(0, k, size=n)]
+
+
+def test_score_equals_the_reference_scores_bit_for_bit(rng):
+    for trial in range(120):
+        n = int(rng.integers(2, 120))
+        d = synthesize(n, int(rng.integers(1, 5)), 3, values_per_attribute=int(rng.integers(2, 6)),
+                       seed=trial)
+        pred, truth = _labels(rng, n), _labels(rng, n)
+        if trial % 10 == 0:
+            pred[:] = 0  # k = 1
+        got = evaluate.score(d, pred, truth)
+        _, ari, nmi = oracle.pair_count_metrics(pred, truth)
+        want = evaluate.RunMetrics(
+            ca=evaluate.clustering_accuracy(pred.astype(float), truth.astype(float)),  # np.unique table
+            ari=ari, nmi=nmi, cmp=oracle.attribute_compactness(d, pred),
+        )
+        assert [x.hex() for x in got.as_dict().values()] == [x.hex() for x in want.as_dict().values()]
+
+
+def test_integer_contingency_equals_the_unique_table(rng):
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        pred, truth = _labels(rng, n), _labels(rng, n)
+        ref = evaluate.contingency(pred.astype(float), truth.astype(float))
+        for p, t in ((pred, truth), (pred - 2, truth), (pred.astype(np.uint8), truth.astype(np.uint64)),
+                     (pred * 10**9, truth)):  # negative and huge labels take the np.unique path
+            table = evaluate.contingency(p, t)
+            assert table.dtype == ref.dtype and table.tolist() == ref.tolist()
+
+
+def test_ari_equals_the_fraction_form_on_its_edge_cases():
+    for pred, truth in (([0], [0]), ([0, 0], [0, 0]), ([0, 1], [1, 0]), ([0, 0, 1], [0, 1, 1]),
+                        ([0, 1, 2, 3], [0, 0, 0, 0]), ([3, 3, 7, 7, 7], [1, 2, 1, 2, 1])):
+        assert evaluate.adjusted_rand_index(pred, truth) == oracle.pair_count_metrics(pred, truth)[1]

@@ -375,3 +375,49 @@ def test_objective_and_delta_profile_allocate_no_per_sample_table():
     idx = rng.choice(d.n, size=100, replace=False)
     moved[idx] = (moved[idx] + 1) % k
     assert _traced_peak(lambda: metric.profile_from_assignment(enc, moved, k, prev=(assign, prof))) < 2**20
+
+
+def _costed_profile(rng, k=3):
+    d = synthesize(40, 3, k, values_per_attribute=4, seed=3)
+    return d, metric.profile_from_assignment(d.onehot, rng.integers(0, k, size=40).astype(np.int32), k)
+
+
+def _count_builds(monkeypatch) -> list:
+    builds, build = [], metric._cost_table
+    monkeypatch.setattr(metric, "_cost_table", lambda *args: builds.append(args[0]) or build(*args))
+    return builds
+
+
+def test_value_costs_table_is_shared_and_read_only(rng):
+    d, prof = _costed_profile(rng)
+    matrices = metric.value_distance_matrices(d, order.dictionary_orders(d))
+    table = metric.value_costs(matrices, prof, "profile")
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert metric.value_costs(matrices, prof, "profile") is table
+    assert metric.value_costs(matrices, prof, "mode") is not table
+
+
+def test_value_costs_keeps_one_table_per_matrices_tuple(rng, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    d, prof = _costed_profile(rng)
+    first = metric.value_distance_matrices(d, order.dictionary_orders(d))
+    other = metric.value_distance_matrices(d, order.random_orders(d, np.random.default_rng(7)))
+    tables = [metric.value_costs(m, prof, "profile") for m in (first, other, first, other)]
+    assert tables[0] is tables[2] and tables[1] is tables[3]
+    assert len(builds) == 2 and builds[0] is first and builds[1] is other
+    assert tables[0].tobytes() != tables[1].tobytes()
+    for matrices, table in zip((first, other), tables):
+        expected = np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
+        assert table.tobytes() == expected.tobytes()
+
+
+def test_value_costs_rebuilds_for_a_new_equal_tuple(rng, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    d, prof = _costed_profile(rng)
+    matrices = metric.value_distance_matrices(d, order.dictionary_orders(d))
+    equal = tuple(mat.copy() for mat in matrices)
+    table, again = (metric.value_costs(m, prof, "mode") for m in (matrices, equal))
+    assert len(builds) == 2 and again is not table
+    assert again.tobytes() == table.tobytes()
