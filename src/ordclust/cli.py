@@ -231,15 +231,13 @@ def cmd_demo_orders(args) -> int:
         "ro": [{"order_mode": "fixed", "fixed_orders": order.random_orders(d, rng)} for _ in range(args.ro_draws)],
         "main": [{}] * args.overlay_seeds,
     }
-    ca = {
-        name: [
-            evaluate.clustering_accuracy(
-                cluster.fit(d, cluster.FitConfig(k=args.k, seed=args.seed + i, **kw)).partition, d.labels
-            )
-            for i, kw in enumerate(configs)
-        ]
-        for name, configs in groups.items() if configs is not None
-    }
+    groups = {name: configs for name, configs in groups.items() if configs is not None}
+    ca = {name: [] for name in groups}
+    for i in range(max(map(len, groups.values()))):  # index-major: the fits of one seed share their start
+        for name, configs in groups.items():
+            if i < len(configs):
+                res = cluster.fit(d, cluster.FitConfig(k=args.k, seed=args.seed + i, **configs[i]))
+                ca[name].append(evaluate.clustering_accuracy(res.partition, d.labels))
     _write_csv(outdir / "demo_orders.csv", ["method", "index", "ca"],
                [[name, i, x] for name, xs in ca.items() for i, x in enumerate(xs)])
 
@@ -262,10 +260,16 @@ def cmd_demo_orders(args) -> int:
 
 
 def _matrix_rows(name: str, d: Dataset, k: int, methods, seeds: list[int]) -> list:
-    """One benchmark-matrix row per method: mean and std of each score over the seeds."""
+    """One benchmark-matrix row per method: mean and std of each score over the seeds.
+
+    Seeds run outer and methods inner, so the fits of one seed share their start.
+    """
+    scores = [[] for _ in methods]
+    for seed in seeds:
+        for per_seed, meth in zip(scores, methods):
+            per_seed.append(evaluate.score(d, _run_method(d, meth, k, seed)[0], d.labels))
     rows = []
-    for meth in methods:
-        per_seed = [evaluate.score(d, _run_method(d, meth, k, seed)[0], d.labels) for seed in seeds]
+    for meth, per_seed in zip(methods, scores):
         rep = evaluate.aggregate(per_seed)
         rows.append([
             name, meth,

@@ -10,6 +10,7 @@ in the trace but never returned.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -141,10 +142,39 @@ def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner)
 
 
 def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
-    if cfg.init == "kmodes_once":
+    if cfg.init == "kmodes_once":  # looked up on the module, so a wrapper installed there sees the call
         return fit_kmodes(d, cfg.k, seed=seed_seq)[0].assign
     rng = np.random.default_rng(seed_seq)
     return rng.integers(0, cfg.k, size=d.n, dtype=np.int32)
+
+
+def _start(d: Dataset, cfg: FitConfig, seed_seq) -> tuple[np.ndarray, metric.ClusterProfile]:
+    """Initial assignment and its profile, read-only, from the Dataset's one start slot.
+
+    The slot holds the start of the last (k, init, seed) fitted on ``d``; a
+    miss builds the start and replaces the slot's whole tuple at once.
+    """
+    key = (cfg.k, cfg.init, cfg.seed)
+    slot = d._start
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    assign = _initial_partition(d, cfg, seed_seq)
+    prof = metric.profile_from_assignment(d.onehot, assign, cfg.k)
+    for arr in (assign, prof.sizes, prof.counts, *prof.probs):
+        arr.flags.writeable = False
+    object.__setattr__(d, "_start", (key, (assign, prof)))
+    return assign, prof
+
+
+def _start_kind(cfg: FitConfig) -> str | None:
+    """Kind of the start orders ``_initial_orders`` builds; None when they are drawn or given."""
+    if cfg.order_mode == "hamming" or cfg.ablation == "hamming_only":
+        return "hamming"
+    if cfg.order_mode != "learned":
+        return "semantic" if cfg.order_mode == "semantic" else None
+    if cfg.random_order_init:
+        return None
+    return "dictionary" if cfg.ordinal_policy == "learn_all" else "preserved"
 
 
 def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> order.OrderSet:
@@ -167,6 +197,28 @@ def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> order.OrderSet:
     return base
 
 
+def _start_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, tuple, bool]:
+    """Start orders, their value distance matrices, and whether the two are shared.
+
+    Deterministic start orders are built once per Dataset and kind, with
+    read-only ranks and matrices, so every fit starting from them holds the
+    same matrices tuple and can share its cost tables. Drawn and given
+    orders are built per fit.
+    """
+    kind = _start_kind(cfg)
+    if kind is None:
+        orders = _initial_orders(d, cfg, rng)
+        return orders, metric.value_distance_matrices(d, orders), False
+    if kind not in d._start_orders:
+        orders = _initial_orders(d, cfg, rng)
+        matrices = metric.value_distance_matrices(d, orders)
+        for arr in (*orders.ranks, *matrices):
+            if arr is not None:
+                arr.flags.writeable = False
+        d._start_orders.setdefault(kind, (orders, matrices))
+    return (*d._start_orders[kind], True)
+
+
 def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     """Joint order and partition fit (with every ablation and order mode).
 
@@ -177,6 +229,14 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
 
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
+
+    The start depends only on (k, init, seed), so fits on one Dataset share
+    it: the Dataset keeps the initial partition and its profile of the last
+    (k, init, seed) fitted, one partition plus one profile per Dataset, and
+    the distance matrices of each deterministic kind of start orders
+    (dictionary, Hamming, semantic, preserved). Fitting several flows for
+    one seed before moving on to the next seed reuses the start; the results
+    are the same bit for bit either way.
     """
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
@@ -196,12 +256,15 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     if cfg.ordinal_policy == "preserve_ordinal":
         frozen = tuple(kind == "ordinal" for kind in d.cat_kinds)
 
-    cur_assign = _initial_partition(d, cfg, init_seed)
-    cur_orders = _initial_orders(d, cfg, np.random.default_rng(order_seed))
+    cur_assign, start_prof = _start(d, cfg, init_seed)
+    cur_orders, matrices, shared = _start_orders(d, cfg, np.random.default_rng(order_seed))
+    if shared:  # kept on the shared profile: at most one table per kind of start orders and form
+        metric.value_costs(matrices, start_prof, form)
+    # The fit's other tables go on a private copy, which starts with the shared ones.
+    prof = dataclasses.replace(start_prof)
+    prof._costs.update(start_prof._costs)
 
     trace = FitTrace()
-    matrices = metric.value_distance_matrices(d, cur_orders)
-    prof = metric.profile_from_assignment(enc, cur_assign, k)
     l_cur = metric.objective_total(matrices, prof, form)
     trace.init_objective = l_cur
     trace.converged = True

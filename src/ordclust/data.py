@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +117,14 @@ class Dataset:
     ``cat`` holds the effective (non-degenerate) categorical columns as value
     indices, ``num`` the numerical columns as floats. Arrays are marked
     read-only; a Dataset can be shared freely across concurrent fits.
+
+    ``cluster.fit`` keeps two memos here, neither part of equality or repr.
+    ``_start`` holds the start of the last (k, init, seed) fitted, as
+    ((k, init, seed), (assignment, profile)); a new start replaces the whole
+    tuple in one assignment, so a concurrent fit sees the old entry or the
+    new one, never half of either. ``_start_orders`` maps each deterministic
+    kind of start orders to (orders, distance matrices). Every array in
+    both is read-only.
     """
 
     cat: np.ndarray  # (n, s_cat) int32, cell < cardinality of its column
@@ -129,6 +137,8 @@ class Dataset:
     labels: np.ndarray | None = None
     label_values: tuple[str, ...] | None = None
     degenerate: tuple[DegenerateColumn, ...] = ()
+    _start: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _start_orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.cat.ndim != 2 or self.num.ndim != 2:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import tracemalloc
 
@@ -199,6 +200,36 @@ def test_ablate_runs_all_variants(tmp_path):
     with open(out / "benchmark_matrix.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [r[1] for r in rows] == ["main", "mode_dist", "single_update", "hamming"]
+
+
+def test_ablate_runs_one_kmodes_start_per_seed(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return fit_kmodes(*args, **kwargs)
+
+    fit_kmodes = cluster.fit_kmodes
+    monkeypatch.setattr(cluster, "fit_kmodes", counted)
+    assert run(["ablate", "--data", "fixture:HR", "--k", "3", "--runs", "3", "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 3
+
+
+def test_matrix_rows_equal_per_method_fits_on_fresh_datasets():
+    # The rows fit seeds outer and methods inner on one Dataset; the reference
+    # fits one method at a time, each fit on a Dataset of its own.
+    d = fixtures.load_fixture("HR")
+    methods, seeds = [*cli.FIT_METHODS, "kmd"], [3, 4, 5]
+    reference = []
+    for meth in methods:
+        per_seed = []
+        for seed in seeds:
+            fresh = dataclasses.replace(d)
+            per_seed.append(evaluate.score(fresh, cli._run_method(fresh, meth, 3, seed)[0], fresh.labels))
+        rep = evaluate.aggregate(per_seed)
+        stats = [f"{getattr(part, m):.4f}" for m in ("ca", "ari", "nmi", "cmp") for part in (rep.mean, rep.std)]
+        reference.append(["HR", meth, *stats])
+    assert cli._matrix_rows("HR", d, 3, methods, seeds) == reference
 
 
 def test_ablate_loads_like_fit(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -651,3 +654,84 @@ def test_fit_builds_one_cost_table_per_objective(method, monkeypatch):
     assert calls["learn_orders"] > 0 and res.total_inner_iterations > 0
     assert calls["_cost_table"] == calls["objective_total"]
     assert not any(built_while_reading)
+
+
+SHARED_START_FLOWS = ("main", "mode_dist", "single_update", "hamming")
+
+
+def _fit_state(res):
+    """Everything a fit returns, floats by repr (exact for every float), wall time left out."""
+    trace = dataclasses.asdict(res.trace)
+    del trace["wall_time"]
+    def arrays(xs):
+        return None if xs is None else [None if x is None else (x.dtype.str, x.tobytes()) for x in xs]
+
+    return (res.partition.k, res.partition.assign.tobytes(), arrays(res.orders.ranks),
+            arrays(res.orders.scores), repr(trace))
+
+
+def _flow_config(flow, seed, init="kmodes_once"):
+    return FitConfig(k=3, seed=seed, init=init, **cli.FIT_METHODS[flow])
+
+
+def test_fits_from_the_shared_start_equal_fits_on_fresh_datasets():
+    # Flows interleaved within each (seed, init), the order bench and ablate
+    # fit in, so every flow after the first starts from the Dataset's slot.
+    d = fixtures.load_fixture("HR")
+    for seed in range(4):
+        for init in cluster.INITS:
+            for flow in SHARED_START_FLOWS:
+                cfg = _flow_config(flow, seed, init)
+                shared = cluster.fit(d, cfg)
+                assert d._start[0] == (3, init, seed)
+                assert _fit_state(shared) == _fit_state(cluster.fit(dataclasses.replace(d), cfg)), (seed, init, flow)
+
+
+def test_fit_keeps_one_read_only_start_per_dataset(monkeypatch):
+    kmodes_calls = []
+
+    def counted(*args, **kwargs):
+        kmodes_calls.append(kwargs["seed"])
+        return fit_kmodes(*args, **kwargs)
+
+    fit_kmodes = cluster.fit_kmodes
+    monkeypatch.setattr(cluster, "fit_kmodes", counted)
+    d = fixtures.load_fixture("HR")
+    for seed in range(20):
+        for flow in SHARED_START_FLOWS:
+            cluster.fit(d, _flow_config(flow, seed))
+    assert len(kmodes_calls) == 20
+    key, (assign, prof) = d._start
+    assert key == (3, "kmodes_once", 19)
+    # Only the start tables of the shared orders: (dictionary, profile), (dictionary, mode), (hamming, profile).
+    assert len(prof._costs) == 3
+    assert sorted(d._start_orders) == ["dictionary", "hamming"]
+    arrays = [assign, prof.sizes, prof.counts, *prof.probs]
+    for orders, matrices in d._start_orders.values():
+        arrays += [r for r in orders.ranks if r is not None] + list(matrices)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_drawn_start_orders_are_built_per_fit():
+    d = fixtures.load_fixture("HR")
+    rng = np.random.default_rng(3)
+    for i in range(3):
+        cluster.fit(d, FitConfig(k=3, seed=0, order_mode="fixed", fixed_orders=order.random_orders(d, rng)))
+        cluster.fit(d, FitConfig(k=3, seed=0, order_mode="random"))
+        cluster.fit(d, FitConfig(k=3, seed=0, random_order_init=True))
+    assert d._start_orders == {}
+    assert d._start[1][1]._costs == {}
+
+
+def test_concurrent_fits_on_a_shared_dataset_equal_the_serial_fits():
+    d = fixtures.load_fixture("HR")
+    jobs = [(flow, seed, init) for seed in (0, 1, 0, 2, 1) for init in cluster.INITS for flow in SHARED_START_FLOWS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so fits swap the slot under each other
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(lambda job: _fit_state(cluster.fit(d, _flow_config(*job))), job) for job in jobs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [_fit_state(cluster.fit(dataclasses.replace(d), _flow_config(*job))) for job in jobs]
