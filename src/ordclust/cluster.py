@@ -152,9 +152,11 @@ def _start(d: Dataset, cfg: FitConfig, seed_seq) -> tuple[np.ndarray, metric.Clu
     """Initial assignment and its profile, read-only, from the Dataset's one start slot.
 
     The slot holds the start of the last (k, init, seed) fitted on ``d``; a
-    miss builds the start and replaces the slot's whole tuple at once.
+    miss builds the start and replaces the slot's whole tuple at once. The
+    seed is keyed by the pool of ``seed_seq``, the only state the start draws
+    from, so equal seeds match whatever their type.
     """
-    key = (cfg.k, cfg.init, cfg.seed)
+    key = (cfg.k, cfg.init, seed_seq.pool.tobytes())
     slot = d._start
     if slot is not None and slot[0] == key:
         return slot[1]
@@ -230,13 +232,11 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
 
-    The start depends only on (k, init, seed), so fits on one Dataset share
-    it: the Dataset keeps the initial partition and its profile of the last
-    (k, init, seed) fitted, one partition plus one profile per Dataset, and
-    the distance matrices of each deterministic kind of start orders
-    (dictionary, Hamming, semantic, preserved). Fitting several flows for
-    one seed before moving on to the next seed reuses the start; the results
-    are the same bit for bit either way.
+    The start depends only on (k, init, seed). Fits on one Dataset share the
+    start of the last (k, init, seed) fitted, one partition plus one profile
+    per Dataset, and the matrices of deterministic start orders. Fitting every
+    flow of a seed before the next seed reuses the start; results are the
+    same bit for bit in any order.
     """
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")

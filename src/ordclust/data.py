@@ -118,13 +118,10 @@ class Dataset:
     indices, ``num`` the numerical columns as floats. Arrays are marked
     read-only; a Dataset can be shared freely across concurrent fits.
 
-    ``cluster.fit`` keeps two memos here, neither part of equality or repr.
-    ``_start`` holds the start of the last (k, init, seed) fitted, as
-    ((k, init, seed), (assignment, profile)); a new start replaces the whole
-    tuple in one assignment, so a concurrent fit sees the old entry or the
-    new one, never half of either. ``_start_orders`` maps each deterministic
-    kind of start orders to (orders, distance matrices). Every array in
-    both is read-only.
+    ``_start`` and ``_start_orders`` are ``cluster.fit``'s memos, outside
+    equality and repr: the start of the last (k, init, seed) fitted, replaced
+    whole in one assignment, and each deterministic kind of start orders
+    with its distance matrices. Their arrays are read-only too.
     """
 
     cat: np.ndarray  # (n, s_cat) int32, cell < cardinality of its column

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ordclust import cluster
 from ordclust.data import Dataset
 
 ACCEPTANCE_LINES = []
@@ -60,3 +61,16 @@ def minmax_columns(num):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def kmodes_calls(monkeypatch):
+    """Seeds of every ``cluster.fit_kmodes`` call, counted at the module name the fit looks up."""
+    calls, fit_kmodes = [], cluster.fit_kmodes
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return fit_kmodes(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "fit_kmodes", counted)
+    return calls

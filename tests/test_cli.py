@@ -202,17 +202,9 @@ def test_ablate_runs_all_variants(tmp_path):
     assert [r[1] for r in rows] == ["main", "mode_dist", "single_update", "hamming"]
 
 
-def test_ablate_runs_one_kmodes_start_per_seed(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return fit_kmodes(*args, **kwargs)
-
-    fit_kmodes = cluster.fit_kmodes
-    monkeypatch.setattr(cluster, "fit_kmodes", counted)
+def test_ablate_runs_one_kmodes_start_per_seed(tmp_path, kmodes_calls):
     assert run(["ablate", "--data", "fixture:HR", "--k", "3", "--runs", "3", "--out", str(tmp_path / "a")]) == 0
-    assert len(calls) == 3
+    assert len(kmodes_calls) == 3
 
 
 def test_matrix_rows_equal_per_method_fits_on_fresh_datasets():

@@ -683,26 +683,19 @@ def test_fits_from_the_shared_start_equal_fits_on_fresh_datasets():
             for flow in SHARED_START_FLOWS:
                 cfg = _flow_config(flow, seed, init)
                 shared = cluster.fit(d, cfg)
-                assert d._start[0] == (3, init, seed)
+                assert d._start[0][:2] == (3, init)
                 assert _fit_state(shared) == _fit_state(cluster.fit(dataclasses.replace(d), cfg)), (seed, init, flow)
 
 
-def test_fit_keeps_one_read_only_start_per_dataset(monkeypatch):
-    kmodes_calls = []
-
-    def counted(*args, **kwargs):
-        kmodes_calls.append(kwargs["seed"])
-        return fit_kmodes(*args, **kwargs)
-
-    fit_kmodes = cluster.fit_kmodes
-    monkeypatch.setattr(cluster, "fit_kmodes", counted)
+def test_fit_keeps_one_read_only_start_per_dataset(kmodes_calls):
     d = fixtures.load_fixture("HR")
     for seed in range(20):
         for flow in SHARED_START_FLOWS:
             cluster.fit(d, _flow_config(flow, seed))
     assert len(kmodes_calls) == 20
     key, (assign, prof) = d._start
-    assert key == (3, "kmodes_once", 19)
+    assert key[:2] == (3, "kmodes_once")
+    assert key[2] == np.random.SeedSequence(19).spawn(2)[0].pool.tobytes()
     # Only the start tables of the shared orders: (dictionary, profile), (dictionary, mode), (hamming, profile).
     assert len(prof._costs) == 3
     assert sorted(d._start_orders) == ["dictionary", "hamming"]
@@ -710,6 +703,15 @@ def test_fit_keeps_one_read_only_start_per_dataset(monkeypatch):
     for orders, matrices in d._start_orders.values():
         arrays += [r for r in orders.ranks if r is not None] + list(matrices)
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_equal_seeds_of_any_type_share_one_start(kmodes_calls):
+    # The slot compares seed streams, not seed objects: a numpy integer matches
+    # its int, and equal entropy arrays match without an array comparison.
+    d = fixtures.load_fixture("HR")
+    for seed in (7, np.int64(7), np.array([1, 2]), np.array([1, 2])):
+        cluster.fit(d, FitConfig(k=3, seed=seed))
+    assert len(kmodes_calls) == 2
 
 
 def test_drawn_start_orders_are_built_per_fit():
