@@ -657,6 +657,8 @@ def test_fit_builds_one_cost_table_per_objective(method, monkeypatch):
 
 
 SHARED_START_FLOWS = ("main", "mode_dist", "single_update", "hamming")
+# Every kind of start orders: dictionary, hamming, preserved, semantic.
+START_ORDER_FLOWS = {**cli.FIT_METHODS, "semantic": {"order_mode": "semantic"}}
 
 
 def _fit_state(res):
@@ -671,7 +673,7 @@ def _fit_state(res):
 
 
 def _flow_config(flow, seed, init="kmodes_once"):
-    return FitConfig(k=3, seed=seed, init=init, **cli.FIT_METHODS[flow])
+    return FitConfig(k=3, seed=seed, init=init, **START_ORDER_FLOWS[flow])
 
 
 def test_fits_from_the_shared_start_equal_fits_on_fresh_datasets():
@@ -680,7 +682,7 @@ def test_fits_from_the_shared_start_equal_fits_on_fresh_datasets():
     d = fixtures.load_fixture("HR")
     for seed in range(4):
         for init in cluster.INITS:
-            for flow in SHARED_START_FLOWS:
+            for flow in START_ORDER_FLOWS:
                 cfg = _flow_config(flow, seed, init)
                 shared = cluster.fit(d, cfg)
                 assert d._start[0][:2] == (3, init)
