@@ -9,7 +9,7 @@ The package exports the fit drivers, scoring and loading; everything else
 is reached through its module (``ordclust.metric``, ``ordclust.order``, ...).
 """
 
-from .cluster import FitConfig, FitResult, fit, fit_kmodes, fit_kprototypes, fit_mixed
+from .cluster import FitConfig, FitResult, fit, fit_kmodes, fit_kprototypes, fit_many, fit_mixed
 from .data import Dataset, load_csv, load_dataset, load_schema
 from .evaluate import score
 

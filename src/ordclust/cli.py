@@ -133,17 +133,17 @@ def _seed_list(base: int, runs: int) -> list[int]:
 
 
 def cmd_fit(args) -> int:
+    seeds = _seed_list(args.seed, args.runs)
+    cfgs = [_fit_config(args, seed) for seed in seeds]
     d = _load(args)
     if args.export_distances:
         metric.check_pairwise_size(d.n)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seeds = _seed_list(args.seed, args.runs)
 
     per_seed, traces, results = [], [], []
-    for seed in seeds:
-        cfg = _fit_config(args, seed)
-        res = cluster.fit_mixed(d, cfg) if args.mixed else cluster.fit(d, cfg)
+    fits = (cluster.fit_mixed(d, cfg) for cfg in cfgs) if args.mixed else cluster.fit_many(d, cfgs)
+    for res in fits:
         results.append(res)
         traces.append(res.trace)
         per_seed.append(evaluate.score(d, res.partition, d.labels))
@@ -232,12 +232,14 @@ def cmd_demo_orders(args) -> int:
         "main": [{}] * args.overlay_seeds,
     }
     groups = {name: configs for name, configs in groups.items() if configs is not None}
+    jobs = [  # index-major: the fits of one seed share their start
+        (name, cluster.FitConfig(k=args.k, seed=args.seed + i, **configs[i]))
+        for i in range(max(map(len, groups.values())))
+        for name, configs in groups.items() if i < len(configs)
+    ]
     ca = {name: [] for name in groups}
-    for i in range(max(map(len, groups.values()))):  # index-major: the fits of one seed share their start
-        for name, configs in groups.items():
-            if i < len(configs):
-                res = cluster.fit(d, cluster.FitConfig(k=args.k, seed=args.seed + i, **configs[i]))
-                ca[name].append(evaluate.clustering_accuracy(res.partition, d.labels))
+    for (name, _), res in zip(jobs, cluster.fit_many(d, [cfg for _, cfg in jobs])):
+        ca[name].append(evaluate.clustering_accuracy(res.partition, d.labels))
     _write_csv(outdir / "demo_orders.csv", ["method", "index", "ca"],
                [[name, i, x] for name, xs in ca.items() for i, x in enumerate(xs)])
 
@@ -264,10 +266,13 @@ def _matrix_rows(name: str, d: Dataset, k: int, methods, seeds: list[int]) -> li
 
     Seeds run outer and methods inner, so the fits of one seed share their start.
     """
+    fits = cluster.fit_many(d, [cluster.FitConfig(k=k, seed=seed, **FIT_METHODS[meth])
+                                for seed in seeds for meth in methods if meth in FIT_METHODS])
     scores = [[] for _ in methods]
     for seed in seeds:
         for per_seed, meth in zip(scores, methods):
-            per_seed.append(evaluate.score(d, _run_method(d, meth, k, seed)[0], d.labels))
+            part = next(fits).partition if meth in FIT_METHODS else _run_method(d, meth, k, seed)[0]
+            per_seed.append(evaluate.score(d, part, d.labels))
     rows = []
     for meth, per_seed in zip(methods, scores):
         rep = evaluate.aggregate(per_seed)
@@ -488,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_efficiency)
 
     p = sub.add_parser("verify", help="run the brute-force equivalence suite")
-    p.add_argument("--rounds", type=int, default=200)
+    p.add_argument("--rounds", type=_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

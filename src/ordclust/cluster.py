@@ -10,8 +10,8 @@ in the trace but never returned.
 
 from __future__ import annotations
 
-import dataclasses
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,8 +77,10 @@ class FitConfig:
             raise ValueError(f"unknown ordinal policy {self.ordinal_policy!r}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.order_mode == "fixed" and self.fixed_orders is None:
-            raise ValueError("order_mode='fixed' requires fixed_orders")
+        if (self.order_mode == "fixed") != (self.fixed_orders is not None):
+            raise ValueError("fixed_orders is given exactly when order_mode='fixed'")
+        if self.random_order_init and (self.order_mode != "learned" or self.ablation == "hamming_only"):
+            raise ValueError("random_order_init needs learned orders")
         if self.ablation in ("no_prob_weight", "single_order_update") and (
             self.order_mode != "learned" or self.ordinal_policy == "preserve_all"
         ):
@@ -148,80 +150,67 @@ def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
     return rng.integers(0, cfg.k, size=d.n, dtype=np.int32)
 
 
-def _start(d: Dataset, cfg: FitConfig, seed_seq) -> tuple[np.ndarray, metric.ClusterProfile]:
-    """Initial assignment and its profile, read-only, from the Dataset's one start slot.
+def _start(d: Dataset, cfg: FitConfig, seed_seq, memo: dict) -> tuple[np.ndarray, metric.ClusterProfile]:
+    """Initial assignment and its profile, read-only, from the memo's one start slot.
 
-    The slot holds the start of the last (k, init, seed) fitted on ``d``; a
-    miss builds the start and replaces the slot's whole tuple at once. The
-    seed is keyed by the pool of ``seed_seq``, the only state the start draws
-    from, so equal seeds match whatever their type.
+    The slot holds the start of the last (k, init, seed) fitted with ``memo``;
+    a miss builds the start and replaces the slot. The seed is keyed by the
+    pool of ``seed_seq``, the only state the start draws from, so equal seeds
+    match whatever their type.
     """
     key = (cfg.k, cfg.init, seed_seq.pool.tobytes())
-    slot = d._start
+    slot = memo.get("start")
     if slot is not None and slot[0] == key:
         return slot[1]
     assign = _initial_partition(d, cfg, seed_seq)
     prof = metric.profile_from_assignment(d.onehot, assign, cfg.k)
     for arr in (assign, prof.sizes, prof.counts, *prof.probs):
         arr.flags.writeable = False
-    object.__setattr__(d, "_start", (key, (assign, prof)))
+    memo["start"] = (key, (assign, prof))
     return assign, prof
 
 
-def _start_kind(cfg: FitConfig) -> str | None:
-    """Kind of the start orders ``_initial_orders`` builds; None when they are drawn or given."""
+def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, str | None]:
+    """Start orders and their kind; the kind is None when the orders are drawn or given."""
     if cfg.order_mode == "hamming" or cfg.ablation == "hamming_only":
-        return "hamming"
-    if cfg.order_mode != "learned":
-        return "semantic" if cfg.order_mode == "semantic" else None
-    if cfg.random_order_init:
-        return None
-    return "dictionary" if cfg.ordinal_policy == "learn_all" else "preserved"
-
-
-def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> order.OrderSet:
-    if cfg.order_mode == "hamming" or cfg.ablation == "hamming_only":
-        return order.hamming_orders(d)
+        return order.hamming_orders(d), "hamming"
     if cfg.order_mode == "semantic":
-        return order.semantic_orders(d)
+        return order.semantic_orders(d), "semantic"
     if cfg.order_mode == "random":
-        return order.random_orders(d, rng)
+        return order.random_orders(d, rng), None
     if cfg.order_mode == "fixed":
         cfg.fixed_orders.validate(d)
-        return cfg.fixed_orders
-    base = order.random_orders(d, rng) if cfg.random_order_init else order.dictionary_orders(d)
-    if cfg.ordinal_policy in ("preserve_ordinal", "preserve_all"):
-        ranks = [
-            (sem.copy() if sem is not None else base.ranks[r])
-            for r, sem in enumerate(d.semantic_ranks)
-        ]
-        return order.OrderSet(tuple(ranks))
-    return base
+        return cfg.fixed_orders, None
+    drawn = cfg.random_order_init
+    base = order.random_orders(d, rng) if drawn else order.dictionary_orders(d)
+    if cfg.ordinal_policy == "learn_all":
+        return base, None if drawn else "dictionary"
+    ranks = [(sem.copy() if sem is not None else base.ranks[r]) for r, sem in enumerate(d.semantic_ranks)]
+    return order.OrderSet(tuple(ranks)), None if drawn else "preserved"
 
 
-def _start_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, tuple, bool]:
-    """Start orders, their value distance matrices, and whether the two are shared.
+def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.OrderSet, tuple]:
+    """Start orders and their value distance matrices.
 
-    Deterministic start orders are built once per Dataset and kind, with
-    read-only ranks and matrices, so every fit starting from them holds the
-    same matrices tuple and can share its cost tables. Drawn and given
-    orders are built per fit.
+    Each kind of deterministic start orders is kept in ``memo`` with its
+    matrices, all read-only, so every fit starting from them holds the same
+    matrices tuple and shares its cost tables. Drawn and given orders are
+    built per fit.
     """
-    kind = _start_kind(cfg)
+    orders, kind = _initial_orders(d, cfg, rng)
     if kind is None:
-        orders = _initial_orders(d, cfg, rng)
-        return orders, metric.value_distance_matrices(d, orders), False
-    if kind not in d._start_orders:
-        orders = _initial_orders(d, cfg, rng)
+        return orders, metric.value_distance_matrices(d, orders)
+    shared = memo.setdefault("orders", {})
+    if kind not in shared:
         matrices = metric.value_distance_matrices(d, orders)
         for arr in (*orders.ranks, *matrices):
             if arr is not None:
                 arr.flags.writeable = False
-        d._start_orders.setdefault(kind, (orders, matrices))
-    return (*d._start_orders[kind], True)
+        shared[kind] = (orders, matrices)
+    return shared[kind]
 
 
-def fit(d: Dataset, cfg: FitConfig) -> FitResult:
+def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     """Joint order and partition fit (with every ablation and order mode).
 
     Full alternation refreshes the orders up to ``max_outer`` times; every
@@ -231,18 +220,14 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
 
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
-
-    The start depends only on (k, init, seed). Fits on one Dataset share the
-    start of the last (k, init, seed) fitted, one partition plus one profile
-    per Dataset, and the matrices of deterministic start orders. Fitting every
-    flow of a seed before the next seed reuses the start; results are the
-    same bit for bit in any order.
+    ``_memo`` is ``fit_many``'s start memo for one call.
     """
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
     enc, k = d.onehot, cfg.k
     init_seed, order_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    memo = {} if _memo is None else _memo
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
     learning = (
@@ -256,13 +241,8 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     if cfg.ordinal_policy == "preserve_ordinal":
         frozen = tuple(kind == "ordinal" for kind in d.cat_kinds)
 
-    cur_assign, start_prof = _start(d, cfg, init_seed)
-    cur_orders, matrices, shared = _start_orders(d, cfg, np.random.default_rng(order_seed))
-    if shared:  # kept on the shared profile: at most one table per kind of start orders and form
-        metric.value_costs(matrices, start_prof, form)
-    # The fit's other tables go on a private copy, which starts with the shared ones.
-    prof = dataclasses.replace(start_prof)
-    prof._costs.update(start_prof._costs)
+    cur_assign, prof = _start(d, cfg, init_seed, memo)
+    cur_orders, matrices = _start_orders(d, cfg, np.random.default_rng(order_seed), memo)
 
     trace = FitTrace()
     l_cur = metric.objective_total(matrices, prof, form)
@@ -294,6 +274,21 @@ def fit(d: Dataset, cfg: FitConfig) -> FitResult:
     trace.best_objective = l_cur
     trace.wall_time = time.perf_counter() - t0
     return FitResult(Partition(cur_assign, k), cur_orders, trace)
+
+
+def fit_many(d: Dataset, cfgs) -> Iterator[FitResult]:
+    """``fit(d, cfg)`` for each config, yielded in the order given.
+
+    The fits of one call share their starts. Consecutive configs with the
+    same (k, init, seed) fit from one initial partition and profile, built by
+    the first of them, and each deterministic kind of start orders is built
+    once per call with its distance matrices. So give the configs seed-major,
+    every config of a seed before the next seed; any order gives the same
+    results, bit for bit, as separate ``fit`` calls.
+    """
+    memo = {}
+    for cfg in cfgs:
+        yield fit(d, cfg, _memo=memo)
 
 
 def _check_centres(k: int, n: int, max_iter: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +117,6 @@ class Dataset:
     ``cat`` holds the effective (non-degenerate) categorical columns as value
     indices, ``num`` the numerical columns as floats. Arrays are marked
     read-only; a Dataset can be shared freely across concurrent fits.
-
-    ``_start`` and ``_start_orders`` are ``cluster.fit``'s memos, outside
-    equality and repr: the start of the last (k, init, seed) fitted, replaced
-    whole in one assignment, and each deterministic kind of start orders
-    with its distance matrices. Their arrays are read-only too.
     """
 
     cat: np.ndarray  # (n, s_cat) int32, cell < cardinality of its column
@@ -134,8 +129,6 @@ class Dataset:
     labels: np.ndarray | None = None
     label_values: tuple[str, ...] | None = None
     degenerate: tuple[DegenerateColumn, ...] = ()
-    _start: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _start_orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.cat.ndim != 2 or self.num.ndim != 2:
@@ -502,10 +495,10 @@ def load_dataset(
     return load_csv(data_path, load_schema(schema_path), missing_policy, missing_values)
 
 
-def loads_csv(text: str, schema: list[AttributeSchema], **kwargs) -> Dataset:
+def loads_csv(text: str, schema: list[AttributeSchema], missing_policy: str = "drop_row",
+              missing_values: tuple[str, ...] = ("",)) -> Dataset:
     """load_csv for in-memory CSV text (fixture generation, tests)."""
-    return _parse(text.encode(), schema, kwargs.get("missing_policy", "drop_row"),
-                  kwargs.get("missing_values", ("",)), "<memory>")
+    return _parse(text.encode(), schema, missing_policy, missing_values, "<memory>")
 
 
 def normalize_numerical(d: Dataset) -> np.ndarray:

@@ -263,6 +263,28 @@ def test_verify_command_exit_zero():
     assert run(["verify", "--rounds", "10", "--seed", "4"]) == 0
 
 
+@pytest.mark.parametrize("rounds", ["0", "-5"])
+def test_verify_rounds_below_one_are_config_errors(rounds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--rounds", rounds])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr()
+    assert "argument --rounds: must be >= 1" in err.err and "PASS" not in err.out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--order-mode", "hamming", "--random-order-init"],
+    ["--order-mode", "semantic", "--random-order-init"],
+    ["--ablation", "hamming_only", "--random-order-init"],
+])
+def test_ignored_random_order_init_is_a_config_error_before_loading(flags, tmp_path, capsys):
+    code = run(["fit", "--k", "2", *flags, "--data", str(tmp_path / "missing.csv"),
+                "--schema", str(tmp_path / "missing.schema"), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "random_order_init needs learned orders" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_export_distances(tmp_path):
     out_file = tmp_path / "d.csv"
     code = run([

@@ -204,6 +204,35 @@ def test_fit_config_validation():
         FitConfig(k=2, ablation="single_order_update", order_mode="hamming")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"fixed_orders": order.OrderSet((None,))},
+    {"order_mode": "random", "fixed_orders": order.OrderSet((None,))},
+])
+def test_fit_config_rejects_fixed_orders_it_would_ignore(kwargs):
+    with pytest.raises(ValueError, match="fixed_orders"):
+        FitConfig(k=2, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"order_mode": "hamming"},
+    {"order_mode": "semantic"},
+    {"order_mode": "random"},
+    {"order_mode": "fixed", "fixed_orders": order.OrderSet((None,))},
+    {"ablation": "hamming_only"},
+])
+def test_fit_config_rejects_a_random_order_init_it_would_ignore(kwargs):
+    with pytest.raises(ValueError, match="random_order_init"):
+        FitConfig(k=2, random_order_init=True, **kwargs)
+    FitConfig(k=2, **kwargs)
+
+
+def test_random_order_init_is_kept_by_every_learned_flow():
+    for ablation in ("full", "no_prob_weight", "single_order_update"):
+        for policy in cluster.ORDINAL_POLICIES:
+            if ablation == "full" or policy != "preserve_all":
+                FitConfig(k=2, ablation=ablation, ordinal_policy=policy, random_order_init=True)
+
+
 def test_fit_kmodes_separable():
     d = separable_dataset()
     part, trace = cluster.fit_kmodes(d, 2, seed=7)
@@ -676,66 +705,117 @@ def _flow_config(flow, seed, init="kmodes_once"):
     return FitConfig(k=3, seed=seed, init=init, **START_ORDER_FLOWS[flow])
 
 
+def _drawn_configs(d, seeds):
+    """Configs whose start orders are drawn or given, so never shared."""
+    rng = np.random.default_rng(3)
+    return [cfg for seed in seeds for cfg in (
+        FitConfig(k=3, seed=seed, order_mode="fixed", fixed_orders=order.random_orders(d, rng)),
+        FitConfig(k=3, seed=seed, order_mode="random"),
+        FitConfig(k=3, seed=seed, random_order_init=True),
+    )]
+
+
 def test_fits_from_the_shared_start_equal_fits_on_fresh_datasets():
     # Flows interleaved within each (seed, init), the order bench and ablate
-    # fit in, so every flow after the first starts from the Dataset's slot.
+    # fit in, so every flow after the first starts from the call's start slot.
     d = fixtures.load_fixture("HR")
-    for seed in range(4):
-        for init in cluster.INITS:
-            for flow in START_ORDER_FLOWS:
-                cfg = _flow_config(flow, seed, init)
-                shared = cluster.fit(d, cfg)
-                assert d._start[0][:2] == (3, init)
-                assert _fit_state(shared) == _fit_state(cluster.fit(dataclasses.replace(d), cfg)), (seed, init, flow)
+    cfgs = [_flow_config(flow, seed, init) for seed in range(4) for init in cluster.INITS for flow in START_ORDER_FLOWS]
+    cfgs += _drawn_configs(d, range(2))
+    for cfg, shared in zip(cfgs, cluster.fit_many(d, cfgs), strict=True):
+        assert _fit_state(shared) == _fit_state(cluster.fit(dataclasses.replace(d), cfg)), cfg
 
 
-def test_fit_keeps_one_read_only_start_per_dataset(kmodes_calls):
+def test_fit_many_builds_one_start_per_consecutive_key_group(kmodes_calls):
+    # One slot: seed 5 fitted again after seed 6 builds its start again.
     d = fixtures.load_fixture("HR")
-    for seed in range(20):
-        for flow in SHARED_START_FLOWS:
-            cluster.fit(d, _flow_config(flow, seed))
-    assert len(kmodes_calls) == 20
-    key, (assign, prof) = d._start
-    assert key[:2] == (3, "kmodes_once")
-    assert key[2] == np.random.SeedSequence(19).spawn(2)[0].pool.tobytes()
-    # Only the start tables of the shared orders: (dictionary, profile), (dictionary, mode), (hamming, profile).
-    assert len(prof._costs) == 3
-    assert sorted(d._start_orders) == ["dictionary", "hamming"]
-    arrays = [assign, prof.sizes, prof.counts, *prof.probs]
-    for orders, matrices in d._start_orders.values():
-        arrays += [r for r in orders.ranks if r is not None] + list(matrices)
-    assert not any(a.flags.writeable for a in arrays)
+    cfgs = [_flow_config(flow, seed, init) for seed, init in
+            ((5, "kmodes_once"), (6, "kmodes_once"), (6, "random_partition"), (5, "kmodes_once"))
+            for flow in SHARED_START_FLOWS]
+    results = list(cluster.fit_many(d, cfgs))
+    assert len(results) == len(cfgs)
+    assert [seed.entropy for seed in kmodes_calls] == [5, 6, 5]
+    assert all(seed.spawn_key == (0,) for seed in kmodes_calls)
+
+
+def test_shared_start_orders_are_read_only():
+    # Semantic orders are never relearned, so each fit returns the shared ones.
+    d = fixtures.load_fixture("HR")
+    first, second = cluster.fit_many(d, [_flow_config("semantic", 0), _flow_config("semantic", 1)])
+    assert first.orders is second.orders
+    assert not any(r.flags.writeable for r in first.orders.ranks if r is not None)
+
+
+def test_fit_many_builds_each_start_inside_a_fit_call(monkeypatch):
+    # A tracer that wraps the module's names takes a k-modes call made
+    # outside ``cluster.fit`` for a k-modes baseline.
+    depth, inside = [0], []
+    fit, fit_kmodes = cluster.fit, cluster.fit_kmodes
+
+    def counted_fit(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_kmodes(*args, **kwargs):
+        inside.append(depth[0] > 0)
+        return fit_kmodes(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "fit", counted_fit)
+    monkeypatch.setattr(cluster, "fit_kmodes", counted_kmodes)
+    d = fixtures.load_fixture("HR")
+    list(cluster.fit_many(d, [_flow_config(flow, seed) for seed in (0, 1) for flow in SHARED_START_FLOWS]))
+    assert inside == [True, True]
 
 
 def test_equal_seeds_of_any_type_share_one_start(kmodes_calls):
     # The slot compares seed streams, not seed objects: a numpy integer matches
     # its int, and equal entropy arrays match without an array comparison.
     d = fixtures.load_fixture("HR")
-    for seed in (7, np.int64(7), np.array([1, 2]), np.array([1, 2])):
-        cluster.fit(d, FitConfig(k=3, seed=seed))
+    seeds = (7, np.int64(7), np.array([1, 2]), np.array([1, 2]))
+    list(cluster.fit_many(d, [FitConfig(k=3, seed=seed) for seed in seeds]))
     assert len(kmodes_calls) == 2
 
 
-def test_drawn_start_orders_are_built_per_fit():
+def test_drawn_start_orders_are_built_per_fit(monkeypatch):
+    # A fit builds matrices for its start orders and after each refresh; shared
+    # start orders would skip the first build from the second fit on.
+    built, build = [], metric.value_distance_matrices
+
+    def counted(*args):
+        built.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(metric, "value_distance_matrices", counted)
     d = fixtures.load_fixture("HR")
-    rng = np.random.default_rng(3)
-    for i in range(3):
-        cluster.fit(d, FitConfig(k=3, seed=0, order_mode="fixed", fixed_orders=order.random_orders(d, rng)))
-        cluster.fit(d, FitConfig(k=3, seed=0, order_mode="random"))
-        cluster.fit(d, FitConfig(k=3, seed=0, random_order_init=True))
-    assert d._start_orders == {}
-    assert d._start[1][1]._costs == {}
+    results = list(cluster.fit_many(d, _drawn_configs(d, (0, 0, 1))))
+    assert len(built) == sum(1 + len(res.trace.order_update_iterations) for res in results)
+
+
+def test_fits_leave_no_state_on_the_dataset():
+    d = fixtures.load_fixture("HR")
+    list(cluster.fit_many(d, [_flow_config(flow, 0) for flow in START_ORDER_FLOWS]))
+    cluster.fit(d, _flow_config("main", 1))
+    fields = {f.name for f in dataclasses.fields(Dataset)}
+    assert set(vars(d)) - fields == {"onehot", "cardinalities"}
 
 
 def test_concurrent_fits_on_a_shared_dataset_equal_the_serial_fits():
     d = fixtures.load_fixture("HR")
     jobs = [(flow, seed, init) for seed in (0, 1, 0, 2, 1) for init in cluster.INITS for flow in SHARED_START_FLOWS]
+    cfgs = [_flow_config(*job) for job in jobs]
+
+    def fit_all():
+        return [_fit_state(res) for res in cluster.fit_many(d, cfgs)]
+
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so fits swap the slot under each other
+    sys.setswitchinterval(1e-6)  # switch threads often, so the calls' fits interleave
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(lambda job: _fit_state(cluster.fit(d, _flow_config(*job))), job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(fit_all) for _ in range(3)]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert got == [_fit_state(cluster.fit(dataclasses.replace(d), _flow_config(*job))) for job in jobs]
+    serial = [_fit_state(cluster.fit(dataclasses.replace(d), cfg)) for cfg in cfgs]
+    assert got == [serial] * 3

@@ -188,6 +188,15 @@ def test_loads_csv_rejects_short_and_long_rows():
         loads_csv("a,b\nx,y,extra\nz,w\n", schema)
 
 
+def test_loads_csv_takes_load_csvs_keywords():
+    schema = [AttributeSchema("a", "nominal")]
+    with pytest.raises(DataError, match="missing"):
+        loads_csv("a\nx\n?\ny\n", schema, missing_policy="error", missing_values=("?",))
+    assert loads_csv("a\nx\n?\ny\n", schema, "drop_row", ("?",)).n == 2
+    with pytest.raises(TypeError, match="missing_polcy"):
+        loads_csv("a\nx\n\ny\n", schema, missing_polcy="error")
+
+
 def test_normalize_rejects_a_range_that_overflows():
     # Both ends are finite, but max - min is inf: scaling would give NaN features.
     d = loads_csv("a,x,y\np,1,-1.7e308\nq,2,1.7e308\n", [
