@@ -80,15 +80,12 @@ FIT_METHODS = {  # FitConfig keywords of the benchmark methods that run the main
 METHODS = (*FIT_METHODS, "kmd", "kpt", "mixed")
 
 
-def _run_method(d: Dataset, method: str, k: int, seed: int):
-    """One fit of a named benchmark method; returns (Partition, orders, trace)."""
-    if method in ("kmd", "kpt"):
-        baseline = cluster.fit_kmodes if method == "kmd" else cluster.fit_kprototypes
-        part, trace = baseline(d, k, seed=seed)
-        return part, None, trace
+def _run_method(d: Dataset, method: str, k: int, seed: int) -> cluster.Partition:
+    """The partition of one fit of a baseline method: ``kmd``, ``kpt`` or ``mixed``."""
     if method == "mixed":
-        return cluster.fit_mixed(d, cluster.FitConfig(k=k, seed=seed))
-    return cluster.fit(d, cluster.FitConfig(k=k, seed=seed, **FIT_METHODS[method]))
+        return cluster.fit_mixed(d, cluster.FitConfig(k=k, seed=seed)).partition
+    baseline = cluster.fit_kmodes if method == "kmd" else cluster.fit_kprototypes
+    return baseline(d, k, seed=seed)[0]
 
 
 def _count(text: str) -> int:
@@ -271,7 +268,7 @@ def _matrix_rows(name: str, d: Dataset, k: int, methods, seeds: list[int]) -> li
     scores = [[] for _ in methods]
     for seed in seeds:
         for per_seed, meth in zip(scores, methods):
-            part = next(fits).partition if meth in FIT_METHODS else _run_method(d, meth, k, seed)[0]
+            part = next(fits).partition if meth in FIT_METHODS else _run_method(d, meth, k, seed)
             per_seed.append(evaluate.score(d, part, d.labels))
     rows = []
     for meth, per_seed in zip(methods, scores):

@@ -79,11 +79,15 @@ class FitConfig:
             raise ValueError("iteration caps must be >= 1")
         if (self.order_mode == "fixed") != (self.fixed_orders is not None):
             raise ValueError("fixed_orders is given exactly when order_mode='fixed'")
-        if self.random_order_init and (self.order_mode != "learned" or self.ablation == "hamming_only"):
+        if self.ablation == "hamming_only" and self.order_mode != "learned":
+            raise ValueError("ablation 'hamming_only' sets the orders itself; it needs order_mode='learned'")
+        learned = self.order_mode == "learned" and self.ablation != "hamming_only"
+        if self.random_order_init and not learned:
             raise ValueError("random_order_init needs learned orders")
-        if self.ablation in ("no_prob_weight", "single_order_update") and (
-            self.order_mode != "learned" or self.ordinal_policy == "preserve_all"
-        ):
+        if self.ordinal_policy != "learn_all" and not learned:
+            raise ValueError(f"ordinal policy {self.ordinal_policy!r} applies only to learned orders")
+        learnable = learned and self.ordinal_policy != "preserve_all"
+        if self.ablation in ("no_prob_weight", "single_order_update") and not learnable:
             raise ValueError(f"ablation {self.ablation!r} needs learnable orders")
 
 
@@ -239,7 +243,7 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     refreshes = cfg.max_outer if alternating else int(learning)
     frozen = None
     if cfg.ordinal_policy == "preserve_ordinal":
-        frozen = tuple(kind == "ordinal" for kind in d.cat_kinds)
+        frozen = tuple(ranks is not None for ranks in d.semantic_ranks)
 
     cur_assign, prof = _start(d, cfg, init_seed, memo)
     cur_orders, matrices = _start_orders(d, cfg, np.random.default_rng(order_seed), memo)

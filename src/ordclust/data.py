@@ -123,8 +123,7 @@ class Dataset:
     num: np.ndarray  # (n, s_num) float64
     dictionaries: tuple[tuple[str, ...], ...]
     cat_names: tuple[str, ...]
-    cat_kinds: tuple[str, ...]
-    semantic_ranks: tuple  # per categorical column: 1-based rank array or None
+    semantic_ranks: tuple  # per categorical column: 1-based declared rank array (ordinal) or None
     num_names: tuple[str, ...]
     labels: np.ndarray | None = None
     label_values: tuple[str, ...] | None = None
@@ -401,29 +400,26 @@ def _decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _floats(cells: np.ndarray, name: str, origin: str) -> np.ndarray:
     """``float()`` of every cell, decoded from UTF-8.
 
-    In ASCII ``S`` columns ``_decimals`` reads the plain decimal cells, and
-    numpy's cast, which calls the same parser as ``float()``, reads the rest:
-    exponents, ``inf``, ``nan``, ``+``, ``_``, whitespace, over 15 digits.
-    On any failure, and in every other column, ``float()`` runs cell by cell
-    and names the first bad cell.
+    In ASCII ``S`` columns ``_decimals`` reads the plain decimal cells;
+    ``float()`` reads the rest (exponents, ``inf``, ``nan``, ``+``, ``_``,
+    whitespace, over 15 digits) and every cell of other columns, in order, so
+    the error names the first bad cell: a bad cell is never a plain decimal.
     """
     if cells.dtype.kind == "S" and cells.view(np.uint8).max(initial=0) < 0x80:
         values, slow = _decimals(cells)
-        try:
-            values[slow] = cells[slow].astype(np.float64)
-            return values
-        except ValueError:
-            pass
+    else:
+        values, slow = np.empty(cells.size), np.ones(cells.size, dtype=bool)
     try:
-        return np.array([float(v.decode()) for v in cells.tolist()], dtype=np.float64)
+        values[slow] = [float(v.decode()) for v in cells[slow].tolist()]
     except ValueError as exc:
         raise DataError(f"{origin}: column {name!r}: {exc}") from None
+    return values
 
 
 def _encode(columns, schema, origin: str) -> Dataset:
     n = len(columns[0])
     cat_cols, num_cols = [], []
-    dictionaries, cat_names, cat_kinds, semantic_ranks = [], [], [], []
+    dictionaries, cat_names, semantic_ranks = [], [], []
     num_names = []
     labels = None
     label_values = None
@@ -466,7 +462,6 @@ def _encode(columns, schema, origin: str) -> Dataset:
         cat_cols.append(codes)
         dictionaries.append(literals)
         cat_names.append(col.name)
-        cat_kinds.append(col.kind)
         semantic_ranks.append(ranks)
 
     cat = np.column_stack(cat_cols) if cat_cols else np.empty((n, 0), dtype=np.int32)
@@ -476,7 +471,6 @@ def _encode(columns, schema, origin: str) -> Dataset:
         num=num,
         dictionaries=tuple(dictionaries),
         cat_names=tuple(cat_names),
-        cat_kinds=tuple(cat_kinds),
         semantic_ranks=tuple(semantic_ranks),
         num_names=tuple(num_names),
         labels=labels,
@@ -497,7 +491,7 @@ def load_dataset(
 
 def loads_csv(text: str, schema: list[AttributeSchema], missing_policy: str = "drop_row",
               missing_values: tuple[str, ...] = ("",)) -> Dataset:
-    """load_csv for in-memory CSV text (fixture generation, tests)."""
+    """load_csv for in-memory CSV text."""
     return _parse(text.encode(), schema, missing_policy, missing_values, "<memory>")
 
 
@@ -539,7 +533,6 @@ def synthesize(
         num=np.empty((n, 0), dtype=np.float64),
         dictionaries=(vocab,) * used,
         cat_names=tuple(f"a{r}" for r in range(used)),
-        cat_kinds=("nominal",) * used,
         semantic_ranks=(None,) * used,
         num_names=(),
         labels=np.arange(n, dtype=np.int32) % k if planted_labels else None,

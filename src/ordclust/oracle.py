@@ -37,7 +37,10 @@ class DistanceTable:
 
 
 def build_distance_table(d: Dataset, orders) -> DistanceTable:
-    return DistanceTable(matrices=metric.value_distance_matrices(d, orders), cat=d.cat)
+    """One ``order_distance_vector`` row per value, or 1 - delta(a, g) where an attribute has no order."""
+    rows = [[np.arange(card) != a if ranks is None else order_distance_vector(a, ranks) for a in range(card)]
+            for ranks, card in zip(orders.ranks, d.cardinalities)]
+    return DistanceTable(matrices=tuple(np.array(m, dtype=np.float64) for m in rows), cat=d.cat)
 
 
 def order_distance_vector(value_index: int, ranks: np.ndarray) -> np.ndarray:

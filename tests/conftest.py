@@ -14,7 +14,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def make_dataset(columns, labels=None, kinds=None, semantic=None, num=None):
+def make_dataset(columns, labels=None, semantic=None, num=None):
     """Build a Dataset from literal columns: each column is a list of strings."""
     n = len(columns[0]) if columns else len(num)
     cat_cols, dictionaries = [], []
@@ -40,7 +40,6 @@ def make_dataset(columns, labels=None, kinds=None, semantic=None, num=None):
         num=num_arr,
         dictionaries=tuple(dictionaries),
         cat_names=tuple(f"a{j}" for j in range(s)),
-        cat_kinds=tuple(kinds) if kinds else tuple("nominal" for _ in range(s)),
         semantic_ranks=tuple(semantic) if semantic else tuple(None for _ in range(s)),
         num_names=tuple(f"x{j}" for j in range(num_arr.shape[1])),
         labels=label_arr,

@@ -217,7 +217,11 @@ def test_matrix_rows_equal_per_method_fits_on_fresh_datasets():
         per_seed = []
         for seed in seeds:
             fresh = dataclasses.replace(d)
-            per_seed.append(evaluate.score(fresh, cli._run_method(fresh, meth, 3, seed)[0], fresh.labels))
+            if meth in cli.FIT_METHODS:
+                part = cluster.fit(fresh, cluster.FitConfig(k=3, seed=seed, **cli.FIT_METHODS[meth])).partition
+            else:
+                part = cli._run_method(fresh, meth, 3, seed)
+            per_seed.append(evaluate.score(fresh, part, fresh.labels))
         rep = evaluate.aggregate(per_seed)
         stats = [f"{getattr(part, m):.4f}" for m in ("ca", "ari", "nmi", "cmp") for part in (rep.mean, rep.std)]
         reference.append(["HR", meth, *stats])
@@ -282,6 +286,18 @@ def test_ignored_random_order_init_is_a_config_error_before_loading(flags, tmp_p
                 "--schema", str(tmp_path / "missing.schema"), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "random_order_init needs learned orders" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--order-mode", "semantic", "--ordinal-policy", "preserve_ordinal"], "ordinal policy 'preserve_ordinal'"),
+    (["--order-mode", "random", "--ablation", "hamming_only"], "ablation 'hamming_only'"),
+])
+def test_ignored_order_settings_are_config_errors_before_loading(flags, message, tmp_path, capsys):
+    code = run(["fit", "--k", "2", *flags, "--data", str(tmp_path / "missing.csv"),
+                "--schema", str(tmp_path / "missing.schema"), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

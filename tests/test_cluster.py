@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,6 @@ def identical_rows_dataset(n=6):
         num=np.empty((n, 0)),
         dictionaries=(("a", "b"), ("x", "y")),
         cat_names=("a0", "a1"),
-        cat_kinds=("nominal", "nominal"),
         semantic_ranks=(None, None),
         num_names=(),
     )
@@ -185,7 +185,6 @@ def test_fit_requires_categorical_columns():
         num=np.ones((4, 2)),
         dictionaries=(),
         cat_names=(),
-        cat_kinds=(),
         semantic_ranks=(),
         num_names=("x0", "x1"),
     )
@@ -233,6 +232,66 @@ def test_random_order_init_is_kept_by_every_learned_flow():
                 FitConfig(k=2, ablation=ablation, ordinal_policy=policy, random_order_init=True)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"order_mode": "hamming", "ablation": "hamming_only"}, "ablation 'hamming_only'"),
+    ({"order_mode": "semantic", "ablation": "hamming_only"}, "ablation 'hamming_only'"),
+    ({"order_mode": "semantic", "ordinal_policy": "preserve_ordinal"}, "ordinal policy 'preserve_ordinal'"),
+    ({"order_mode": "random", "ordinal_policy": "preserve_all"}, "ordinal policy 'preserve_all'"),
+    ({"ablation": "hamming_only", "ordinal_policy": "preserve_ordinal"}, "ordinal policy 'preserve_ordinal'"),
+])
+def test_fit_config_rejects_a_setting_the_orders_ignore(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        FitConfig(k=2, **kwargs)
+
+
+def _settings(fixed_orders):
+    """Every (init, order_mode, ablation, ordinal_policy, random_order_init) as FitConfig keywords."""
+    for init, mode, ablation, policy, drawn in itertools.product(
+        cluster.INITS, cluster.ORDER_MODES, ABLATIONS, cluster.ORDINAL_POLICIES, (False, True)
+    ):
+        yield {"init": init, "order_mode": mode, "ablation": ablation, "ordinal_policy": policy,
+               "random_order_init": drawn, "fixed_orders": fixed_orders if mode == "fixed" else None}
+
+
+def _valid_settings(fixed_orders):
+    valid = []
+    for kwargs in _settings(fixed_orders):
+        try:
+            FitConfig(k=2, **kwargs)
+        except ValueError:  # any other exception fails the test
+            continue
+        valid.append(kwargs)
+    return valid
+
+
+def test_fit_config_accepts_38_of_the_240_settings():
+    assert len(list(_settings(order.OrderSet((None,))))) == 240
+    valid = _valid_settings(order.OrderSet((None,)))
+    assert len(valid) == 38
+    for kwargs in valid:  # only learned orders take an ablation, a policy or a drawn start
+        if kwargs["order_mode"] != "learned" or kwargs["ablation"] == "hamming_only":
+            assert (kwargs["ordinal_policy"], kwargs["random_order_init"]) == ("learn_all", False)
+        if kwargs["order_mode"] != "learned":
+            assert kwargs["ablation"] == "full"
+
+
+def test_the_valid_settings_give_36_distinct_fits():
+    # The one alias left: hamming_only equals order_mode="hamming", once per init.
+    d = fixtures.load_fixture("AP")
+    valid = _valid_settings(order.random_orders(d, np.random.default_rng(0)))
+    seeds = (3, 4)
+    cfgs = [FitConfig(k=2, seed=seed, **kwargs) for seed in seeds for kwargs in valid]
+    state = [_fit_state(res) for res in cluster.fit_many(d, cfgs)]
+    groups = {}
+    for i, kwargs in enumerate(valid):
+        key = repr([state[j * len(valid) + i] for j in range(len(seeds))])
+        groups.setdefault(key, []).append(kwargs)
+    assert len(groups) == 36
+    shared = sorted((g[0]["init"], [(kw["order_mode"], kw["ablation"]) for kw in g])
+                    for g in groups.values() if len(g) > 1)
+    assert shared == [(init, [("learned", "hamming_only"), ("hamming", "full")]) for init in cluster.INITS]
+
+
 def test_fit_kmodes_separable():
     d = separable_dataset()
     part, trace = cluster.fit_kmodes(d, 2, seed=7)
@@ -267,12 +326,7 @@ def test_fixed_order_binary_collapse_per_seed(rng):
 
 def test_fixed_order_semantic_baseline():
     cols = [["low", "low", "high", "high", "mid", "mid"]]
-    d = make_dataset(cols, labels=["c0"] * 3 + ["c1"] * 3)
-    d = Dataset(
-        cat=d.cat, num=d.num, dictionaries=d.dictionaries, cat_names=d.cat_names,
-        cat_kinds=("ordinal",), semantic_ranks=(np.array([1, 3, 2]),),
-        num_names=(), labels=d.labels, label_values=d.label_values,
-    )
+    d = make_dataset(cols, labels=["c0"] * 3 + ["c1"] * 3, semantic=[np.array([1, 3, 2])])
     res = cluster.fit(d, FitConfig(k=2, seed=0, order_mode="semantic"))
     assert res.orders.ranks[0].tolist() == [1, 3, 2]
 
@@ -345,12 +399,7 @@ def test_ordinal_policies():
         ["low", "mid", "high", "low", "mid", "high", "low", "high"],
         ["a", "b", "c", "d", "a", "b", "c", "d"],
     ]
-    d = make_dataset(cols, labels=["c0"] * 4 + ["c1"] * 4)
-    d = Dataset(
-        cat=d.cat, num=d.num, dictionaries=d.dictionaries, cat_names=d.cat_names,
-        cat_kinds=("ordinal", "nominal"), semantic_ranks=(np.array([1, 2, 3]), None),
-        num_names=(), labels=d.labels, label_values=d.label_values,
-    )
+    d = make_dataset(cols, labels=["c0"] * 4 + ["c1"] * 4, semantic=[np.array([1, 2, 3]), None])
     keep_ordinal = cluster.fit(d, FitConfig(k=2, seed=0, ordinal_policy="preserve_ordinal"))
     assert keep_ordinal.orders.ranks[0].tolist() == [1, 2, 3]
     keep_all = cluster.fit(d, FitConfig(k=2, seed=0, ordinal_policy="preserve_all"))
@@ -383,7 +432,7 @@ def test_fit_mixed_binary_orders_are_immaterial():
     d = synthesize(60, 4, 2, values_per_attribute=2, seed=61, planted_labels=True)
     d = Dataset(
         cat=d.cat, num=np.linspace(0, 1, 60)[:, None], dictionaries=d.dictionaries,
-        cat_names=d.cat_names, cat_kinds=d.cat_kinds, semantic_ranks=d.semantic_ranks,
+        cat_names=d.cat_names, semantic_ranks=d.semantic_ranks,
         num_names=("x0",), labels=d.labels, label_values=d.label_values,
     )
     learned = cluster.fit_mixed(d, FitConfig(k=2, seed=9))
@@ -626,7 +675,8 @@ def test_every_inner_iteration_calls_the_distance_kernel_through_metric(method, 
             calls[name] += 1
             return wrapped(*args)
         monkeypatch.setattr(metric, name, counted)
-    iterations = sum(cli._run_method(d, method, 3, seed)[2].total_inner_iterations for seed in range(3))
+    cfgs = [FitConfig(k=3, seed=seed, **cli.FIT_METHODS[method]) for seed in range(3)]
+    iterations = sum(cluster.fit(d, cfg).trace.total_inner_iterations for cfg in cfgs)
     assert iterations > 0
     assert calls == {"cluster_distances": 0, "mode_distances": 0, kernel: iterations}
 
@@ -679,7 +729,7 @@ def test_fit_builds_one_cost_table_per_objective(method, monkeypatch):
     for name in calls:
         monkeypatch.setattr(metric, name, counted(name, getattr(metric, name), name.endswith("distances")))
     monkeypatch.setattr(order, "learn_orders", counted("learn_orders", order.learn_orders, True))
-    res = cli._run_method(fixtures.load_fixture("HR"), method, 3, 0)[2]
+    res = cluster.fit(fixtures.load_fixture("HR"), FitConfig(k=3, seed=0, **cli.FIT_METHODS[method])).trace
     assert calls["learn_orders"] > 0 and res.total_inner_iterations > 0
     assert calls["_cost_table"] == calls["objective_total"]
     assert not any(built_while_reading)

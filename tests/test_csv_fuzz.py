@@ -55,7 +55,7 @@ def summary(d):
     def arr(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
-    return (arr(d.cat), arr(d.num), d.dictionaries, d.cat_names, d.cat_kinds,
+    return (arr(d.cat), arr(d.num), d.dictionaries, d.cat_names,
             tuple(map(arr, d.semantic_ranks)), d.num_names, arr(d.labels), d.label_values, d.degenerate)
 
 
@@ -92,7 +92,7 @@ def reference(text, schema, policy):
         rows.append(row)
     if not rows:
         raise DataError("t.csv: no usable rows")
-    cat, num, dicts, names, kinds, ranks, num_names, degenerate = [], [], [], [], [], [], [], []
+    cat, num, dicts, names, ranks, num_names, degenerate = [], [], [], [], [], [], []
     labels = label_values = None
     for j, col in enumerate(schema):
         cells = [row[j] for row in rows]
@@ -126,13 +126,12 @@ def reference(text, schema, policy):
             cat.append(codes)
             dicts.append(tuple(vocab))
             names.append(col.name)
-            kinds.append(col.kind)
             ranks.append(rank)
     n = len(rows)
     return data.Dataset(
         cat=np.column_stack(cat) if cat else np.empty((n, 0), dtype=np.int32),
         num=np.column_stack(num) if num else np.empty((n, 0), dtype=np.float64),
-        dictionaries=tuple(dicts), cat_names=tuple(names), cat_kinds=tuple(kinds),
+        dictionaries=tuple(dicts), cat_names=tuple(names),
         semantic_ranks=tuple(ranks), num_names=tuple(num_names),
         labels=labels, label_values=label_values, degenerate=tuple(degenerate),
     )

@@ -23,8 +23,7 @@ from ordclust.data import synthesize
 
 GOLDEN = Path(__file__).parent / "golden" / "fits.json"
 SEEDS = range(10)
-FIXTURE_METHODS = ("main", "mode_dist", "single_update", "hamming", "kmd")
-MIXED_METHODS = ("mixed", "kpt")
+FIXTURE_METHODS = ("main", "mode_dist", "single_update", "hamming")  # keys of cli.FIT_METHODS
 ORDINAL_VARIANTS = {
     "semantic": {"order_mode": "semantic"},
     "preserve_ordinal": {"ordinal_policy": "preserve_ordinal"},
@@ -57,19 +56,25 @@ def compute() -> dict:
     datasets = {name: fixtures.load_fixture(name) for name in fixtures.SMALL_FIXTURES + ("AC",)}
     for name in fixtures.SMALL_FIXTURES:
         d, k = datasets[name], fixtures.FIXTURES[name].k
-        for meth in FIXTURE_METHODS:
-            for seed in SEEDS:
-                out[f"{name}/{meth}/{seed}"] = record(*cli._run_method(d, meth, k, seed))
-        if not any(kind == "ordinal" for kind in d.cat_kinds):
+        # Seed-major, as the bench and ablate commands fit, so the fits of a seed share their start.
+        fits = cluster.fit_many(d, [cluster.FitConfig(k=k, seed=seed, **cli.FIT_METHODS[meth])
+                                    for seed in SEEDS for meth in FIXTURE_METHODS])
+        for seed in SEEDS:
+            for meth in FIXTURE_METHODS:
+                out[f"{name}/{meth}/{seed}"] = record(*next(fits))
+            part, trace = cluster.fit_kmodes(d, k, seed=seed)
+            out[f"{name}/kmd/{seed}"] = record(part, None, trace)
+        if all(ranks is None for ranks in d.semantic_ranks):
             continue
         for variant, kwargs in ORDINAL_VARIANTS.items():
             for seed in ORDINAL_SEEDS:
                 res = cluster.fit(d, cluster.FitConfig(k=k, seed=seed, **kwargs))
                 out[f"{name}/{variant}/{seed}"] = record(*res)
     d, k = datasets["AC"], fixtures.FIXTURES["AC"].k
-    for meth in MIXED_METHODS:
-        for seed in SEEDS:
-            out[f"AC/{meth}/{seed}"] = record(*cli._run_method(d, meth, k, seed))
+    for seed in SEEDS:
+        out[f"AC/mixed/{seed}"] = record(*cluster.fit_mixed(d, cluster.FitConfig(k=k, seed=seed)))
+        part, trace = cluster.fit_kprototypes(d, k, seed=seed)
+        out[f"AC/kpt/{seed}"] = record(part, None, trace)
     d = synthesize(20_000, 20, 5, 5, seed=0, planted_labels=True)
     res = cluster.fit(d, cluster.FitConfig(k=5, seed=0, max_outer=2, max_inner=30))
     out["uniform_20k/main/0"] = record(*res)

@@ -124,7 +124,6 @@ def test_objective_zero_for_identical_samples():
         num=np.empty((3, 0)),
         dictionaries=(("a", "b"), ("x", "y")),
         cat_names=("a0", "a1"),
-        cat_kinds=("nominal", "nominal"),
         semantic_ranks=(None, None),
         num_names=(),
     )
@@ -208,6 +207,17 @@ def _kernel_instances(rng):
     return out
 
 
+def test_value_distance_matrices_equal_the_oracle_table(rng):
+    # the oracle builds its table from order_distance_vector rows and 1 - delta, not from the kernel
+    for d, _, o in _kernel_instances(rng):
+        for orders in (o, order.hamming_orders(d)):
+            got = metric.value_distance_matrices(d, orders)
+            want = oracle.build_distance_table(d, orders).matrices
+            assert len(got) == len(want) == d.s_categorical
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("form", ["profile", "mode"])
 def test_distance_kernels_match_per_sample_oracle(rng, form):
     kernel = metric.cluster_distances if form == "profile" else metric.mode_distances
@@ -216,7 +226,7 @@ def test_distance_kernels_match_per_sample_oracle(rng, form):
     for d, q, o in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         table = oracle.build_distance_table(d, o)
-        dist = kernel(d.onehot, table.matrices, prof)
+        dist = kernel(d.onehot, metric.value_distance_matrices(d, o), prof)
         assert dist.shape == (d.n, q.k)
         for m in range(q.k):
             if prof.sizes[m] == 0:
@@ -262,7 +272,7 @@ def test_objective_total_matches_oracle(rng, form):
     for d, q, o in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         table = oracle.build_distance_table(d, o)
-        got = metric.objective_total(table.matrices, prof, form)
+        got = metric.objective_total(metric.value_distance_matrices(d, o), prof, form)
         # the exactly rounded sum of count x cost over the (k, sum l) cells, reproduced exactly
         products = []
         for r, mat in enumerate(table.matrices):

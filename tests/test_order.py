@@ -100,7 +100,6 @@ def test_stacked_refresh_equals_per_row_oracle(rng):
             num=np.empty((n, 0)),
             dictionaries=tuple(tuple(str(g) for g in range(l)) for l in cards),
             cat_names=tuple(f"a{r}" for r in range(len(cards))),
-            cat_kinds=tuple("nominal" for _ in cards),
             semantic_ranks=tuple(None for _ in cards),
             num_names=(),
         )
