@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import os
 import sys
 from dataclasses import dataclass
@@ -262,14 +263,19 @@ def _matrix_rows(name: str, d: Dataset, k: int, methods, seeds: list[int]) -> li
     """One benchmark-matrix row per method: mean and std of each score over the seeds.
 
     Seeds run outer and methods inner, so the fits of one seed share their start.
+    Each distinct partition is scored once: every partition here has the same k,
+    so its scores depend only on the assignment, keyed by its dtype and digest.
     """
     fits = cluster.fit_many(d, [cluster.FitConfig(k=k, seed=seed, **FIT_METHODS[meth])
                                 for seed in seeds for meth in methods if meth in FIT_METHODS])
-    scores = [[] for _ in methods]
+    scored, scores = {}, [[] for _ in methods]
     for seed in seeds:
         for per_seed, meth in zip(scores, methods):
             part = next(fits).partition if meth in FIT_METHODS else _run_method(d, meth, k, seed)
-            per_seed.append(evaluate.score(d, part, d.labels))
+            key = (part.assign.dtype.str, hashlib.sha256(part.assign.tobytes()).digest())
+            if key not in scored:
+                scored[key] = evaluate.score(d, part, d.labels)
+            per_seed.append(scored[key])
     rows = []
     for meth, per_seed in zip(methods, scores):
         rep = evaluate.aggregate(per_seed)

@@ -168,7 +168,7 @@ def _start(d: Dataset, cfg: FitConfig, seed_seq, memo: dict) -> tuple[np.ndarray
         return slot[1]
     assign = _initial_partition(d, cfg, seed_seq)
     prof = metric.profile_from_assignment(d.onehot, assign, cfg.k)
-    for arr in (assign, prof.sizes, prof.counts, *prof.probs):
+    for arr in (assign, prof.sizes, prof.counts, prof.probs):
         arr.flags.writeable = False
     memo["start"] = (key, (assign, prof))
     return assign, prof
@@ -193,12 +193,12 @@ def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, st
     return order.OrderSet(tuple(ranks)), None if drawn else "preserved"
 
 
-def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.OrderSet, tuple]:
-    """Start orders and their value distance matrices.
+def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.OrderSet, metric.ValueDistances]:
+    """Start orders and their value distances.
 
     Each kind of deterministic start orders is kept in ``memo`` with its
-    matrices, all read-only, so every fit starting from them holds the same
-    matrices tuple and shares its cost tables. Drawn and given orders are
+    distances, all read-only, so every fit starting from them holds the same
+    distances object and shares its cost tables. Drawn and given orders are
     built per fit.
     """
     orders, kind = _initial_orders(d, cfg, rng)
@@ -206,11 +206,10 @@ def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.Or
         return orders, metric.value_distance_matrices(d, orders)
     shared = memo.setdefault("orders", {})
     if kind not in shared:
-        matrices = metric.value_distance_matrices(d, orders)
-        for arr in (*orders.ranks, *matrices):
+        for arr in orders.ranks:
             if arr is not None:
                 arr.flags.writeable = False
-        shared[kind] = (orders, matrices)
+        shared[kind] = (orders, metric.value_distance_matrices(d, orders))
     return shared[kind]
 
 
@@ -286,7 +285,7 @@ def fit_many(d: Dataset, cfgs) -> Iterator[FitResult]:
     The fits of one call share their starts. Consecutive configs with the
     same (k, init, seed) fit from one initial partition and profile, built by
     the first of them, and each deterministic kind of start orders is built
-    once per call with its distance matrices. So give the configs seed-major,
+    once per call with its value distances. So give the configs seed-major,
     every config of a seed before the next seed; any order gives the same
     results, bit for bit, as separate ``fit`` calls.
     """
@@ -328,8 +327,7 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     means = None if cols is None else cols[:, idx].T.copy()
     code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
 
-    starts, lengths = enc.offsets[:-1], np.diff(enc.offsets)
-    columns, rows, clusters = np.arange(width), np.arange(n), np.arange(k)[:, None]
+    rows, clusters = np.arange(n), np.arange(k)[:, None]
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
     for _ in range(max_iter):
@@ -352,12 +350,7 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
             break
         if means is not None:
             _update_means(cols, a, means)
-        counts = enc.counts(a, k)
-        # Lowest-index most frequent value per attribute: the first of its
-        # columns that reaches the attribute's maximum.
-        peak = np.maximum.reduceat(counts, starts, axis=1).repeat(lengths, axis=1)
-        tied = np.where(counts == peak, columns, width)
-        best = np.minimum.reduceat(tied, starts, axis=1)
+        best = enc.first_maxima(enc.counts(a, k))  # lowest-index most frequent value per attribute
         occupied = np.bincount(a, minlength=k) > 0
         modes[occupied] = best[occupied]
         cur_assign, l_prev = a, l_new

@@ -18,6 +18,7 @@ import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -67,6 +68,19 @@ class DegenerateColumn:
     value: str
 
 
+class BlockIndex(NamedTuple):
+    """Index arrays over the stacked value columns of a ``OneHot``.
+
+    The per-attribute (l, l) value blocks are laid end to end in attribute
+    order, each row-major: cell (a, g) of attribute r's block pairs columns
+    ``offsets[r] + a`` and ``offsets[r] + g``.
+    """
+
+    span: np.ndarray  # (sum l,) float64: l - 1 of each column's attribute, its largest rank difference
+    rows: np.ndarray  # (sum l**2,) intp: the first column of each block cell
+    cols: np.ndarray  # (sum l**2,) intp: the second column of each block cell
+
+
 @dataclass(frozen=True)
 class OneHot:
     """Categorical table as a one-hot matrix with one column per (attribute, value).
@@ -75,6 +89,7 @@ class OneHot:
     exactly s ones, at columns ``offsets[r] + cat[i, r]`` in attribute order.
     Those column indices are stored once, in ``X.indices``: ``codes`` views
     them as an (n, s) table and ``counts`` tallies them per cluster.
+    ``attribute`` and ``block_index`` are built on first use and kept with it.
     """
 
     X: sparse.csr_matrix  # (n, sum of cardinalities) float64
@@ -103,6 +118,33 @@ class OneHot:
             assign, codes = assign[rows], codes[rows]
         cells = assign[:, None] * width + codes
         return np.bincount(cells.ravel(), minlength=k * width).reshape(k, width)
+
+    @functools.cached_property
+    def attribute(self) -> np.ndarray:
+        """(sum of cardinalities,) intp: the attribute owning each column."""
+        lengths = np.diff(self.offsets)
+        attribute = np.repeat(np.arange(lengths.size), lengths)
+        attribute.flags.writeable = False
+        return attribute
+
+    @functools.cached_property
+    def block_index(self) -> BlockIndex:
+        attribute, lengths = self.attribute, np.diff(self.offsets)
+        runs = lengths[attribute]  # a column's block row holds l cells
+        rows = np.repeat(np.arange(attribute.size), runs)
+        cols = np.arange(rows.size) + np.repeat(self.offsets[attribute] - (np.cumsum(runs) - runs), runs)
+        index = BlockIndex((lengths - 1.0)[attribute], rows, cols)
+        for arr in index:
+            arr.flags.writeable = False
+        return index
+
+    def first_maxima(self, table: np.ndarray) -> np.ndarray:
+        """(k, s) column of each row's largest entry within each attribute of a (k, sum l) table,
+        the lowest column among ties, as ``argmax`` picks."""
+        starts, width = self.offsets[:-1], table.shape[1]
+        peak = np.maximum.reduceat(table, starts, axis=1)[:, self.attribute]
+        tied = np.where(table == peak, np.arange(width), width)
+        return np.minimum.reduceat(tied, starts, axis=1)
 
 
 def split_columns(table: np.ndarray, offsets) -> tuple:
@@ -356,9 +398,27 @@ def _from_cells(tokenized, schema, missing_policy, missing_values, origin: str) 
     return _encode(columns, schema, origin)
 
 
+def _narrow_keys(cells: np.ndarray) -> np.ndarray:
+    """Keys equal exactly where the cells are: a fixed-width ``S`` column of up to 8 bytes as its
+    narrowest unsigned integers (u1, u2, u4, or u8 zero-padded), others as they are. ``S`` columns
+    come only from NUL-free files, so their NULs are padding and equal bytes mean equal cells."""
+    width = cells.dtype.itemsize
+    if cells.dtype.kind != "S" or width > 8:
+        return cells
+    size = next(b for b in (1, 2, 4, 8) if b >= width)
+    raw = np.ascontiguousarray(cells).view(np.uint8).reshape(cells.size, width)
+    if size > width:
+        raw = np.concatenate([raw, np.zeros((cells.size, size - width), dtype=np.uint8)], axis=1)
+    return raw.view(f"u{size}")[:, 0]
+
+
 def _first_appearance(cells: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """int32 codes and literals of a column, values numbered by first appearance."""
-    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    """int32 codes and literals of a column, values numbered by first appearance.
+
+    Short byte cells are grouped through ``_narrow_keys``: the same groups and
+    first indices, and u1/u2 keys sort by radix.
+    """
+    _, first, inverse = np.unique(_narrow_keys(cells), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(order.size, dtype=np.int32)
     rank[order] = np.arange(order.size, dtype=np.int32)

@@ -10,16 +10,25 @@ The kernels work on the Dataset's one-hot encoding (``Dataset.onehot``): a
 CSR matrix X with one column per (attribute, value) and exactly s ones per
 row, stored in attribute order. Per-(cluster, value) tables share its stacked
 (k, sum(l)) layout, attribute r owning columns ``offsets[r]:offsets[r + 1]``.
-A profile becomes one table W (``value_costs``) that stacks, per attribute,
-each value's cost against each cluster: ``mat_r @ probs_r.T``, or
-``mat_r[:, modes_r]`` for the mode form. Then
+One order set becomes one ``ValueDistances``: the stacked ranks R, the values
+of attributes without an order, and the per-attribute (l, l) distance blocks,
+views of one flat array built in one vectorised pass over index arrays the
+encoding keeps (``OneHot.block_index``). A profile then becomes one table W
+(``value_costs``) of each value's cost against each cluster: per attribute,
+``block_r @ probs[:, a:b].T`` written into its rows of one preallocated
+table; for the mode form, ``|R[c] - R[mode]| / (l - 1)`` (or ``1 - delta``)
+gathered at each cluster's most frequent value, the lowest on ties as
+``argmax`` picks. These are the elementwise operations and BLAS calls of the
+per-attribute matrices, so W is the same to the bit. (One block-diagonal
+sparse product would add each row in another order and change some fits.)
+Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf;
 - the profile keeps the integer (k, sum(l)) value counts, tallied by
-  ``OneHot.counts`` over the column indices X stores, and divides them once;
-  ``ClusterProfile.probs`` holds per-attribute views of that table. Inside
-  the fit's inner loop the counts are updated from the samples that changed
-  cluster, the same integers, so the same frequencies to the bit;
+  ``OneHot.counts`` over the column indices X stores, and divides them once
+  into the stacked ``ClusterProfile.probs``. Inside the fit's inner loop the
+  counts are updated from the samples that changed cluster, the same
+  integers, so the same frequencies to the bit;
 - the objective total is ``fsum(counts * W.T) / s``: a sample's cost depends
   only on its (value, cluster) cell, so the total needs O(k * sum(l)) work
   and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
@@ -43,14 +52,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, OneHot, split_columns
+from .data import Dataset, OneHot
 
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """Within-cluster value frequencies, one (k, cardinality) table per attribute, and their counts."""
+    """Within-cluster value frequencies and counts, attributes stacked like ``OneHot``."""
 
-    probs: tuple  # per attribute: (k, l_r) float64
+    probs: np.ndarray  # (k, sum of l_r) float64 value frequencies, attributes stacked
     sizes: np.ndarray  # (k,) int64 cluster sample counts
     counts: np.ndarray  # (k, sum of l_r) int64 value counts, attributes stacked
     _costs: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # value_costs memo
@@ -65,25 +74,49 @@ class ClusterProfile:
         return self.sizes == 0
 
 
-def rank_difference_matrix(ranks: np.ndarray) -> np.ndarray:
-    """Normalized pairwise rank differences for one attribute's values."""
-    l = ranks.shape[0]
-    if l < 2:
-        raise ValueError("attributes with a single value have no distance structure")
-    r = np.asarray(ranks, dtype=np.float64)
-    return np.abs(r[:, None] - r[None, :]) / (l - 1)
+@dataclass(frozen=True, eq=False)
+class ValueDistances:
+    """Value-to-value distances under one order set, over the stacked columns of ``enc``.
+
+    ``blocks[r][a, g]`` is the distance between values a and g of attribute r:
+    ``|R[a] - R[g]| / (l - 1)`` over the stacked ranks R, or ``1 - delta(a, g)``
+    where the attribute has no order. The blocks are views of one flat array.
+    Every array is read-only.
+    """
+
+    ranks: np.ndarray  # (sum l,) float64 rank of each value; 0 where ``unordered``
+    unordered: np.ndarray  # (sum l,) bool: the value's attribute has no order
+    blocks: tuple  # per attribute: (l_r, l_r) float64
+    enc: OneHot
+
+    def __len__(self) -> int:
+        """The attribute count, over which distances average."""
+        return len(self.blocks)
 
 
-def value_distance_matrices(d: Dataset, orders) -> tuple:
-    """Distance matrices for every categorical attribute under ``orders``.
+def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
+    """Distances between the values of every categorical attribute under ``orders``.
 
     An attribute whose rank array is None falls back to match/mismatch
-    distances (no usable order): 0 on the diagonal, 1 elsewhere.
+    distances (no usable order): 0 on the diagonal, 1 elsewhere. All blocks
+    come from one pass over ``OneHot.block_index``.
     """
-    return tuple(
-        1.0 - np.eye(card) if orders.ranks[r] is None else rank_difference_matrix(orders.ranks[r])
-        for r, card in enumerate(d.cardinalities)
-    )
+    enc = d.onehot
+    index = enc.block_index
+    ranks = np.concatenate([np.zeros(0)] + [np.zeros(l) if r is None else r  # float64, also with no attribute
+                                            for r, l in zip(orders.ranks, d.cardinalities)])
+    if ranks.size != enc.attribute.size:
+        raise ValueError("one rank per categorical value required")
+    unordered = np.array([r is None for r in orders.ranks], dtype=bool)[enc.attribute]
+    rows, cols = index.rows, index.cols
+    flat = np.where(unordered[rows], rows != cols, np.abs(ranks[rows] - ranks[cols]) / index.span[rows])
+    for arr in (ranks, unordered, flat):
+        arr.flags.writeable = False
+    blocks, at = [], 0
+    for l in d.cardinalities:
+        blocks.append(flat[at:at + l * l].reshape(l, l))
+        at += l * l
+    return ValueDistances(ranks, unordered, tuple(blocks), enc)
 
 
 # A delta tallies every moved sample twice, after a gather; past this share of
@@ -109,16 +142,15 @@ def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int, prev=None) 
                  - np.bincount(prev_assign[moved], minlength=k))
         counts = prev_prof.counts + enc.counts(assign, k, moved) - enc.counts(prev_assign, k, moved)
     nonzero = np.where(sizes > 0, sizes, 1).astype(np.float64)
-    probs = counts / nonzero[:, None]
-    return ClusterProfile(probs=split_columns(probs, enc.offsets), sizes=sizes, counts=counts)
+    return ClusterProfile(probs=counts / nonzero[:, None], sizes=sizes, counts=counts)
 
 
-def value_costs(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
+def value_costs(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np.ndarray:
     """(sum of cardinalities, k) cost of each value against each cluster, attributes stacked.
 
     A sample holding value c costs ``W[c, m]`` on c's attribute in cluster m.
     An empty cluster's column is not a distance; callers mask it. Built once per
-    (profile, matrices tuple, form): objective, distances and refresh share it read-only.
+    (profile, distances object, form): objective, distances and refresh share it read-only.
     """
     key = (id(matrices), form)  # the entry keeps ``matrices`` alive, so its id is not reused
     if key not in prof._costs:
@@ -126,11 +158,17 @@ def value_costs(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
     return prof._costs[key][1]
 
 
-def _cost_table(matrices, prof: ClusterProfile, form: str) -> np.ndarray:
-    if form == "profile":
-        table = np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
-    elif form == "mode":
-        table = np.vstack([mat[:, probs.argmax(axis=1)] for mat, probs in zip(matrices, prof.probs)])
+def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np.ndarray:
+    enc = matrices.enc
+    if form == "profile":  # per attribute block @ probs.T, written into its rows of the table
+        table = np.empty((len(matrices.ranks), prof.k))
+        bounds = enc.offsets.tolist()
+        for block, a, b in zip(matrices.blocks, bounds, bounds[1:]):
+            np.matmul(block, prof.probs[:, a:b].T, out=table[a:b])
+    elif form == "mode":  # each value against its attribute's mode in every cluster
+        ranks, modes = matrices.ranks, enc.first_maxima(prof.probs).T[enc.attribute]
+        table = np.abs(ranks[:, None] - ranks[modes]) / enc.block_index.span[:, None]
+        table = np.where(matrices.unordered[:, None], modes != np.arange(len(ranks))[:, None], table)
     else:
         raise ValueError(f"unknown form {form!r}")
     table.flags.writeable = False
@@ -200,7 +238,7 @@ def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
     out = np.zeros((d.n, d.n))
     step = max(1, PAIRWISE_BLOCK_CELLS // d.n)
     for lo in range(0, d.n, step):  # every entry adds its attribute terms in attribute order
-        for mat, col in zip(matrices, d.cat.T):
+        for mat, col in zip(matrices.blocks, d.cat.T):
             out[lo:lo + step] += mat[np.ix_(col[lo:lo + step], col)]
     out /= max(len(matrices), 1)
     return out

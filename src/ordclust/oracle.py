@@ -35,6 +35,11 @@ class DistanceTable:
         """Distance from sample i's value on attribute r to every value of r."""
         return self.matrices[r][self.cat[i, r]]
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Where each attribute's values start in a stacked (k, sum l) table, and the end."""
+        return np.cumsum([0] + [mat.shape[0] for mat in self.matrices])
+
 
 def build_distance_table(d: Dataset, orders) -> DistanceTable:
     """One ``order_distance_vector`` row per value, or 1 - delta(a, g) where an attribute has no order."""
@@ -58,9 +63,10 @@ def sample_cluster_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
     if prof.sizes[m] == 0:
         raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
     s = len(dist.matrices)
+    probs = split_columns(prof.probs[m], dist.offsets)
     total = 0.0
     for r in range(s):
-        total += float(dist.vector(i, r) @ prof.probs[r][m])
+        total += float(dist.vector(i, r) @ probs[r])
     return total / s
 
 
@@ -69,9 +75,10 @@ def sample_mode_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
     if prof.sizes[m] == 0:
         raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
     s = len(dist.matrices)
+    probs = split_columns(prof.probs[m], dist.offsets)
     total = 0.0
     for r in range(s):
-        total += float(dist.vector(i, r)[int(np.argmax(prof.probs[r][m]))])
+        total += float(dist.vector(i, r)[int(np.argmax(probs[r]))])
     return total / s
 
 
@@ -106,9 +113,8 @@ def per_row_orders(prof, matrices, form: str = "profile"):
     value index. Returns two per-attribute tuples of (k, l_r) arrays: the
     reference for the refresh's ranks and ``order.per_cluster_orders``.
     """
-    offsets = np.concatenate([[0], np.cumsum([mat.shape[0] for mat in matrices])])
-    counts = split_columns(prof.counts, offsets)
-    costs = split_columns(metric.value_costs(matrices, prof, form).T, offsets)
+    counts = split_columns(prof.counts, matrices.enc.offsets)
+    costs = split_columns(metric.value_costs(matrices, prof, form).T, matrices.enc.offsets)
     rank_all, pos_all = [], []
     for count, cost in zip(counts, costs):
         ranks = np.vstack([rank_descending(-np.where(n > 0, c, np.inf)) for n, c in zip(count, cost)])

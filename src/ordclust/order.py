@@ -128,7 +128,7 @@ def consensus_order(positions: tuple, cluster_sizes: np.ndarray, n: int):
 def learn_orders(
     d: Dataset,
     prof: metric.ClusterProfile,
-    matrices: tuple,
+    matrices: metric.ValueDistances,
     current: OrderSet,
     form: str = "profile",
     frozen: tuple | None = None,

@@ -228,6 +228,36 @@ def test_matrix_rows_equal_per_method_fits_on_fresh_datasets():
     assert cli._matrix_rows("HR", d, 3, methods, seeds) == reference
 
 
+def test_bench_scores_each_distinct_partition_once(tmp_path, monkeypatch):
+    datasets, returned, scored = [], set(), []  # datasets kept alive, so their ids stay unique
+    fit, run_method, score = cluster.fit, cli._run_method, evaluate.score
+
+    def note(d, part):
+        datasets.append(d)
+        returned.add((id(d), part.assign.tobytes()))
+        return part
+
+    def fitted(d, cfg, **kw):
+        res = fit(d, cfg, **kw)
+        note(d, res.partition)
+        return res
+
+    def counted(d, part, truth=None):
+        scored.append((id(d), part.assign.tobytes()))
+        return score(d, part, truth)
+
+    monkeypatch.setattr(cluster, "fit", fitted)
+    monkeypatch.setattr(cli, "_run_method", lambda d, meth, k, seed: note(d, run_method(d, meth, k, seed)))
+    monkeypatch.setattr(evaluate, "score", counted)
+    suite = tmp_path / "suite.csv"
+    suite.write_text("name,data,schema,k\nHR,fixture:HR,,3\nVT,fixture:VT,,2\n")
+    assert run(["bench", "--suite", str(suite), "--methods", "main,mode_dist,single_update,hamming,kmd",
+                "--runs", "4", "--out", str(tmp_path / "b")]) == 0
+    assert len(datasets) == 2 * 5 * 4
+    assert len(scored) == len(set(scored)) == len(returned) < len(datasets)
+    assert set(scored) == returned
+
+
 def test_ablate_loads_like_fit(tmp_path, capsys):
     data, schema = tmp_path / "t.csv", tmp_path / "t.schema"
     data.write_text("a,b,class\nx,p,c0\ny,q,c1\nx,p,c0\ny,q,c1\n?,p,c0\nx,q,c1\n")

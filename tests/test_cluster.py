@@ -353,7 +353,7 @@ def test_hamming_ablation_equals_wo_fit(rng):
         a = cluster.fit(d, FitConfig(k=3, seed=seed, ablation="hamming_only"))
         b = cluster.fit(d, FitConfig(k=3, seed=seed, order_mode="hamming"))
         assert np.array_equal(a.partition.assign, b.partition.assign)
-        for mat in metric.value_distance_matrices(d, a.orders):
+        for mat in metric.value_distance_matrices(d, a.orders).blocks:
             l = mat.shape[0]
             assert np.array_equal(mat, 1.0 - np.eye(l))
 

@@ -151,6 +151,36 @@ def test_byte_tokenizer_matches_csv_reader_and_reference(seed):
                                   for s in expected)
 
 
+def _short_word(rng, width):
+    """A cell of 1 to ``width`` UTF-8 bytes."""
+    word = ""
+    for _ in range(rng.randint(1, width)):
+        room = width - len(word.encode())
+        word += rng.choice("ab -.0" + ("é" if room >= 2 else "")) if room else ""
+    return word
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+def test_short_cells_group_as_the_reference_loader_does(width):
+    # Columns of S1..S8 cells are grouped by their unsigned-integer view, zero-padded to u4 or u8.
+    rng = random.Random(width)
+    schema = [AttributeSchema("c0", "nominal"), AttributeSchema("c1", "nominal"), AttributeSchema("c2", "label")]
+    for _ in range(20):
+        edge = ["z" * (width - 1) + "y", "z" * (width - 1)]  # differ in the last byte, or only in length
+        pools = [list({_short_word(rng, width) for _ in range(rng.randint(2, 12))} | set(filter(None, edge)))
+                 for _ in schema]
+        lines = ["c0,c1,c2"] + [",".join(rng.choice(pool) for pool in pools) for _ in range(rng.randint(1, 40))]
+        lines.insert(rng.randint(1, len(lines)), ",".join(["z" * width] * len(schema)))  # the widest cell
+        text = "\n".join(lines) + "\n"
+        (cells, *_), _, _ = data._byte_cells(text.encode(), len(schema), "t.csv")
+        assert cells.dtype == f"S{width}"
+        keys = data._narrow_keys(cells)
+        assert keys.dtype == (cells.dtype if width > 8 else f"u{next(b for b in (1, 2, 4, 8) if b >= width)}")
+        expected = outcome(lambda: reference(text, schema, "drop_row"))
+        for tokenize in (data._byte_cells, data._csv_cells):
+            assert outcome(lambda: tokenized(tokenize, text, schema, "drop_row")) == expected, text
+
+
 def test_value_first_seen_in_a_dropped_row():
     text = "a,b\nnew,\nx,1\nnew,2\ny,3\n"
     schema = [AttributeSchema("a", "nominal"), AttributeSchema("b", "numerical")]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ordclust import metric, oracle, order
+from ordclust import cluster, metric, oracle, order
 from ordclust.cluster import Partition
-from ordclust.data import Dataset
+from ordclust.data import Dataset, split_columns
 from ordclust.data import synthesize
 
 
@@ -15,8 +15,9 @@ def test_profile_counts_within_cluster():
     d = make_dataset([["a", "a", "b", "c"]])
     q = Partition(np.array([0, 0, 0, 1], dtype=np.int32), 2)
     prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
-    assert prof.probs[0][0].tolist() == pytest.approx([2 / 3, 1 / 3, 0.0])
-    assert prof.probs[0][1].tolist() == pytest.approx([0.0, 0.0, 1.0])
+    probs = split_columns(prof.probs, d.onehot.offsets)
+    assert probs[0][0].tolist() == pytest.approx([2 / 3, 1 / 3, 0.0])
+    assert probs[0][1].tolist() == pytest.approx([0.0, 0.0, 1.0])
     assert prof.sizes.tolist() == [3, 1]
 
 
@@ -24,7 +25,7 @@ def test_profile_rows_sum_to_one(rng):
     d = synthesize(60, 3, 4, values_per_attribute=4, seed=5)
     q = Partition(rng.integers(0, 4, size=60).astype(np.int32), 4)
     prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
-    for probs in prof.probs:
+    for probs in split_columns(prof.probs, d.onehot.offsets):
         sums = probs.sum(axis=1)
         for m in range(4):
             if prof.sizes[m] > 0:
@@ -45,12 +46,13 @@ def test_profile_matches_brute_tally():
     d = make_dataset([["a", "b", "a", "c", "b", "b"], ["x", "x", "y", "y", "x", "y"]])
     assign = np.array([0, 1, 0, 1, 0, 1], dtype=np.int32)
     prof = metric.profile_from_assignment(d.onehot, assign, 2)
+    probs = split_columns(prof.probs, d.onehot.offsets)
     for r in range(2):
         for m in range(2):
             members = d.cat[assign == m, r]
             for g in range(len(d.dictionaries[r])):
                 expect = (members == g).sum() / len(members)
-                assert prof.probs[r][m, g] == pytest.approx(expect)
+                assert probs[r][m, g] == pytest.approx(expect)
 
 
 def test_order_distance_vector_examples():
@@ -103,8 +105,9 @@ def test_sample_cluster_distance_is_mean_over_attributes():
     assign = np.zeros(5, dtype=np.int32)
     prof = metric.profile_from_assignment(d.onehot, assign, 1)
     table = oracle.build_distance_table(d, order.dictionary_orders(d))
-    t0 = float(table.vector(0, 0) @ prof.probs[0][0])
-    t1 = float(table.vector(0, 1) @ prof.probs[1][0])
+    probs = split_columns(prof.probs, d.onehot.offsets)
+    t0 = float(table.vector(0, 0) @ probs[0][0])
+    t1 = float(table.vector(0, 1) @ probs[1][0])
     got = oracle.sample_cluster_distance(0, 0, table, prof)
     assert got == pytest.approx((t0 + t1) / 2)
 
@@ -157,7 +160,7 @@ def test_order_reversal_leaves_distances_unchanged(rng):
     assert metric.objective(d, q, o) == pytest.approx(metric.objective(d, q, mirrored), rel=1e-12)
     ta = metric.value_distance_matrices(d, o)
     tb = metric.value_distance_matrices(d, mirrored)
-    for a, b in zip(ta, tb):
+    for a, b in zip(ta.blocks, tb.blocks):
         assert np.allclose(a, b)
 
 
@@ -183,7 +186,7 @@ def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng):
     d = synthesize(1000, 5, 3, values_per_attribute=6, seed=4)
     o = order.OrderSet((None,) + order.random_orders(d, rng).ranks[1:])  # one match/mismatch attribute
     expect = np.zeros((d.n, d.n))
-    for mat, col in zip(metric.value_distance_matrices(d, o), d.cat.T):
+    for mat, col in zip(metric.value_distance_matrices(d, o).blocks, d.cat.T):
         expect += mat[np.ix_(col, col)]
     expect /= d.s_categorical
     assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
@@ -207,15 +210,44 @@ def _kernel_instances(rng):
     return out
 
 
+def _order_sets(d, q, o):
+    """Random, match/mismatch, partly unordered and learned orders of one instance."""
+    learned = cluster.fit(d, cluster.FitConfig(k=q.k, seed=1)).orders
+    return o, order.hamming_orders(d), order.OrderSet((None,) + o.ranks[1:]), learned
+
+
 def test_value_distance_matrices_equal_the_oracle_table(rng):
     # the oracle builds its table from order_distance_vector rows and 1 - delta, not from the kernel
-    for d, _, o in _kernel_instances(rng):
-        for orders in (o, order.hamming_orders(d)):
+    for d, q, o in _kernel_instances(rng):
+        for orders in _order_sets(d, q, o):
             got = metric.value_distance_matrices(d, orders)
             want = oracle.build_distance_table(d, orders).matrices
-            assert len(got) == len(want) == d.s_categorical
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+            assert len(got) == len(got.blocks) == len(want) == d.s_categorical
+            for a, b in zip(got.blocks, want):
+                assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            stacked = [np.zeros(l) if r is None else r for r, l in zip(orders.ranks, d.cardinalities)]
+            assert got.ranks.tobytes() == np.concatenate(stacked).astype(np.float64).tobytes()
+            assert got.unordered.tolist() == [r is None for r, l in zip(orders.ranks, d.cardinalities) for _ in range(l)]
+            for arr in (got.ranks, got.unordered, *got.blocks):
+                assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("form", ["profile", "mode"])
+def test_cost_tables_equal_per_attribute_products_of_the_oracle_matrices(rng, form):
+    # profile: mat @ probs.T per attribute; mode: the columns of each cluster's argmax value
+    ties = 0
+    for d, q, o in _kernel_instances(rng):
+        prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+        probs = split_columns(prof.probs, d.onehot.offsets)
+        ties += sum(int(((p == p.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum()) for p in probs)
+        for orders in _order_sets(d, q, o):
+            mats = oracle.build_distance_table(d, orders).matrices
+            want = np.vstack([mat @ p.T if form == "profile" else mat[:, p.argmax(axis=1)]
+                              for mat, p in zip(mats, probs)])
+            got = metric.value_costs(metric.value_distance_matrices(d, orders), prof, form)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert ties > 0  # modes tied within a cluster, the lowest value index wins
 
 
 @pytest.mark.parametrize("form", ["profile", "mode"])
@@ -244,9 +276,10 @@ def test_distance_kernels_sum_attributes_in_order(rng, form):
     for d, q, o in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         mats = metric.value_distance_matrices(d, o)
+        probs = split_columns(prof.probs, d.onehot.offsets)
         expect = np.zeros((d.n, q.k))
-        for r, mat in enumerate(mats):
-            cols = mat @ prof.probs[r].T if form == "profile" else mat[:, prof.probs[r].argmax(axis=1)]
+        for r, mat in enumerate(mats.blocks):
+            cols = mat @ probs[r].T if form == "profile" else mat[:, probs[r].argmax(axis=1)]
             expect += cols[d.cat[:, r]]
         expect /= d.s_categorical
         expect[:, prof.empty] = np.inf
@@ -257,13 +290,14 @@ def test_distance_kernels_sum_attributes_in_order(rng, form):
 def test_profile_kernel_matches_tally(rng):
     for d, q, _ in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+        probs = split_columns(prof.probs, d.onehot.offsets)
         assert prof.sizes.tolist() == np.bincount(q.assign, minlength=q.k).tolist()
         for r, l in enumerate(d.cardinalities):
-            assert prof.probs[r].shape == (q.k, l)
+            assert probs[r].shape == (q.k, l)
             for m in range(q.k):
                 members = d.cat[q.assign == m, r]
                 expect = [(members == g).sum() / max(len(members), 1) for g in range(l)]
-                assert prof.probs[r][m].tolist() == expect
+                assert probs[r][m].tolist() == expect
 
 
 @pytest.mark.parametrize("form", ["profile", "mode"])
@@ -273,10 +307,11 @@ def test_objective_total_matches_oracle(rng, form):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         table = oracle.build_distance_table(d, o)
         got = metric.objective_total(metric.value_distance_matrices(d, o), prof, form)
+        probs = split_columns(prof.probs, d.onehot.offsets)
         # the exactly rounded sum of count x cost over the (k, sum l) cells, reproduced exactly
         products = []
         for r, mat in enumerate(table.matrices):
-            cols = mat @ prof.probs[r].T if form == "profile" else mat[:, prof.probs[r].argmax(axis=1)]
+            cols = mat @ probs[r].T if form == "profile" else mat[:, probs[r].argmax(axis=1)]
             for g in range(d.cardinalities[r]):
                 for m in range(q.k):
                     products.append(int(((d.cat[:, r] == g) & (q.assign == m)).sum()) * cols[g, m])
@@ -328,9 +363,7 @@ def test_unknown_form_rejected():
 def _same_profile(a, b):
     assert a.counts.tobytes() == b.counts.tobytes()
     assert a.sizes.tobytes() == b.sizes.tobytes()
-    assert len(a.probs) == len(b.probs)
-    for pa, pb in zip(a.probs, b.probs):
-        assert pa.tobytes() == pb.tobytes()
+    assert a.probs.tobytes() == b.probs.tobytes()
 
 
 @pytest.mark.parametrize("share", [metric.DELTA_MAX_MOVED, 1.0])  # 1.0: the delta for any move count
@@ -419,7 +452,8 @@ def test_value_costs_keeps_one_table_per_matrices_tuple(rng, monkeypatch):
     assert len(builds) == 2 and builds[0] is first and builds[1] is other
     assert tables[0].tobytes() != tables[1].tobytes()
     for matrices, table in zip((first, other), tables):
-        expected = np.vstack([mat @ probs.T for mat, probs in zip(matrices, prof.probs)])
+        probs = split_columns(prof.probs, d.onehot.offsets)
+        expected = np.vstack([mat @ p.T for mat, p in zip(matrices.blocks, probs)])
         assert table.tobytes() == expected.tobytes()
 
 
@@ -427,7 +461,7 @@ def test_value_costs_rebuilds_for_a_new_equal_tuple(rng, monkeypatch):
     builds = _count_builds(monkeypatch)
     d, prof = _costed_profile(rng)
     matrices = metric.value_distance_matrices(d, order.dictionary_orders(d))
-    equal = tuple(mat.copy() for mat in matrices)
+    equal = metric.value_distance_matrices(d, order.dictionary_orders(d))
     table, again = (metric.value_costs(m, prof, "mode") for m in (matrices, equal))
     assert len(builds) == 2 and again is not table
     assert again.tobytes() == table.tobytes()
