@@ -10,18 +10,16 @@ The kernels work on the Dataset's one-hot encoding (``Dataset.onehot``): a
 CSR matrix X with one column per (attribute, value) and exactly s ones per
 row, stored in attribute order. Per-(cluster, value) tables share its stacked
 (k, sum(l)) layout, attribute r owning columns ``offsets[r]:offsets[r + 1]``.
-One order set becomes one ``ValueDistances``: the stacked ranks R, the values
-of attributes without an order, and the per-attribute (l, l) distance blocks,
-views of one flat array built in one vectorised pass over index arrays the
-encoding keeps (``OneHot.block_index``). A profile then becomes one table W
-(``value_costs``) of each value's cost against each cluster: per attribute,
-``block_r @ probs[:, a:b].T`` written into its rows of one preallocated
-table; for the mode form, ``|R[c] - R[mode]| / (l - 1)`` (or ``1 - delta``)
-gathered at each cluster's most frequent value, the lowest on ties as
-``argmax`` picks. These are the elementwise operations and BLAS calls of the
-per-attribute matrices, so W is the same to the bit. (One block-diagonal
-sparse product would add each row in another order and change some fits.)
-Then
+One order set becomes one ``ValueDistances``: the stacked ranks R, a mask of
+the values without an order, and the per-attribute (l, l) blocks, views of
+one flat array built in one pass over ``OneHot.block_index``. A profile
+becomes one table W (``value_costs``) of each value's cost against each
+cluster: per attribute, ``block_r @ probs[:, a:b].T`` written into its rows;
+for the mode form, ``|R[c] - R[mode]| / (l - 1)`` (``1 - delta`` without an
+order) at each cluster's first most frequent value, as ``argmax`` picks.
+These are the per-attribute matrices' own operations, so W is the same to
+the bit; one block-diagonal sparse product would reorder each row's sum and
+change some fits. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf;
 - the profile keeps the integer (k, sum(l)) value counts, tallied by
@@ -102,14 +100,13 @@ def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
     come from one pass over ``OneHot.block_index``.
     """
     enc = d.onehot
-    index = enc.block_index
+    span, rows, cols = enc.block_index
     ranks = np.concatenate([np.zeros(0)] + [np.zeros(l) if r is None else r  # float64, also with no attribute
                                             for r, l in zip(orders.ranks, d.cardinalities)])
     if ranks.size != enc.attribute.size:
         raise ValueError("one rank per categorical value required")
     unordered = np.array([r is None for r in orders.ranks], dtype=bool)[enc.attribute]
-    rows, cols = index.rows, index.cols
-    flat = np.where(unordered[rows], rows != cols, np.abs(ranks[rows] - ranks[cols]) / index.span[rows])
+    flat = np.where(unordered[rows], rows != cols, np.abs(ranks[rows] - ranks[cols]) / span[rows])
     for arr in (ranks, unordered, flat):
         arr.flags.writeable = False
     blocks, at = [], 0
