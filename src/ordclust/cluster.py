@@ -86,9 +86,14 @@ class FitConfig:
             raise ValueError("random_order_init needs learned orders")
         if self.ordinal_policy != "learn_all" and not learned:
             raise ValueError(f"ordinal policy {self.ordinal_policy!r} applies only to learned orders")
-        learnable = learned and self.ordinal_policy != "preserve_all"
-        if self.ablation in ("no_prob_weight", "single_order_update") and not learnable:
+        if self.ablation in ("no_prob_weight", "single_order_update") and not self.learns_orders:
             raise ValueError(f"ablation {self.ablation!r} needs learnable orders")
+
+    @property
+    def learns_orders(self) -> bool:
+        """Whether a fit refreshes its orders: learned orders, not all of them preserved."""
+        return (self.order_mode == "learned" and self.ablation != "hamming_only"
+                and self.ordinal_policy != "preserve_all")
 
 
 @dataclass
@@ -233,13 +238,8 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     memo = {} if _memo is None else _memo
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
-    learning = (
-        cfg.order_mode == "learned"
-        and cfg.ablation != "hamming_only"
-        and cfg.ordinal_policy != "preserve_all"
-    )
-    alternating = learning and cfg.ablation != "single_order_update"
-    refreshes = cfg.max_outer if alternating else int(learning)
+    alternating = cfg.learns_orders and cfg.ablation != "single_order_update"
+    refreshes = cfg.max_outer if alternating else int(cfg.learns_orders)
     frozen = None
     if cfg.ordinal_policy == "preserve_ordinal":
         frozen = tuple(ranks is not None for ranks in d.semantic_ranks)

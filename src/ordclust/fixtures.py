@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeSchema, Dataset, load_dataset
+from .data import AttributeSchema, DataError, Dataset, load_dataset
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def write_fixture(spec: FixtureSpec, directory: str | Path) -> tuple[Path, Path]
 def fixture_paths(name: str) -> tuple[Path, Path]:
     """Filesystem paths of a bundled fixture's CSV and schema."""
     if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; bundled: {', '.join(FIXTURES)}")
+        raise DataError(f"unknown fixture {name!r}; bundled: {', '.join(FIXTURES)}")
     root = resources.files("ordclust") / "fixtures"
     return Path(str(root / f"{name}.csv")), Path(str(root / f"{name}.schema"))
 

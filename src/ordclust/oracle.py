@@ -111,7 +111,7 @@ def per_row_orders(prof, matrices, form: str = "profile"):
     Takes what ``order.learn_orders`` takes. A row ranks its present values
     by ascending cost (``metric.value_costs``), absent values last, ties by
     value index. Returns two per-attribute tuples of (k, l_r) arrays: the
-    reference for the refresh's ranks and ``order.per_cluster_orders``.
+    reference for the refresh's cost ranks and placement.
     """
     counts = split_columns(prof.counts, matrices.enc.offsets)
     costs = split_columns(metric.value_costs(matrices, prof, form).T, matrices.enc.offsets)
@@ -121,6 +121,17 @@ def per_row_orders(prof, matrices, form: str = "profile"):
         rank_all.append(ranks)
         pos_all.append(np.vstack([unimodal_place(row, count.shape[1]) for row in ranks]))
     return tuple(rank_all), tuple(pos_all)
+
+
+def consensus_order(positions: tuple, cluster_sizes: np.ndarray, n: int):
+    """Cluster-size-weighted mean of each attribute's (k, l_r) ``positions``, ranked ascending.
+
+    Empty clusters carry zero weight and score ties break by value index.
+    Returns (rank arrays, score arrays): the reference for ``order.learn_orders``.
+    """
+    weights = np.asarray(cluster_sizes, dtype=np.float64) / n
+    scores = tuple(weights @ pos for pos in positions)
+    return tuple(rank_descending(-sc) for sc in scores), scores
 
 
 def exhaustive_order_search(d: Dataset, q, r: int, m: int):

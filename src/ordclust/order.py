@@ -15,12 +15,16 @@ fit already holds for its partition and orders, and rebuilds neither.
 A refresh works on the stacked (k, sum(l)) layout of ``Dataset.onehot``
 (attribute r owns columns ``offsets[r]:offsets[r + 1]``), so it makes a fixed
 number of numpy calls rather than a few per (cluster, attribute) row, and
-no pass over the samples. Every row's cost ranks come from one ``lexsort``
-keyed by (value index, cost, segment), and the closed-form placement applies
-to the whole table. The consensus keeps one ``weights @ positions`` product
-per attribute, the summation order of the per-attribute form, and ranks all
-scores with one more ``lexsort``. The per-row reference
-(``oracle.per_row_orders``) gives identical results.
+no pass over the samples: cost, rank, position and consensus are each one
+expression over that table. Every row's cost ranks come from one stable
+two-key ``lexsort`` over (cost, segment start). Equal costs keep value-index
+order because the sort is stable, and the segment start is also what a
+sorted position subtracts to become a rank. The consensus keeps one
+``weights @ positions[:, a:b]`` product per attribute: one stacked product
+adds the terms in another order, and since score ties decide ranks a
+last-bit change can change the orders. All scores are ranked with one more
+``lexsort``. The per-row references (``oracle.per_row_orders`` and
+``oracle.consensus_order``) give identical results.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric
-from .data import Dataset, split_columns
+from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -80,49 +84,18 @@ def semantic_orders(d: Dataset) -> OrderSet:
     return OrderSet(tuple(r if r is None else r.copy() for r in d.semantic_ranks))
 
 
-def _segment_ranks(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """1-based ascending ranks of ``keys`` within each (row, attribute) segment.
+def _segment_ranks(keys: np.ndarray, enc) -> np.ndarray:
+    """1-based ascending ranks of ``keys`` within each attribute of each row of a (rows, sum l) table.
 
-    Ties break by value index. One lexsort over (value index, key, segment);
-    segments stay in place under that sort, so a value's rank is its sorted
+    ``enc`` is the ``OneHot`` whose ``offsets`` and ``attribute`` lay out the
+    columns. One stable lexsort over (key, segment start): segments stay in
+    place, equal keys keep value-index order, and a value's rank is its sorted
     position minus its segment's start.
     """
-    lengths = np.tile(np.diff(offsets), keys.shape[0])
-    segment = np.repeat(np.arange(lengths.size), lengths)
-    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.arange(keys.size)
+    start = (np.arange(keys.shape[0])[:, None] * keys.shape[1] + enc.offsets[enc.attribute]).ravel()
     ranks = np.empty(keys.size, dtype=np.int64)
-    ranks[np.lexsort((flat, keys.ravel(), segment))] = flat - start + 1
+    ranks[np.lexsort((keys.ravel(), start))] = np.arange(keys.size) - start + 1
     return ranks.reshape(keys.shape)
-
-
-def per_cluster_orders(ranks: np.ndarray, offsets: np.ndarray) -> tuple:
-    """Closed-form unimodal placement of every (cluster, attribute) row at once.
-
-    ``ranks`` are the stacked (k, sum l) 1-based ranks within each row. The
-    rank-1 value lands on the central position ceil(l/2); later ranks
-    alternate right, left, right, ... at growing offsets, a bijection onto 1..l.
-    Returns per attribute the (k, l_r) int64 positions.
-    """
-    centre = np.repeat((np.diff(offsets) + 1) // 2, np.diff(offsets))
-    positions = centre - np.where(ranks % 2 == 1, 1, -1) * (ranks // 2)
-    return split_columns(positions, offsets)
-
-
-def consensus_order(positions: tuple, cluster_sizes: np.ndarray, n: int):
-    """Cluster-size-weighted mean of per-cluster ``positions``, sorted into integer ranks.
-
-    Empty clusters carry zero weight. Returns (rank arrays, fractional score
-    arrays); ties in the scores break by ascending value index.
-    """
-    sizes = np.asarray(cluster_sizes, dtype=np.float64)
-    if int(sizes.sum()) != n:
-        raise ValueError("cluster sizes must sum to the sample count")
-    weights = sizes / n
-    scores = tuple(weights @ pos for pos in positions)
-    offsets = np.concatenate([[0], np.cumsum([sc.shape[0] for sc in scores])])
-    ranks = _segment_ranks(np.concatenate(scores)[None, :], offsets)[0]
-    return split_columns(ranks, offsets), scores
 
 
 def learn_orders(
@@ -146,19 +119,26 @@ def learn_orders(
     """
     if not prof.sizes.any():
         raise ValueError("all clusters are empty")
-    offsets = d.onehot.offsets
+    if int(prof.sizes.sum()) != d.n:
+        raise ValueError("cluster sizes must sum to the sample count")
+    enc = d.onehot
     cost = np.where(prof.counts > 0, metric.value_costs(matrices, prof, form).T, np.inf)
-    positions = per_cluster_orders(_segment_ranks(cost, offsets), offsets)
-    ranks, scores = consensus_order(positions, prof.sizes, d.n)
+    ranks = _segment_ranks(cost, enc)
+    # rank 1 at the centre ceil(l/2), later ranks right, left, right, ... outward
+    centre = ((np.diff(enc.offsets) + 1) // 2)[enc.attribute]
+    positions = centre - np.where(ranks % 2 == 1, 1, -1) * (ranks // 2)
+    weights = np.asarray(prof.sizes, dtype=np.float64) / d.n
+    scores = np.concatenate([weights @ positions[:, a:b] for a, b in zip(enc.offsets[:-1], enc.offsets[1:])])
+    cuts = enc.offsets[1:-1]
+    consensus, scores = np.split(_segment_ranks(scores[None, :], enc)[0], cuts), np.split(scores, cuts)
 
     out_ranks, out_scores = [], []
     for r, l in enumerate(d.cardinalities):
-        keep = l <= 2 or (frozen is not None and frozen[r])
-        if keep:
+        if l <= 2 or (frozen is not None and frozen[r]):
             prev = current.ranks[r]
             out_ranks.append(None if prev is None else np.asarray(prev, dtype=np.int64).copy())
             out_scores.append(None)
         else:
-            out_ranks.append(ranks[r])
+            out_ranks.append(consensus[r])
             out_scores.append(scores[r])
     return OrderSet(ranks=tuple(out_ranks), scores=tuple(out_scores))

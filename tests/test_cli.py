@@ -435,3 +435,30 @@ def test_bench_config_errors_exit_before_reading_the_suite(flags, tmp_path, caps
     assert code == cli.EXIT_CONFIG
     assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--k", "2", "--out", "{tmp}/o"],
+    ["ablate", "--k", "2", "--out", "{tmp}/o"],
+    ["demo-orders", "--k", "2", "--out", "{tmp}/o"],
+    ["export-distances", "--out-file", "{tmp}/o/d.csv"],
+])
+@pytest.mark.parametrize("name", ["NOPE", "hr"])
+def test_unknown_fixture_is_data_error(argv, name, tmp_path, capsys):
+    code = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--data", f"fixture:{name}"])
+    assert code == cli.EXIT_DATA
+    bundled = ", ".join(fixtures.FIXTURES)
+    assert capsys.readouterr().err == f"data error: unknown fixture {name!r}; bundled: {bundled}\n"
+
+
+def test_bench_unknown_fixture_is_an_error_row(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text("name,data,schema,k\nX,fixture:NOPE,,2\n")
+    out = tmp_path / "bench"
+    code = run(["bench", "--suite", str(suite), "--methods", "main", "--runs", "1", "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    with open(out / "benchmark_matrix.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    message = f"unknown fixture 'NOPE'; bundled: {', '.join(fixtures.FIXTURES)}"
+    assert [r[:3] for r in rows] == [["X", "ERROR", message]]
+    assert f"X failed: {message}" in capsys.readouterr().err

@@ -93,7 +93,8 @@ def test_refresh_reuses_the_fits_tables(monkeypatch):
         try:
             # the dataset's shape only: no per-sample table to pass over
             shape = SimpleNamespace(n=d.n, cardinalities=d.cardinalities,
-                                    onehot=SimpleNamespace(offsets=d.onehot.offsets))
+                                    onehot=SimpleNamespace(offsets=d.onehot.offsets,
+                                                           attribute=d.onehot.attribute))
             return learn_orders(shape, *args, **kwargs)
         finally:
             refreshing.pop()
@@ -273,6 +274,15 @@ def test_fit_config_accepts_38_of_the_240_settings():
             assert (kwargs["ordinal_policy"], kwargs["random_order_init"]) == ("learn_all", False)
         if kwargs["order_mode"] != "learned":
             assert kwargs["ablation"] == "full"
+
+
+def test_learns_orders_is_whether_a_fit_refreshes():
+    # a read-only property, not a field, so it adds no option
+    assert "learns_orders" not in {f.name for f in dataclasses.fields(FitConfig)}
+    d = fixtures.load_fixture("HR")
+    for kwargs in _valid_settings(order.random_orders(d, np.random.default_rng(0))):
+        cfg = FitConfig(k=3, seed=1, **kwargs)
+        assert cfg.learns_orders == bool(cluster.fit(d, cfg).trace.order_update_iterations), kwargs
 
 
 def test_the_valid_settings_give_36_distinct_fits():

@@ -111,14 +111,11 @@ def test_stacked_refresh_equals_per_row_oracle(rng):
         offsets = d.onehot.offsets
 
         ranks, positions = oracle.per_row_orders(prof, matrices, form)
-        stacked = order._segment_ranks(np.where(prof.counts > 0, costs, np.inf), offsets)
-        placed = order.per_cluster_orders(stacked, offsets)
-        consensus, scores = order.consensus_order(positions, sizes, n)
+        stacked = order._segment_ranks(np.where(prof.counts > 0, costs, np.inf), d.onehot)
+        consensus, scores = oracle.consensus_order(positions, sizes, n)
         learned = order.learn_orders(d, prof, matrices, order.dictionary_orders(d), form)
         for r, l in enumerate(cards):
             assert split_columns(stacked, offsets)[r].tolist() == ranks[r].tolist()
-            assert placed[r].dtype == np.int64
-            assert placed[r].tolist() == positions[r].tolist()
             # ascending scores, ties by value index
             assert consensus[r].tolist() == oracle.rank_descending(-scores[r]).tolist()
             if l > 2:
@@ -133,28 +130,32 @@ def test_stacked_refresh_equals_per_row_oracle(rng):
 
 def test_consensus_weighted_mean():
     per_cluster = (np.array([[2, 1, 3], [4, 1, 3]]),)
-    ranks, scores = order.consensus_order(per_cluster, np.array([3, 1]), 4)
+    ranks, scores = oracle.consensus_order(per_cluster, np.array([3, 1]), 4)
     assert scores[0][0] == pytest.approx(0.75 * 2 + 0.25 * 4)
 
 
 def test_consensus_single_cluster_identity():
     per_cluster = (np.array([[2, 3, 1, 4]]),)
-    ranks, _ = order.consensus_order(per_cluster, np.array([5]), 5)
+    ranks, _ = oracle.consensus_order(per_cluster, np.array([5]), 5)
     assert ranks[0].tolist() == [2, 3, 1, 4]
 
 
 def test_consensus_tie_breaks_by_value_index():
     # weighted scores come out as (2.5, 1.75, 1.75) -> ranks (3, 1, 2)
     per_cluster = (np.array([[3, 1, 2], [3, 2, 1], [1, 3, 2]], dtype=np.int64),)
-    ranks, scores = order.consensus_order(per_cluster, np.array([2, 1, 1]), 4)
+    ranks, scores = oracle.consensus_order(per_cluster, np.array([2, 1, 1]), 4)
     assert scores[0].tolist() == pytest.approx([2.5, 1.75, 1.75])
     assert ranks[0].tolist() == [3, 1, 2]
 
 
 def test_consensus_rejects_bad_sizes():
-    per_cluster = (np.array([[1, 2]]),)
-    with pytest.raises(ValueError):
-        order.consensus_order(per_cluster, np.array([3]), 4)
+    # a profile of five rows handed to the refresh of a four-row dataset
+    d = make_dataset([["a", "b", "c", "a"]])
+    prof = metric.profile_from_assignment(make_dataset([["a", "b", "c", "a", "b"]]).onehot,
+                                          np.zeros(5, dtype=np.int32), 1)
+    with pytest.raises(ValueError, match="cluster sizes must sum to the sample count"):
+        order.learn_orders(d, prof, metric.value_distance_matrices(d, order.dictionary_orders(d)),
+                           order.dictionary_orders(d))
 
 
 def refresh(d, q, current, **kw):
