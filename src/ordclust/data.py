@@ -205,10 +205,6 @@ class Dataset:
     def s_numerical(self) -> int:
         return self.num.shape[1]
 
-    @property
-    def s(self) -> int:
-        return self.s_categorical + self.s_numerical
-
     @functools.cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.dictionaries)
@@ -280,23 +276,29 @@ def _parse(raw: bytes, schema, missing_policy, missing_values, origin: str) -> D
             raise DataError(f"{origin}:{lineno}: not UTF-8 text: {exc}") from None
     quoted = b'"' in raw or b"\r" in raw or b"\0" in raw
     tokenize = _csv_cells if quoted else _byte_cells
-    return _from_cells(tokenize(raw, len(schema), origin), schema, missing_policy, missing_values, origin)
+    tokenized = tokenize(raw, [c.name for c in schema], origin)
+    return _from_cells(tokenized, schema, missing_policy, missing_values, origin)
 
 
-def _check_header(cells: int, m: int, origin: str):
-    if cells != m:
-        raise SchemaError(f"{origin}: schema declares {m} columns, CSV header has {cells}")
+def _check_header(header: list[str], names: list[str], origin: str):
+    """The header must name the schema's columns in order, up to surrounding spaces."""
+    if len(header) != len(names):
+        raise SchemaError(f"{origin}: schema declares {len(names)} columns, CSV header has {len(header)}")
+    for j, (want, got) in enumerate(zip(names, (cell.strip() for cell in header)), start=1):
+        if got != want:
+            raise SchemaError(f"{origin}: column {j}: schema declares {want!r}, CSV header has {got!r}")
 
 
-def _csv_cells(raw: bytes, m: int, origin: str):
+def _csv_cells(raw: bytes, names: list[str], origin: str):
     """``csv.reader`` tokenizer; see ``_byte_cells`` for what it returns."""
-    reader = csv.reader(io.StringIO(raw.decode(), newline=""))
+    m = len(names)
+    reader = csv.reader(io.StringIO(raw.decode("utf-8-sig"), newline=""))  # drops a leading BOM
     rows, linenos, ragged = [], [], None
     try:
         header = next(reader, None)
         if header is None:
             raise DataError(f"{origin}: empty file")
-        _check_header(len(header), m, origin)
+        _check_header(header, names, origin)
         for row in reader:
             if not row:
                 continue
@@ -317,7 +319,7 @@ def _csv_cells(raw: bytes, m: int, origin: str):
     return columns, np.array(linenos, dtype=np.int64), ragged
 
 
-def _byte_cells(raw: bytes, m: int, origin: str):
+def _byte_cells(raw: bytes, names: list[str], origin: str):
     """Split unquoted CSV bytes on ``\\n`` and ``,``.
 
     Returns the cells of the body rows up to the first row whose cell count
@@ -334,7 +336,8 @@ def _byte_cells(raw: bytes, m: int, origin: str):
     starts = np.concatenate(([0], ends[:-1] + 1))
     commas = np.flatnonzero(buf == _COMMA)
     cells = np.where(ends > starts, np.diff(np.searchsorted(commas, ends), prepend=0) + 1, 0)
-    _check_header(int(cells[0]), m, origin)
+    _check_header(raw[:ends[0]].decode("utf-8-sig").split(",") if cells[0] else [], names, origin)
+    m = len(names)
     ragged = None
     bad = np.flatnonzero((cells != m) & (cells != 0))
     stop = len(cells)

@@ -32,7 +32,11 @@ change some fits. Then
   and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
   total does not depend on the order of the rows;
 - the order refresh (``order.learn_orders``) ranks each value by its cost
-  in W.
+  in W;
+- the (n, n) export (``pairwise_distance_matrix``) is every sample's
+  distance to n singleton clusters. A singleton's frequencies are one-hot,
+  so each cell of W is one block entry plus exact zeros in any BLAS order,
+  and the export keeps the bits of the per-attribute sum, as below.
 
 The distances are bit-identical to evaluating each attribute separately and
 summing in attribute order. Every stored value of X is 1.0, and the sparse
@@ -149,10 +153,10 @@ def value_costs(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np
     An empty cluster's column is not a distance; callers mask it. Built once per
     (profile, distances object, form): objective, distances and refresh share it read-only.
     """
-    key = (id(matrices), form)  # the entry keeps ``matrices`` alive, so its id is not reused
+    key = (matrices, form)
     if key not in prof._costs:
-        prof._costs[key] = (matrices, _cost_table(matrices, prof, form))
-    return prof._costs[key][1]
+        prof._costs[key] = _cost_table(matrices, prof, form)
+    return prof._costs[key]
 
 
 def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np.ndarray:
@@ -212,7 +216,6 @@ def objective_total(matrices, prof: ClusterProfile, form: str = "profile") -> fl
 
 # Largest (n, n) matrix ``pairwise_distance_matrix`` builds: 2**27 float64 cells, 1 GiB.
 MAX_PAIRWISE_CELLS = 2**27
-PAIRWISE_BLOCK_CELLS = 2**16  # cells of one row block's term, the export's only temporary
 
 
 def check_pairwise_size(n: int) -> None:
@@ -225,17 +228,11 @@ def check_pairwise_size(n: int) -> None:
 
 
 def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
-    """(n, n) sample-to-sample distances: mean normalized rank difference.
+    """(n, n) sample-to-sample distances: each sample's distance to n singleton clusters.
 
     Feeds external embedding tools; quadratic in n by nature, so sample
     counts past ``check_pairwise_size`` raise ValueError.
     """
     check_pairwise_size(d.n)
-    matrices = value_distance_matrices(d, orders)
-    out = np.zeros((d.n, d.n))
-    step = max(1, PAIRWISE_BLOCK_CELLS // d.n)
-    for lo in range(0, d.n, step):  # every entry adds its attribute terms in attribute order
-        for mat, col in zip(matrices.blocks, d.cat.T):
-            out[lo:lo + step] += mat[np.ix_(col[lo:lo + step], col)]
-    out /= max(len(matrices), 1)
-    return out
+    singletons = profile_from_assignment(d.onehot, np.arange(d.n, dtype=np.int32), d.n)
+    return cluster_distances(d.onehot, value_distance_matrices(d, orders), singletons)

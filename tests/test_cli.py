@@ -58,6 +58,20 @@ def test_fit_missing_schema_is_data_error(tmp_path, capsys):
     assert "none.schema" in capsys.readouterr().err
 
 
+def test_fit_schema_names_not_in_the_header_is_data_error(tmp_path, capsys):
+    data = tmp_path / "t.csv"
+    data.write_text("a,b,class\nx,1,c0\ny,2,c1\n")
+    schema = tmp_path / "t.schema"
+    schema.write_text("zzz,nominal\nqq,numerical\nclass,label\n")
+    code = run([
+        "fit", "--data", str(data), "--schema", str(schema), "--mixed",
+        "--k", "2", "--runs", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert "column 1: schema declares 'zzz', CSV header has 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_bad_config_exit_code(tmp_path):
     code = run([
         "fit", "--data", "fixture:DS", "--k", "0", "--runs", "1",

@@ -67,7 +67,7 @@ def outcome(fn):
 
 
 def tokenized(tokenize, text, schema, policy):
-    cells = tokenize(text.encode(), len(schema), "t.csv")
+    cells = tokenize(text.encode(), [c.name for c in schema], "t.csv")
     return data._from_cells(cells, schema, policy, TOKENS, "t.csv")
 
 
@@ -172,7 +172,7 @@ def test_short_cells_group_as_the_reference_loader_does(width):
         lines = ["c0,c1,c2"] + [",".join(rng.choice(pool) for pool in pools) for _ in range(rng.randint(1, 40))]
         lines.insert(rng.randint(1, len(lines)), ",".join(["z" * width] * len(schema)))  # the widest cell
         text = "\n".join(lines) + "\n"
-        (cells, *_), _, _ = data._byte_cells(text.encode(), len(schema), "t.csv")
+        (cells, *_), _, _ = data._byte_cells(text.encode(), [c.name for c in schema], "t.csv")
         assert cells.dtype == f"S{width}"
         keys = data._narrow_keys(cells)
         assert keys.dtype == (cells.dtype if width > 8 else f"u{next(b for b in (1, 2, 4, 8) if b >= width)}")
@@ -272,10 +272,10 @@ def test_malformed_decimals_raise_naming_the_first_bad_cell(bad):
 def test_one_long_cell_does_not_widen_its_column():
     raw = b"a\n" + b"x\n" * 1000 + b"y" * 5000 + b"\n"
     for tokenize in (data._byte_cells, data._csv_cells):
-        (cells,), _, _ = tokenize(raw, 1, "t.csv")
+        (cells,), _, _ = tokenize(raw, ["a"], "t.csv")
         assert cells.dtype == object  # not 1001 cells of 5000 bytes each
         assert cells[-1] == b"y" * 5000 and cells[0] == b"x"
-    (cells,), _, _ = data._csv_cells(b"a\n" + b"x\n" * 1000 + b"yy\n", 1, "t.csv")
+    (cells,), _, _ = data._csv_cells(b"a\n" + b"x\n" * 1000 + b"yy\n", ["a"], "t.csv")
     assert cells.dtype == "S2"
 
 

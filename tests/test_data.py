@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,31 @@ def test_arity_mismatch(tmp_path):
     p = write(tmp_path, "t.csv", "a,b\nx,y\n")
     with pytest.raises(SchemaError, match="columns"):
         load_csv(p, [AttributeSchema("a", "nominal")])
+
+
+# A quote in the file sends it through csv.reader instead of the byte tokenizer.
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "quoted"])
+@pytest.mark.parametrize("names,message", [
+    (("b", "a"), "column 1: schema declares 'b', CSV header has 'a'"),
+    (("zzz", "qq"), "column 1: schema declares 'zzz', CSV header has 'a'"),
+    (("a", "qq"), "column 2: schema declares 'qq', CSV header has 'b'"),
+], ids=["swapped", "renamed", "second_renamed"])
+def test_header_names_must_match_the_schema(tmp_path, quote, names, message):
+    p = write(tmp_path, "t.csv", f"a,b,class\nx,{quote}1{quote},c0\ny,2,c1\n")
+    schema = [AttributeSchema(names[0], "nominal"), AttributeSchema(names[1], "numerical"),
+              AttributeSchema("class", "label")]
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: {re.escape(message)}$"):
+        load_csv(p, schema)
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "quoted"])
+def test_header_names_may_carry_a_bom_and_spaces(tmp_path, quote):
+    p = tmp_path / "t.csv"
+    p.write_bytes(f"\ufeff a ,b\t, class\nx,{quote}1{quote},c0\ny,2,c1\n".encode())
+    schema = [AttributeSchema("a", "nominal"), AttributeSchema("b", "numerical"), AttributeSchema("class", "label")]
+    d = load_csv(p, schema)
+    assert (d.cat_names, d.num_names, d.label_values) == (("a",), ("b",), ("c0", "c1"))
+    assert d.num[:, 0].tolist() == [1.0, 2.0]
 
 
 def test_unparseable_numeric(tmp_path):
@@ -128,7 +154,7 @@ def test_ignore_and_label_columns(tmp_path):
         AttributeSchema("cls", "label"),
     ]
     d = load_csv(p, schema)
-    assert d.s == 1
+    assert (d.s_categorical, d.s_numerical) == (1, 0)
     assert d.labels.tolist() == [0, 1]
     assert d.label_values == ("c0", "c1")
 

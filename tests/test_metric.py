@@ -9,6 +9,7 @@ from ordclust import cluster, metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import Dataset, split_columns
 from ordclust.data import synthesize
+from ordclust.fixtures import FIXTURES, load_fixture
 
 
 def test_profile_counts_within_cluster():
@@ -199,6 +200,29 @@ def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * d.n * d.n * 8
+
+
+_EXPORTED = [(name, kind) for name in FIXTURES for kind in ("dictionary", "hamming", "random")]
+
+
+@pytest.mark.parametrize("name,kind", _EXPORTED + [("no_categorical", "dictionary"), ("one_row", "dictionary")])
+def test_pairwise_export_equals_the_per_attribute_sum(name, kind, rng):
+    # the export is the fit's distance to singleton clusters; it must keep the per-attribute sum's bits
+    if name == "no_categorical":
+        d = synthesize(40, 3, 2, values_per_attribute=1)
+    elif name == "one_row":
+        d = synthesize(1, 3, 1, values_per_attribute=4)
+    else:
+        d = load_fixture(name)
+    if kind == "random":  # one match/mismatch attribute
+        o = order.OrderSet((None,) + order.random_orders(d, rng).ranks[1:])
+    else:
+        o = getattr(order, f"{kind}_orders")(d)
+    expect = np.zeros((d.n, d.n))
+    for mat, col in zip(metric.value_distance_matrices(d, o).blocks, d.cat.T):
+        expect += mat[np.ix_(col, col)]
+    expect /= max(d.s_categorical, 1)
+    assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
 
 
 def _kernel_instances(rng):
