@@ -135,7 +135,7 @@ def cmd_fit(args) -> int:
     cfgs = [_fit_config(args, seed) for seed in seeds]
     d = _load(args)
     if args.export_distances:
-        metric.check_pairwise_size(d.n)
+        metric.check_pairwise_size(d.n, sum(d.cardinalities))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -402,7 +402,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_distances(args) -> int:
     d = _load(args)
-    metric.check_pairwise_size(d.n)
+    metric.check_pairwise_size(d.n, sum(d.cardinalities))
     out = Path(args.out_file)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.order_mode == "learned":

@@ -116,7 +116,7 @@ class OneHot:
         codes, width = self.codes, int(self.offsets[-1])
         if rows is not None:
             assign, codes = assign[rows], codes[rows]
-        cells = assign[:, None] * width + codes
+        cells = assign.astype(np.int64)[:, None] * width + codes  # k * width may pass 2**31
         return np.bincount(cells.ravel(), minlength=k * width).reshape(k, width)
 
     @functools.cached_property

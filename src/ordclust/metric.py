@@ -34,9 +34,10 @@ change some fits. Then
 - the order refresh (``order.learn_orders``) ranks each value by its cost
   in W;
 - the (n, n) export (``pairwise_distance_matrix``) is every sample's
-  distance to n singleton clusters. A singleton's frequencies are one-hot,
-  so each cell of W is one block entry plus exact zeros in any BLAS order,
-  and the export keeps the bits of the per-attribute sum, as below.
+  distance to n singleton clusters, ``X @ W / s`` again. A singleton's
+  frequencies are one-hot, so its cost column holds one block entry per
+  value: W is gathered from the blocks at each sample's values, O(n * sum(l))
+  work and cells, with no counts, frequencies or block products.
 
 The distances are bit-identical to evaluating each attribute separately and
 summing in attribute order. Every stored value of X is 1.0, and the sparse
@@ -177,9 +178,15 @@ def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np
 
 
 def _distances(enc: OneHot, matrices, prof: ClusterProfile, form: str) -> np.ndarray:
-    dist = enc.X @ value_costs(matrices, prof, form)
-    dist /= max(len(matrices), 1)
+    dist = _mean_costs(enc, value_costs(matrices, prof, form), len(matrices))
     dist[:, prof.empty] = np.inf
+    return dist
+
+
+def _mean_costs(enc: OneHot, table: np.ndarray, s: int) -> np.ndarray:
+    """``X @ table / s``: each sample's costs added from zero in attribute order, then averaged."""
+    dist = enc.X @ table
+    dist /= max(s, 1)
     return dist
 
 
@@ -214,15 +221,17 @@ def objective_total(matrices, prof: ClusterProfile, form: str = "profile") -> fl
     return math.fsum(cells.ravel().tolist()) / max(len(matrices), 1)
 
 
-# Largest (n, n) matrix ``pairwise_distance_matrix`` builds: 2**27 float64 cells, 1 GiB.
+# Largest export ``pairwise_distance_matrix`` builds: 2**27 float64 cells, 1 GiB,
+# for the (n, n) matrix and its (sum of cardinalities, n) cost table together.
 MAX_PAIRWISE_CELLS = 2**27
 
 
-def check_pairwise_size(n: int) -> None:
-    """Refuse a sample count whose (n, n) distance matrix exceeds ``MAX_PAIRWISE_CELLS``."""
-    if n * n > MAX_PAIRWISE_CELLS:
+def check_pairwise_size(n: int, values: int) -> None:
+    """Refuse an export of n samples over ``values`` one-hot columns past ``MAX_PAIRWISE_CELLS``."""
+    cells = n * (n + values)
+    if cells > MAX_PAIRWISE_CELLS:
         raise ValueError(
-            f"a {n}x{n} distance matrix needs {n * n * 8 / 2**30:.1f} GiB; "
+            f"a {n}x{n} distance matrix and its {values}x{n} cost table need {cells * 8 / 2**30:.1f} GiB; "
             f"the limit is {MAX_PAIRWISE_CELLS} cells ({MAX_PAIRWISE_CELLS * 8 / 2**30:.0f} GiB)"
         )
 
@@ -230,9 +239,24 @@ def check_pairwise_size(n: int) -> None:
 def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
     """(n, n) sample-to-sample distances: each sample's distance to n singleton clusters.
 
-    Feeds external embedding tools; quadratic in n by nature, so sample
-    counts past ``check_pairwise_size`` raise ValueError.
+    Feeds external embedding tools; quadratic in n by nature, so exports
+    past ``check_pairwise_size`` raise ValueError.
     """
-    check_pairwise_size(d.n)
-    singletons = profile_from_assignment(d.onehot, np.arange(d.n, dtype=np.int32), d.n)
-    return cluster_distances(d.onehot, value_distance_matrices(d, orders), singletons)
+    check_pairwise_size(d.n, sum(d.cardinalities))
+    return _mean_costs(d.onehot, _singleton_costs(d, orders), d.s_categorical)
+
+
+def _singleton_costs(d: Dataset, orders) -> np.ndarray:
+    """(sum of cardinalities, n) costs of n singleton clusters, sample j in cluster j.
+
+    ``W[c, j]`` is the distance from value c to sample j's value, the one
+    nonzero term of the profile form's product. Returning drops the value
+    distances before the (n, n) product is allocated.
+    """
+    matrices = value_distance_matrices(d, orders)
+    table = np.empty((len(matrices.ranks), d.n))
+    bounds = d.onehot.offsets.tolist()
+    for block, col, a, b in zip(matrices.blocks, d.cat.T, bounds, bounds[1:]):
+        # codes are in range, and "clip" writes in place where "raise" buffers an (l, n) copy
+        np.take(block, col, axis=1, out=table[a:b], mode="clip")
+    return table

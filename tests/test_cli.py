@@ -413,10 +413,11 @@ def test_quadratic_export_refused_before_any_fit(tmp_path, monkeypatch, capsys):
 
 def test_pairwise_distance_matrix_checks_its_size(monkeypatch):
     d = fixtures.load_fixture("DS")
-    monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", d.n * d.n - 1)
+    cells = d.n * (d.n + sum(d.cardinalities))  # the matrix and its (sum l, n) cost table
+    monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", cells - 1)
     with pytest.raises(ValueError, match="distance matrix"):
         metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d))
-    monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", d.n * d.n)
+    monkeypatch.setattr(metric, "MAX_PAIRWISE_CELLS", cells)
     assert metric.pairwise_distance_matrix(d, cli.order.dictionary_orders(d)).shape == (d.n, d.n)
 
 

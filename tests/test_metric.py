@@ -225,6 +225,34 @@ def test_pairwise_export_equals_the_per_attribute_sum(name, kind, rng):
     assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("unordered", [False, True])
+def test_pairwise_export_of_an_id_column_stays_within_its_table(unordered, rng):
+    # an ID-like attribute (l close to n) beside two small ones: the bits of the per-attribute
+    # sum, and a peak of the (n, n) matrix plus one (sum l, n) cost table
+    n = 600
+    ids = rng.permutation(n) % (n - 20)
+    d = make_dataset([[f"u{v}" for v in ids], [f"a{v}" for v in rng.integers(0, 4, n)],
+                      [f"b{v}" for v in rng.integers(0, 7, n)]])
+    o = order.random_orders(d, rng)
+    if unordered:
+        o = order.OrderSet((None,) + o.ranks[1:])
+    expect = np.zeros((d.n, d.n))
+    for mat, col in zip(metric.value_distance_matrices(d, o).blocks, d.cat.T):
+        expect += mat[np.ix_(col, col)]
+    expect /= d.s_categorical
+    assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
+    del expect
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        metric.pairwise_distance_matrix(d, o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.cardinalities == (n - 20, 4, 7)
+    assert peak < d.n * (d.n + sum(d.cardinalities)) * 8 + 2**20
+
+
 def _kernel_instances(rng):
     # random small instances, plus one whose last cluster is empty
     out = [oracle.random_instance(rng) for _ in range(15)]
