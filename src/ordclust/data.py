@@ -18,7 +18,6 @@ import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -68,19 +67,6 @@ class DegenerateColumn:
     value: str
 
 
-class BlockIndex(NamedTuple):
-    """Index arrays over the stacked value columns of a ``OneHot``.
-
-    The per-attribute (l, l) value blocks are laid end to end in attribute
-    order, each row-major: cell (a, g) of attribute r's block pairs columns
-    ``offsets[r] + a`` and ``offsets[r] + g``.
-    """
-
-    span: np.ndarray  # (sum l,) float64: l - 1 of each column's attribute, its largest rank difference
-    rows: np.ndarray  # (sum l**2,) intp: the first column of each block cell
-    cols: np.ndarray  # (sum l**2,) intp: the second column of each block cell
-
-
 @dataclass(frozen=True)
 class OneHot:
     """Categorical table as a one-hot matrix with one column per (attribute, value).
@@ -89,7 +75,7 @@ class OneHot:
     exactly s ones, at columns ``offsets[r] + cat[i, r]`` in attribute order.
     Those column indices are stored once, in ``X.indices``: ``codes`` views
     them as an (n, s) table and ``counts`` tallies them per cluster.
-    ``attribute`` and ``block_index`` are built on first use and kept with it.
+    ``attribute`` and ``segments`` are built on first use and kept with it.
     """
 
     X: sparse.csr_matrix  # (n, sum of cardinalities) float64
@@ -128,15 +114,14 @@ class OneHot:
         return attribute
 
     @functools.cached_property
-    def block_index(self) -> BlockIndex:
-        attribute, lengths = self.attribute, np.diff(self.offsets)
-        runs = lengths[attribute]  # a column's block row holds l cells
-        rows = np.repeat(np.arange(attribute.size), runs)
-        cols = np.arange(rows.size) + np.repeat(self.offsets[attribute] - (np.cumsum(runs) - runs), runs)
-        index = BlockIndex((lengths - 1.0)[attribute], rows, cols)
-        for arr in index:
+    def segments(self) -> tuple:
+        """Read-only (sum of cardinalities,) int64 arrays: each column's 1-based place within its
+        attribute, the attribute's first column, the column past its last, and l - 1."""
+        start, end = self.offsets[:-1][self.attribute], self.offsets[1:][self.attribute]
+        segments = (np.arange(start.size) - start + 1, start, end, end - start - 1)
+        for arr in segments:
             arr.flags.writeable = False
-        return index
+        return segments
 
     def first_maxima(self, table: np.ndarray) -> np.ndarray:
         """(k, s) column of each row's largest entry within each attribute of a (k, sum l) table,

@@ -10,18 +10,21 @@ The kernels work on the Dataset's one-hot encoding (``Dataset.onehot``): a
 CSR matrix X with one column per (attribute, value) and exactly s ones per
 row, stored in attribute order. Per-(cluster, value) tables share its stacked
 (k, sum(l)) layout, attribute r owning columns ``offsets[r]:offsets[r + 1]``.
-One order set becomes one ``ValueDistances``: the stacked ranks R, a mask of
-the values without an order, and the per-attribute (l, l) blocks, views of
-one flat array built in one pass over ``OneHot.block_index``. A profile
-becomes one table W (``value_costs``) of each value's cost against each
-cluster: per attribute, ``block_r @ probs[:, a:b].T`` written into its rows;
-for the mode form, ``|R[c] - R[mode]| / (l - 1)`` (``1 - delta`` without an
-order) at each cluster's first most frequent value, as ``argmax`` picks.
-These are the per-attribute matrices' own operations, so W is the same to
-the bit; one block-diagonal sparse product would reorder each row's sum and
-change some fits. Then
+One order set becomes one ``ValueDistances`` of integer ranks R, with no
+(l, l) table. A profile becomes one table W (``value_costs``) of each value's
+cost against each cluster. Each cell is one division of two integers below
+2**53, so it is correctly rounded and the same on every IEEE-754 machine and
+BLAS kernel, and equal costs are equal floats. The profile form is
+``I[c, m] / ((l - 1) * size_m)`` with ``I[c, m] = sum_g |R[c] - R[g]| * counts[m, g]``:
+over the counts in rank order, with prefix sums A (counts) and B (rank x
+count), the value of rank t has ``I = t (2 A(t) - A0 - A1) - 2 B(t) + B0 + B1``,
+A0/B0 and A1/B1 being the sums before and through its attribute, so O(k *
+sum(l)) work. Without an order it is ``(size_m - counts[m, c]) / size_m``. The
+mode form is ``|R[c] - R[mode]| / (l - 1)`` (``c != mode`` without an order)
+at each cluster's first most frequent value, as ``argmax`` picks. Then
 
-- distances are ``X @ W / s``, with empty clusters set to +inf;
+- distances are ``X @ W / s``, with empty clusters set to +inf. The sparse
+  product adds each row's s terms from zero in attribute order, without BLAS;
 - the profile keeps the integer (k, sum(l)) value counts, tallied by
   ``OneHot.counts`` over the column indices X stores, and divides them once
   into the stacked ``ClusterProfile.probs``. Inside the fit's inner loop the
@@ -34,18 +37,12 @@ change some fits. Then
 - the order refresh (``order.learn_orders``) ranks each value by its cost
   in W;
 - the (n, n) export (``pairwise_distance_matrix``) is every sample's
-  distance to n singleton clusters, ``X @ W / s`` again. A singleton's
-  frequencies are one-hot, so its cost column holds one block entry per
-  value: W is gathered from the blocks at each sample's values, O(n * sum(l))
-  work and cells, with no counts, frequencies or block products.
+  distance to n singleton clusters, ``X @ W / s`` again, where a singleton's
+  cost column is read straight from the ranks: O(n * sum(l)) work and cells.
 
-The distances are bit-identical to evaluating each attribute separately and
-summing in attribute order. Every stored value of X is 1.0, and the sparse
-product accumulates each row's s terms from zero in storage order, which is
-attribute order. k-prototypes (``cluster._centre_loop``) likewise adds its
-categorical mismatches onto the squared numerical distances one attribute at
-a time; adding their total in one step reorders the float sum and changes
-some fits.
+k-prototypes (``cluster._centre_loop``) adds its categorical mismatches onto
+the squared numerical distances one attribute at a time; adding their total
+in one step reorders the float sum and changes some fits.
 """
 
 from __future__ import annotations
@@ -81,44 +78,45 @@ class ClusterProfile:
 class ValueDistances:
     """Value-to-value distances under one order set, over the stacked columns of ``enc``.
 
-    ``blocks[r][a, g]`` is the distance between values a and g of attribute r:
-    ``|R[a] - R[g]| / (l - 1)`` over the stacked ranks R, or ``1 - delta(a, g)``
-    where the attribute has no order. The blocks are views of one flat array.
-    Every array is read-only.
+    Values a and g of one attribute are ``|R[a] - R[g]| / (l - 1)`` apart over
+    the stacked integer ranks R, or ``1 - delta(a, g)`` where the attribute has
+    no order; ``den`` holds each column's denominator. No (l, l) table is
+    built. Every array is read-only.
     """
 
-    ranks: np.ndarray  # (sum l,) float64 rank of each value; 0 where ``unordered``
+    ranks: np.ndarray  # (sum l,) int64 rank of each value; 0 where ``unordered``
     unordered: np.ndarray  # (sum l,) bool: the value's attribute has no order
-    blocks: tuple  # per attribute: (l_r, l_r) float64
+    by_rank: np.ndarray  # (sum l,) intp: each attribute's columns by ascending rank (value order if unordered)
+    through: np.ndarray  # (sum l,) int64: 1 + each value's column in rank order, a zero-led prefix sum's row
+    den: np.ndarray  # (sum l,) int64: l - 1, or 1 where ``unordered``
     enc: OneHot
 
     def __len__(self) -> int:
         """The attribute count, over which distances average."""
-        return len(self.blocks)
+        return len(self.enc.offsets) - 1
 
 
 def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
     """Distances between the values of every categorical attribute under ``orders``.
 
     An attribute whose rank array is None falls back to match/mismatch
-    distances (no usable order): 0 on the diagonal, 1 elsewhere. All blocks
-    come from one pass over ``OneHot.block_index``.
+    distances (no usable order): 0 between equal values, 1 otherwise.
     """
     enc = d.onehot
-    span, rows, cols = enc.block_index
-    ranks = np.concatenate([np.zeros(0)] + [np.zeros(l) if r is None else r  # float64, also with no attribute
-                                            for r, l in zip(orders.ranks, d.cardinalities)])
+    ranks = np.concatenate([np.zeros(0)] + [np.zeros(l) if r is None else r  # also with no attribute
+                            for r, l in zip(orders.ranks, d.cardinalities)]).astype(np.int64)
     if ranks.size != enc.attribute.size:
         raise ValueError("one rank per categorical value required")
+    place, start, _, span = enc.segments
     unordered = np.array([r is None for r in orders.ranks], dtype=bool)[enc.attribute]
-    flat = np.where(unordered[rows], rows != cols, np.abs(ranks[rows] - ranks[cols]) / span[rows])
-    for arr in (ranks, unordered, flat):
+    key = np.where(unordered, place, ranks)
+    by_rank = np.lexsort((key, start))
+    if not np.array_equal(key[by_rank], place):
+        raise ValueError("ranks must be a bijection onto 1..l")
+    through, den = start + key, np.where(unordered, 1, span)
+    for arr in (ranks, unordered, by_rank, through, den):
         arr.flags.writeable = False
-    blocks, at = [], 0
-    for l in d.cardinalities:
-        blocks.append(flat[at:at + l * l].reshape(l, l))
-        at += l * l
-    return ValueDistances(ranks, unordered, tuple(blocks), enc)
+    return ValueDistances(ranks, unordered, by_rank, through, den, enc)
 
 
 # A delta tallies every moved sample twice, after a gather; past this share of
@@ -161,15 +159,20 @@ def value_costs(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np
 
 
 def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np.ndarray:
-    enc = matrices.enc
-    if form == "profile":  # per attribute block @ probs.T, written into its rows of the table
-        table = np.empty((len(matrices.ranks), prof.k))
-        bounds = enc.offsets.tolist()
-        for block, a, b in zip(matrices.blocks, bounds, bounds[1:]):
-            np.matmul(block, prof.probs[:, a:b].T, out=table[a:b])
+    enc, k = matrices.enc, prof.k
+    if form == "profile":  # integer I from prefix sums over the counts in rank order; see the module docstring
+        place, start, end, _ = enc.segments
+        counts = prof.counts.T
+        seq = counts[matrices.by_rank]
+        sums = np.zeros((len(seq) + 1, 2 * k), dtype=np.int64)  # A | B, after a zero row
+        np.cumsum(np.concatenate([seq, seq * place[:, None]], axis=1), axis=0, out=sums[1:])
+        x = 2 * sums[matrices.through] - sums[start] - sums[end]
+        cost = matrices.ranks[:, None] * x[:, :k] - x[:, k:]  # I at each value's own rank t
+        cost = np.where(matrices.unordered[:, None], prof.sizes - counts, cost)
+        table = cost / (matrices.den[:, None] * np.maximum(prof.sizes, 1))
     elif form == "mode":  # each value against its attribute's mode in every cluster
         ranks, modes = matrices.ranks, enc.first_maxima(prof.probs).T[enc.attribute]
-        table = np.abs(ranks[:, None] - ranks[modes]) / enc.block_index.span[:, None]
+        table = np.abs(ranks[:, None] - ranks[modes]) / matrices.den[:, None]
         table = np.where(matrices.unordered[:, None], modes != np.arange(len(ranks))[:, None], table)
     else:
         raise ValueError(f"unknown form {form!r}")
@@ -249,14 +252,18 @@ def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
 def _singleton_costs(d: Dataset, orders) -> np.ndarray:
     """(sum of cardinalities, n) costs of n singleton clusters, sample j in cluster j.
 
-    ``W[c, j]`` is the distance from value c to sample j's value, the one
-    nonzero term of the profile form's product. Returning drops the value
-    distances before the (n, n) product is allocated.
+    ``W[c, j]`` is the distance from value c to sample j's value x,
+    ``|R[c] - R[x]| / (l - 1)`` or ``c != x``, written in place per attribute.
     """
     matrices = value_distance_matrices(d, orders)
-    table = np.empty((len(matrices.ranks), d.n))
+    ranks, table = matrices.ranks, np.empty((len(matrices.ranks), d.n))
     bounds = d.onehot.offsets.tolist()
-    for block, col, a, b in zip(matrices.blocks, d.cat.T, bounds, bounds[1:]):
-        # codes are in range, and "clip" writes in place where "raise" buffers an (l, n) copy
-        np.take(block, col, axis=1, out=table[a:b], mode="clip")
+    for col, a, b in zip(d.cat.T, bounds, bounds[1:]):
+        out = table[a:b]
+        if matrices.unordered[a]:
+            np.not_equal(np.arange(b - a)[:, None], col, out=out)
+        else:
+            np.subtract(ranks[a:b, None], ranks[a:b][col], out=out)
+            np.abs(out, out=out)
+            out /= b - a - 1
     return table

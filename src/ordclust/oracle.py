@@ -126,12 +126,14 @@ def per_row_orders(prof, matrices, form: str = "profile"):
 def consensus_order(positions: tuple, cluster_sizes: np.ndarray, n: int):
     """Cluster-size-weighted mean of each attribute's (k, l_r) ``positions``, ranked ascending.
 
-    Empty clusters carry zero weight and score ties break by value index.
-    Returns (rank arrays, score arrays): the reference for ``order.learn_orders``.
+    The scores are exact fractions, so empty clusters carry zero weight and
+    score ties are real ties, broken by value index. Returns (rank arrays,
+    float score arrays): the reference for ``order.learn_orders``.
     """
-    weights = np.asarray(cluster_sizes, dtype=np.float64) / n
-    scores = tuple(weights @ pos for pos in positions)
-    return tuple(rank_descending(-sc) for sc in scores), scores
+    exact = [[sum(Fraction(int(w) * int(p), n) for w, p in zip(cluster_sizes, col)) for col in pos.T]
+             for pos in positions]
+    ranks = tuple(np.argsort(sorted(range(len(sc)), key=lambda g: (sc[g], g))) + 1 for sc in exact)
+    return ranks, tuple(np.array([float(x) for x in sc]) for sc in exact)
 
 
 def exhaustive_order_search(d: Dataset, q, r: int, m: int):

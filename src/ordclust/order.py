@@ -13,18 +13,15 @@ per value. A refresh is handed the profile and value distance matrices the
 fit already holds for its partition and orders, and rebuilds neither.
 
 A refresh works on the stacked (k, sum(l)) layout of ``Dataset.onehot``
-(attribute r owns columns ``offsets[r]:offsets[r + 1]``), so it makes a fixed
-number of numpy calls rather than a few per (cluster, attribute) row, and
-no pass over the samples: cost, rank, position and consensus are each one
-expression over that table. Every row's cost ranks come from one stable
-two-key ``lexsort`` over (cost, segment start). Equal costs keep value-index
-order because the sort is stable, and the segment start is also what a
-sorted position subtracts to become a rank. The consensus keeps one
-``weights @ positions[:, a:b]`` product per attribute: one stacked product
-adds the terms in another order, and since score ties decide ranks a
-last-bit change can change the orders. All scores are ranked with one more
-``lexsort``. The per-row references (``oracle.per_row_orders`` and
-``oracle.consensus_order``) give identical results.
+(attribute r owns columns ``offsets[r]:offsets[r + 1]``) with a fixed number
+of numpy calls and no pass over the samples. Every row's cost ranks come
+from one stable two-key ``lexsort`` over (cost, segment start): equal costs
+keep value-index order, and the segment start is what a sorted position
+subtracts to become a rank. A value's consensus score is its integer total
+``sizes @ positions``, exact in any summation order, so score ties are real
+ties and break by value index; the printed score is that total / n. The
+per-row references (``oracle.per_row_orders`` and ``oracle.consensus_order``)
+give identical results.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ class OrderSet:
     """
 
     ranks: tuple
-    scores: tuple | None = None  # fractional consensus scores when learned
+    scores: tuple | None = None  # when learned: per value, its size-weighted position total / n
 
     def validate(self, d: Dataset) -> None:
         if len(self.ranks) != d.s_categorical:
@@ -127,18 +124,10 @@ def learn_orders(
     # rank 1 at the centre ceil(l/2), later ranks right, left, right, ... outward
     centre = ((np.diff(enc.offsets) + 1) // 2)[enc.attribute]
     positions = centre - np.where(ranks % 2 == 1, 1, -1) * (ranks // 2)
-    weights = np.asarray(prof.sizes, dtype=np.float64) / d.n
-    scores = np.concatenate([weights @ positions[:, a:b] for a, b in zip(enc.offsets[:-1], enc.offsets[1:])])
+    totals = prof.sizes @ positions  # int64, exact
     cuts = enc.offsets[1:-1]
-    consensus, scores = np.split(_segment_ranks(scores[None, :], enc)[0], cuts), np.split(scores, cuts)
-
-    out_ranks, out_scores = [], []
-    for r, l in enumerate(d.cardinalities):
-        if l <= 2 or (frozen is not None and frozen[r]):
-            prev = current.ranks[r]
-            out_ranks.append(None if prev is None else np.asarray(prev, dtype=np.int64).copy())
-            out_scores.append(None)
-        else:
-            out_ranks.append(consensus[r])
-            out_scores.append(scores[r])
-    return OrderSet(ranks=tuple(out_ranks), scores=tuple(out_scores))
+    consensus, scores = np.split(_segment_ranks(totals[None, :], enc)[0], cuts), np.split(totals / d.n, cuts)
+    passed = [l <= 2 or (frozen is not None and frozen[r]) for r, l in enumerate(d.cardinalities)]
+    out = [(None if prev is None else np.array(prev, dtype=np.int64)) if p else new
+           for p, prev, new in zip(passed, current.ranks, consensus)]
+    return OrderSet(ranks=tuple(out), scores=tuple(None if p else sc for p, sc in zip(passed, scores)))

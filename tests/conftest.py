@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ordclust import cluster
-from ordclust.data import Dataset
+from ordclust import cluster, oracle
+from ordclust.data import Dataset, split_columns
 
 ACCEPTANCE_LINES = []
 
@@ -45,6 +47,25 @@ def make_dataset(columns, labels=None, semantic=None, num=None):
         labels=label_arr,
         label_values=label_values,
     )
+
+
+def exact_profile_costs(d, prof, orders):
+    """(sum l, k) profile-form costs from exact integers: ``float(Fraction(I, den * size))`` per cell.
+
+    ``I[c, m] = sum_g dist[c, g] * counts[m, g]`` over the integer distances
+    ``dist = den * oracle.build_distance_table(d, orders).matrices[r]``, den
+    being l - 1, or 1 where the attribute has no order. An empty cluster's
+    cells are 0.
+    """
+    rows = []
+    mats = oracle.build_distance_table(d, orders).matrices
+    for mat, ranks, count in zip(mats, orders.ranks, split_columns(prof.counts, d.onehot.offsets)):
+        den = 1 if ranks is None else len(mat) - 1
+        dist = np.rint(mat * den).astype(np.int64)
+        assert (dist / den == mat).all()  # the oracle's entries, as integers over den
+        rows += [[float(Fraction(int(i), den * max(int(size), 1))) for i, size in zip(row, prof.sizes)]
+                 for row in dist @ count.T]
+    return np.array(rows, dtype=np.float64).reshape(-1, prof.k)
 
 
 def minmax_columns(num):

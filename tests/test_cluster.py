@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, minmax_columns
-from ordclust import cli, cluster, evaluate, fixtures, metric, order
+from ordclust import cli, cluster, evaluate, fixtures, metric, oracle, order
 from ordclust.cluster import ABLATIONS, FitConfig, Partition
 from ordclust.data import DataError, Dataset, synthesize
 
@@ -363,7 +363,7 @@ def test_hamming_ablation_equals_wo_fit(rng):
         a = cluster.fit(d, FitConfig(k=3, seed=seed, ablation="hamming_only"))
         b = cluster.fit(d, FitConfig(k=3, seed=seed, order_mode="hamming"))
         assert np.array_equal(a.partition.assign, b.partition.assign)
-        for mat in metric.value_distance_matrices(d, a.orders).blocks:
+        for mat in oracle.build_distance_table(d, a.orders).matrices:
             l = mat.shape[0]
             assert np.array_equal(mat, 1.0 - np.eye(l))
 

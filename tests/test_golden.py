@@ -10,13 +10,22 @@ for an intended behaviour change, and say so in the change log:
 
 Before it overwrites the file, the script prints how many entries change
 against the recorded ones and how many change in each field.
+
+The records must not depend on the BLAS kernel numpy dispatches to: a slice
+of them is recomputed in a subprocess forced onto an older OpenBLAS kernel.
 """
 
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from ordclust import cli, cluster, fixtures
 from ordclust.data import synthesize
@@ -51,17 +60,21 @@ def record(part, orders, trace) -> dict:
     }
 
 
+def main_fits(name: str, d) -> dict:
+    """Records of every ``FIXTURE_METHODS`` fit of fixture ``name`` (loaded as ``d``) over ``SEEDS``."""
+    # Seed-major, as the bench and ablate commands fit, so the fits of a seed share their start.
+    fits = cluster.fit_many(d, [cluster.FitConfig(k=fixtures.FIXTURES[name].k, seed=seed, **cli.FIT_METHODS[meth])
+                                for seed in SEEDS for meth in FIXTURE_METHODS])
+    return {f"{name}/{meth}/{seed}": record(*next(fits)) for seed in SEEDS for meth in FIXTURE_METHODS}
+
+
 def compute() -> dict:
     out = {}
     datasets = {name: fixtures.load_fixture(name) for name in fixtures.SMALL_FIXTURES + ("AC",)}
     for name in fixtures.SMALL_FIXTURES:
         d, k = datasets[name], fixtures.FIXTURES[name].k
-        # Seed-major, as the bench and ablate commands fit, so the fits of a seed share their start.
-        fits = cluster.fit_many(d, [cluster.FitConfig(k=k, seed=seed, **cli.FIT_METHODS[meth])
-                                    for seed in SEEDS for meth in FIXTURE_METHODS])
+        out.update(main_fits(name, d))
         for seed in SEEDS:
-            for meth in FIXTURE_METHODS:
-                out[f"{name}/{meth}/{seed}"] = record(*next(fits))
             part, trace = cluster.fit_kmodes(d, k, seed=seed)
             out[f"{name}/kmd/{seed}"] = record(part, None, trace)
         if all(ranks is None for ranks in d.semantic_ranks):
@@ -112,6 +125,46 @@ def test_golden_fits_unchanged():
     changed, fields = changes(expected, got)
     assert not changed, f"{len(changed)} fits changed ({dict(fields)}), first: {changed[:5]}"
     assert dumps(got) == GOLDEN.read_text()
+
+
+def blas_core() -> str | None:
+    """The kernel name numpy's bundled OpenBLAS reports, or None without that library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+KERNEL_SLICE = ("HR", "VT", "ZO", "TT")
+SLICE_SCRIPT = f"""
+import json, test_golden
+from ordclust import fixtures
+records = {{}}
+for name in {KERNEL_SLICE!r}:
+    records.update(test_golden.main_fits(name, fixtures.load_fixture(name)))
+print(json.dumps({{"core": test_golden.blas_core(), "records": records}}))
+"""
+
+
+def test_records_do_not_depend_on_the_blas_kernel():
+    # Prescott has no FMA and rounds float products differently from the default kernel;
+    # a test run already forced onto Prescott checks Sandybridge instead
+    if blas_core() is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    forced = "Sandybridge" if os.environ.get("OPENBLAS_CORETYPE", "").lower() == "prescott" else "Prescott"
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(cli.__file__).parent.parent),
+                            os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_CORETYPE=forced, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", SLICE_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    assert got["core"] != blas_core()  # two kernels, not the same one twice
+    expected = {}
+    for name in KERNEL_SLICE:
+        expected.update(main_fits(name, fixtures.load_fixture(name)))
+    changed, fields = changes(expected, got["records"])
+    assert not changed, f"{len(changed)} fits changed ({dict(fields)}), first: {changed[:5]}"
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import exact_profile_costs, make_dataset
 from ordclust import cluster, metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import Dataset, split_columns
@@ -159,10 +160,14 @@ def test_order_reversal_leaves_distances_unchanged(rng):
     o = order.random_orders(d, rng)
     mirrored = order.OrderSet(tuple(len(r) + 1 - r for r in o.ranks))
     assert metric.objective(d, q, o) == pytest.approx(metric.objective(d, q, mirrored), rel=1e-12)
-    ta = metric.value_distance_matrices(d, o)
-    tb = metric.value_distance_matrices(d, mirrored)
-    for a, b in zip(ta.blocks, tb.blocks):
+    ta = oracle.build_distance_table(d, o).matrices
+    tb = oracle.build_distance_table(d, mirrored).matrices
+    for a, b in zip(ta, tb):
         assert np.allclose(a, b)
+    # the kernel's cost table reads the reversed rank order and gives the same bits
+    prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
+    costs = [metric.value_costs(metric.value_distance_matrices(d, x), prof, "profile") for x in (o, mirrored)]
+    assert costs[0].tobytes() == costs[1].tobytes()
 
 
 def test_binary_collapse_is_exact(rng):
@@ -187,7 +192,7 @@ def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng):
     d = synthesize(1000, 5, 3, values_per_attribute=6, seed=4)
     o = order.OrderSet((None,) + order.random_orders(d, rng).ranks[1:])  # one match/mismatch attribute
     expect = np.zeros((d.n, d.n))
-    for mat, col in zip(metric.value_distance_matrices(d, o).blocks, d.cat.T):
+    for mat, col in zip(oracle.build_distance_table(d, o).matrices, d.cat.T):
         expect += mat[np.ix_(col, col)]
     expect /= d.s_categorical
     assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
@@ -219,7 +224,7 @@ def test_pairwise_export_equals_the_per_attribute_sum(name, kind, rng):
     else:
         o = getattr(order, f"{kind}_orders")(d)
     expect = np.zeros((d.n, d.n))
-    for mat, col in zip(metric.value_distance_matrices(d, o).blocks, d.cat.T):
+    for mat, col in zip(oracle.build_distance_table(d, o).matrices, d.cat.T):
         expect += mat[np.ix_(col, col)]
     expect /= max(d.s_categorical, 1)
     assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
@@ -237,7 +242,7 @@ def test_pairwise_export_of_an_id_column_stays_within_its_table(unordered, rng):
     if unordered:
         o = order.OrderSet((None,) + o.ranks[1:])
     expect = np.zeros((d.n, d.n))
-    for mat, col in zip(metric.value_distance_matrices(d, o).blocks, d.cat.T):
+    for mat, col in zip(oracle.build_distance_table(d, o).matrices, d.cat.T):
         expect += mat[np.ix_(col, col)]
     expect /= d.s_categorical
     assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
@@ -274,20 +279,36 @@ def test_value_distance_matrices_equal_the_oracle_table(rng):
         for orders in _order_sets(d, q, o):
             got = metric.value_distance_matrices(d, orders)
             want = oracle.build_distance_table(d, orders).matrices
-            assert len(got) == len(got.blocks) == len(want) == d.s_categorical
-            for a, b in zip(got.blocks, want):
-                assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert len(got) == len(want) == d.s_categorical
+            for b, a0, a1 in zip(want, d.onehot.offsets, d.onehot.offsets[1:]):
+                l, ranks = a1 - a0, got.ranks[a0:a1]
+                values = np.arange(l)
+                if got.unordered[a0]:
+                    block = (values[:, None] != values).astype(np.float64)
+                else:
+                    block = np.abs(ranks[:, None] - ranks) / (l - 1)
+                    assert ranks[got.by_rank[a0:a1] - a0].tolist() == list(range(1, l + 1))
+                    assert got.through[a0:a1].tolist() == (a0 + ranks).tolist()
+                assert b.dtype == np.float64 and block.shape == b.shape
+                assert block.tobytes() == b.tobytes()
+                assert got.den[a0:a1].tolist() == [1 if got.unordered[a0] else l - 1] * l
             stacked = [np.zeros(l) if r is None else r for r, l in zip(orders.ranks, d.cardinalities)]
-            assert got.ranks.tobytes() == np.concatenate(stacked).astype(np.float64).tobytes()
+            assert got.ranks.tolist() == np.concatenate(stacked).astype(np.int64).tolist()
             assert got.unordered.tolist() == [r is None for r, l in zip(orders.ranks, d.cardinalities) for _ in range(l)]
-            for arr in (got.ranks, got.unordered, *got.blocks):
+            for arr in (got.ranks, got.unordered, got.by_rank, got.through, got.den):
                 assert not arr.flags.writeable
+
+
+def test_value_distance_matrices_refuse_ranks_that_are_no_bijection():
+    d = make_dataset([["a", "b", "c", "a"]])
+    for ranks in ([1, 1, 3], [0, 1, 2], [1, 2, 4]):
+        with pytest.raises(ValueError, match="bijection"):
+            metric.value_distance_matrices(d, order.OrderSet((np.array(ranks),)))
 
 
 @pytest.mark.parametrize("form", ["profile", "mode"])
 def test_cost_tables_equal_per_attribute_products_of_the_oracle_matrices(rng, form):
-    # profile: mat @ probs.T per attribute; mode: the columns of each cluster's argmax value
+    # profile: each cell the exact ratio I / (den * size); mode: the columns of each cluster's argmax value
     ties = 0
     for d, q, o in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
@@ -295,11 +316,56 @@ def test_cost_tables_equal_per_attribute_products_of_the_oracle_matrices(rng, fo
         ties += sum(int(((p == p.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum()) for p in probs)
         for orders in _order_sets(d, q, o):
             mats = oracle.build_distance_table(d, orders).matrices
-            want = np.vstack([mat @ p.T if form == "profile" else mat[:, p.argmax(axis=1)]
-                              for mat, p in zip(mats, probs)])
+            want = exact_profile_costs(d, prof, orders) if form == "profile" else np.vstack(
+                [mat[:, p.argmax(axis=1)] for mat, p in zip(mats, probs)])
             got = metric.value_costs(metric.value_distance_matrices(d, orders), prof, form)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert ties > 0  # modes tied within a cluster, the lowest value index wins
+
+
+def _sized_dataset(cols, cards):
+    return Dataset(cat=np.column_stack(cols).astype(np.int32), num=np.empty((len(cols[0]), 0)),
+                   dictionaries=tuple(tuple(str(g) for g in range(l)) for l in cards),
+                   cat_names=tuple(f"a{r}" for r in range(len(cards))),
+                   semantic_ranks=tuple(None for _ in cards), num_names=())
+
+
+def test_profile_cost_cells_are_exact_integer_ratios(rng):
+    # random instances: 1-5 attributes, l from 2 to 11, 30% of them unordered, some clusters empty
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        sizes = rng.integers(0, 9, size=k)
+        sizes[0] += 1
+        cards = [int(l) for l in rng.integers(2, 12, size=int(rng.integers(1, 6)))]
+        d = _sized_dataset([rng.integers(0, l, size=sizes.sum()) for l in cards], cards)
+        prof = metric.profile_from_assignment(d.onehot, np.repeat(np.arange(k), sizes).astype(np.int32), k)
+        orders = order.OrderSet(tuple(None if rng.random() < 0.3 else rng.permutation(l) + 1 for l in cards))
+        got = metric.value_costs(metric.value_distance_matrices(d, orders), prof, "profile")
+        assert got.tobytes() == exact_profile_costs(d, prof, orders).tobytes()
+    # one attribute of 4,000 values at k = 8: the integer sums straight from the ranks, in row chunks
+    l, k = 4000, 8
+    counts = rng.integers(0, 4, size=(k, l))
+    d = _sized_dataset([np.concatenate([np.repeat(np.arange(l), row) for row in counts])], [l])
+    ranks = rng.permutation(l) + 1
+    prof = metric.profile_from_assignment(d.onehot, np.repeat(np.arange(k), counts.sum(axis=1)).astype(np.int32), k)
+    assert np.array_equal(prof.counts, counts)
+    got = metric.value_costs(metric.value_distance_matrices(d, order.OrderSet((ranks,))), prof, "profile")
+    for c in (0, 1234, l - 1):  # the oracle's rows are these integers over l - 1
+        assert (oracle.order_distance_vector(c, ranks) == np.abs(ranks[c] - ranks) / (l - 1)).all()
+    for a in range(0, l, 500):
+        integer = np.abs(ranks[a:a + 500, None] - ranks) @ counts.T
+        want = [[float(Fraction(int(i), (l - 1) * int(size))) for i, size in zip(row, prof.sizes)] for row in integer]
+        assert got[a:a + 500].tolist() == want
+
+
+def test_value_distances_of_an_id_column_take_no_quadratic_memory(rng):
+    # one 580-value attribute over 600 rows: the distances stay far below one (n, n) float64
+    # matrix; the (l, l) blocks and their index took 4x it
+    n = 600
+    d = make_dataset([[f"u{v}" for v in rng.permutation(n) % (n - 20)]])
+    o = order.random_orders(d, rng)
+    peak = _traced_peak(lambda: metric.value_distance_matrices(d, o))  # index arrays built here, on first use
+    assert d.cardinalities == (n - 20,) and peak < 0.1 * n * n * 8
 
 
 @pytest.mark.parametrize("form", ["profile", "mode"])
@@ -329,9 +395,10 @@ def test_distance_kernels_sum_attributes_in_order(rng, form):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         mats = metric.value_distance_matrices(d, o)
         probs = split_columns(prof.probs, d.onehot.offsets)
+        exact = split_columns(exact_profile_costs(d, prof, o).T, d.onehot.offsets)
         expect = np.zeros((d.n, q.k))
-        for r, mat in enumerate(mats.blocks):
-            cols = mat @ probs[r].T if form == "profile" else mat[:, probs[r].argmax(axis=1)]
+        for r, mat in enumerate(oracle.build_distance_table(d, o).matrices):
+            cols = exact[r].T if form == "profile" else mat[:, probs[r].argmax(axis=1)]
             expect += cols[d.cat[:, r]]
         expect /= d.s_categorical
         expect[:, prof.empty] = np.inf
@@ -360,10 +427,11 @@ def test_objective_total_matches_oracle(rng, form):
         table = oracle.build_distance_table(d, o)
         got = metric.objective_total(metric.value_distance_matrices(d, o), prof, form)
         probs = split_columns(prof.probs, d.onehot.offsets)
+        exact = split_columns(exact_profile_costs(d, prof, o).T, d.onehot.offsets)
         # the exactly rounded sum of count x cost over the (k, sum l) cells, reproduced exactly
         products = []
         for r, mat in enumerate(table.matrices):
-            cols = mat @ probs[r].T if form == "profile" else mat[:, probs[r].argmax(axis=1)]
+            cols = exact[r].T if form == "profile" else mat[:, probs[r].argmax(axis=1)]
             for g in range(d.cardinalities[r]):
                 for m in range(q.k):
                     products.append(int(((d.cat[:, r] == g) & (q.assign == m)).sum()) * cols[g, m])
@@ -497,16 +565,14 @@ def test_value_costs_table_is_shared_and_read_only(rng):
 def test_value_costs_keeps_one_table_per_matrices_tuple(rng, monkeypatch):
     builds = _count_builds(monkeypatch)
     d, prof = _costed_profile(rng)
-    first = metric.value_distance_matrices(d, order.dictionary_orders(d))
-    other = metric.value_distance_matrices(d, order.random_orders(d, np.random.default_rng(7)))
+    orders = order.dictionary_orders(d), order.random_orders(d, np.random.default_rng(7))
+    first, other = (metric.value_distance_matrices(d, o) for o in orders)
     tables = [metric.value_costs(m, prof, "profile") for m in (first, other, first, other)]
     assert tables[0] is tables[2] and tables[1] is tables[3]
     assert len(builds) == 2 and builds[0] is first and builds[1] is other
     assert tables[0].tobytes() != tables[1].tobytes()
-    for matrices, table in zip((first, other), tables):
-        probs = split_columns(prof.probs, d.onehot.offsets)
-        expected = np.vstack([mat @ p.T for mat, p in zip(matrices.blocks, probs)])
-        assert table.tobytes() == expected.tobytes()
+    for o, table in zip(orders, tables):
+        assert table.tobytes() == exact_profile_costs(d, prof, o).tobytes()
 
 
 def test_value_costs_rebuilds_for_a_new_equal_tuple(rng, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import exact_profile_costs, make_dataset
 from ordclust import metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import Dataset, split_columns, synthesize
@@ -105,9 +105,11 @@ def test_stacked_refresh_equals_per_row_oracle(rng):
             num_names=(),
         )
         prof = metric.profile_from_assignment(d.onehot, np.repeat(np.arange(k), sizes).astype(np.int32), k)
-        matrices = metric.value_distance_matrices(d, order.OrderSet(tuple(
-            None if rng.random() < 0.3 else rng.permutation(l) + 1 for l in cards)))
+        orders = order.OrderSet(tuple(None if rng.random() < 0.3 else rng.permutation(l) + 1 for l in cards))
+        matrices = metric.value_distance_matrices(d, orders)
         costs = metric.value_costs(matrices, prof, form).T
+        if form == "profile":  # every cell the exact ratio, so equal costs are equal floats
+            assert costs.T.tobytes() == exact_profile_costs(d, prof, orders).tobytes()
         offsets = d.onehot.offsets
 
         ranks, positions = oracle.per_row_orders(prof, matrices, form)
@@ -194,13 +196,33 @@ def test_learn_orders_equal_costs_keep_value_index():
 
 def test_learn_orders_pure_clusters_hand_trace():
     # three pure clusters on [a, b, c] with sizes 3/1/1; per-cluster
-    # placements fold around each pure value, and the size-weighted blend
-    # gives a=2, b=3, c=1: the dominant cluster's value takes the centre
+    # placements (a, b, c) are (2, 3, 1), (3, 2, 1) and (3, 1, 2), so the
+    # size-weighted totals are 12, 12 and 6 over n = 5. a and b tie exactly
+    # at 2.4 and keep value-index order: a=2, b=3, c=1
     d = make_dataset([["a", "a", "a", "b", "c"]])
     q = Partition(np.array([0, 0, 0, 1, 2], dtype=np.int32), 3)
     learned = refresh(d, q, order.dictionary_orders(d))
     assert learned.ranks[0].tolist() == [2, 3, 1]
     assert learned.ranks[0][0] == 2  # central rank of three
+    assert learned.scores[0].tolist() == [12 / 5, 12 / 5, 6 / 5]
+
+
+def test_learn_orders_ranks_an_exact_cost_tie_by_value_index():
+    # A refresh row of fixture HR (k = 3, seed 4, attribute 3, cluster 1) under
+    # dictionary ranks: counts (15, 10, 3, 2) of 30 give a and b the same cost,
+    # 22 / 90. Costs from float products ranked b first there; the exact
+    # costs tie, and a keeps its value-index place
+    counts = [[57, 16, 11, 0], [15, 10, 3, 2], [0, 5, 12, 1]]
+    d = make_dataset([[v for row in counts for v, c in zip("abcd", row) for _ in range(c)]])
+    assign = np.repeat(np.arange(3), [sum(row) for row in counts]).astype(np.int32)
+    prof = metric.profile_from_assignment(d.onehot, assign, 3)
+    assert prof.counts.tolist() == counts
+    matrices = metric.value_distance_matrices(d, order.dictionary_orders(d))
+    costs = metric.value_costs(matrices, prof, "profile")
+    assert costs[:, 1].tolist() == [22 / 90, 22 / 90, 42 / 90, 68 / 90]
+    ranks = order._segment_ranks(np.where(prof.counts > 0, costs.T, np.inf), d.onehot)
+    assert ranks[1].tolist() == [1, 2, 3, 4]
+    assert order.learn_orders(d, prof, matrices, order.dictionary_orders(d)).ranks[0].tolist() == [2, 3, 1, 4]
 
 
 def test_learn_orders_deterministic(rng):
