@@ -81,13 +81,15 @@ class ValueDistances:
     Values a and g of one attribute are ``|R[a] - R[g]| / (l - 1)`` apart over
     the stacked integer ranks R, or ``1 - delta(a, g)`` where the attribute has
     no order; ``den`` holds each column's denominator. No (l, l) table is
-    built. Every array is read-only.
+    built: the profile-form costs come from prefix sums over the columns in
+    ``by_rank`` order, read at the rows ``prefix_rows`` names for each value.
+    Every array is read-only.
     """
 
     ranks: np.ndarray  # (sum l,) int64 rank of each value; 0 where ``unordered``
     unordered: np.ndarray  # (sum l,) bool: the value's attribute has no order
     by_rank: np.ndarray  # (sum l,) intp: each attribute's columns by ascending rank (value order if unordered)
-    through: np.ndarray  # (sum l,) int64: 1 + each value's column in rank order, a zero-led prefix sum's row
+    prefix_rows: np.ndarray  # (3, sum l) int64: prefix row through the value's rank, its attribute's start and end
     den: np.ndarray  # (sum l,) int64: l - 1, or 1 where ``unordered``
     enc: OneHot
 
@@ -107,16 +109,16 @@ def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
                             for r, l in zip(orders.ranks, d.cardinalities)]).astype(np.int64)
     if ranks.size != enc.attribute.size:
         raise ValueError("one rank per categorical value required")
-    place, start, _, span = enc.segments
+    place, start, end, span = enc.segments
     unordered = np.array([r is None for r in orders.ranks], dtype=bool)[enc.attribute]
     key = np.where(unordered, place, ranks)
     by_rank = np.lexsort((key, start))
     if not np.array_equal(key[by_rank], place):
         raise ValueError("ranks must be a bijection onto 1..l")
-    through, den = start + key, np.where(unordered, 1, span)
-    for arr in (ranks, unordered, by_rank, through, den):
+    prefix_rows, den = np.stack([start + key, start, end]), np.where(unordered, 1, span)
+    for arr in (ranks, unordered, by_rank, prefix_rows, den):
         arr.flags.writeable = False
-    return ValueDistances(ranks, unordered, by_rank, through, den, enc)
+    return ValueDistances(ranks, unordered, by_rank, prefix_rows, den, enc)
 
 
 # A delta tallies every moved sample twice, after a gather; past this share of
@@ -160,15 +162,17 @@ def value_costs(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np
 
 def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np.ndarray:
     enc, k = matrices.enc, prof.k
-    if form == "profile":  # integer I from prefix sums over the counts in rank order; see the module docstring
-        place, start, end, _ = enc.segments
-        counts = prof.counts.T
-        seq = counts[matrices.by_rank]
-        sums = np.zeros((len(seq) + 1, 2 * k), dtype=np.int64)  # A | B, after a zero row
-        np.cumsum(np.concatenate([seq, seq * place[:, None]], axis=1), axis=0, out=sums[1:])
-        x = 2 * sums[matrices.through] - sums[start] - sums[end]
-        cost = matrices.ranks[:, None] * x[:, :k] - x[:, k:]  # I at each value's own rank t
-        cost = np.where(matrices.unordered[:, None], prof.sizes - counts, cost)
+    if form == "profile":  # integer numerators over den * size; see the module docstring
+        counts, unordered = prof.counts.T, matrices.unordered[:, None]
+        cost = prof.sizes - counts  # without an order: the samples holding another value
+        if not unordered.all():  # I from prefix sums A | B over the counts in rank order
+            sums = np.zeros((len(counts) + 1, 2 * k), dtype=np.int64)
+            sums[1:, :k] = counts[matrices.by_rank]
+            np.multiply(sums[1:, :k], enc.segments[0][:, None], out=sums[1:, k:])
+            np.cumsum(sums, axis=0, out=sums)
+            at, before, end = sums[matrices.prefix_rows]
+            x = 2 * at - before - end
+            cost = np.where(unordered, cost, matrices.ranks[:, None] * x[:, :k] - x[:, k:])
         table = cost / (matrices.den[:, None] * np.maximum(prof.sizes, 1))
     elif form == "mode":  # each value against its attribute's mode in every cluster
         ranks, modes = matrices.ranks, enc.first_maxima(prof.probs).T[enc.attribute]

@@ -133,7 +133,7 @@ def blas_core() -> str | None:
     if not libs:
         return None
     corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
 

@@ -288,14 +288,14 @@ def test_value_distance_matrices_equal_the_oracle_table(rng):
                 else:
                     block = np.abs(ranks[:, None] - ranks) / (l - 1)
                     assert ranks[got.by_rank[a0:a1] - a0].tolist() == list(range(1, l + 1))
-                    assert got.through[a0:a1].tolist() == (a0 + ranks).tolist()
+                    assert got.prefix_rows[:, a0:a1].tolist() == [(a0 + ranks).tolist(), [a0] * l, [a1] * l]
                 assert b.dtype == np.float64 and block.shape == b.shape
                 assert block.tobytes() == b.tobytes()
                 assert got.den[a0:a1].tolist() == [1 if got.unordered[a0] else l - 1] * l
             stacked = [np.zeros(l) if r is None else r for r, l in zip(orders.ranks, d.cardinalities)]
             assert got.ranks.tolist() == np.concatenate(stacked).astype(np.int64).tolist()
             assert got.unordered.tolist() == [r is None for r, l in zip(orders.ranks, d.cardinalities) for _ in range(l)]
-            for arr in (got.ranks, got.unordered, got.by_rank, got.through, got.den):
+            for arr in (got.ranks, got.unordered, got.by_rank, got.prefix_rows, got.den):
                 assert not arr.flags.writeable
 
 
