@@ -127,7 +127,7 @@ def learn_orders(
     totals = prof.sizes @ positions  # int64, exact
     cuts = enc.offsets[1:-1]
     consensus, scores = np.split(_segment_ranks(totals[None, :], enc)[0], cuts), np.split(totals / d.n, cuts)
-    passed = [l <= 2 or (frozen is not None and frozen[r]) for r, l in enumerate(d.cardinalities)]
-    out = [(None if prev is None else np.array(prev, dtype=np.int64)) if p else new
-           for p, prev, new in zip(passed, current.ranks, consensus)]
-    return OrderSet(ranks=tuple(out), scores=tuple(None if p else sc for p, sc in zip(passed, scores)))
+    for r, (l, prev) in enumerate(zip(d.cardinalities, current.ranks)):
+        if l <= 2 or (frozen is not None and frozen[r]):  # passed through unchanged
+            consensus[r], scores[r] = (None if prev is None else np.array(prev, dtype=np.int64)), None
+    return OrderSet(ranks=tuple(consensus), scores=tuple(scores))

@@ -138,14 +138,15 @@ def blas_core() -> str | None:
 
 
 KERNEL_SLICE = ("HR", "VT", "ZO", "TT")
-SLICE_SCRIPT = f"""
-import json, test_golden
-from ordclust import fixtures
-records = {{}}
-for name in {KERNEL_SLICE!r}:
-    records.update(test_golden.main_fits(name, fixtures.load_fixture(name)))
-print(json.dumps({{"core": test_golden.blas_core(), "records": records}}))
-"""
+SLICE_SCRIPT = "import json, test_golden; print(json.dumps([test_golden.blas_core(), test_golden.kernel_slice()]))"
+
+
+def kernel_slice() -> dict:
+    """``main_fits`` records of the ``KERNEL_SLICE`` fixtures."""
+    records = {}
+    for name in KERNEL_SLICE:
+        records.update(main_fits(name, fixtures.load_fixture(name)))
+    return records
 
 
 def test_records_do_not_depend_on_the_blas_kernel():
@@ -157,13 +158,11 @@ def test_records_do_not_depend_on_the_blas_kernel():
     path = os.pathsep.join([str(Path(__file__).parent), str(Path(cli.__file__).parent.parent),
                             os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_CORETYPE=forced, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", SLICE_SCRIPT], env=env, capture_output=True, text=True, check=True)
-    got = json.loads(out.stdout)
-    assert got["core"] != blas_core()  # two kernels, not the same one twice
-    expected = {}
-    for name in KERNEL_SLICE:
-        expected.update(main_fits(name, fixtures.load_fixture(name)))
-    changed, fields = changes(expected, got["records"])
+    out = subprocess.run([sys.executable, "-c", SLICE_SCRIPT], env=env, capture_output=True, text=True,
+                         check=True, timeout=600)
+    core, records = json.loads(out.stdout)
+    assert core != blas_core()  # two kernels, not the same one twice
+    changed, fields = changes(kernel_slice(), records)
     assert not changed, f"{len(changed)} fits changed ({dict(fields)}), first: {changed[:5]}"
 
 

@@ -359,8 +359,8 @@ def test_profile_cost_cells_are_exact_integer_ratios(rng):
 
 
 def test_value_distances_of_an_id_column_take_no_quadratic_memory(rng):
-    # one 580-value attribute over 600 rows: the distances stay far below one (n, n) float64
-    # matrix; the (l, l) blocks and their index took 4x it
+    # one 580-value attribute over 600 rows: O(l) value distances stay far below one (n, n)
+    # float64 matrix, where a single (l, l) float64 table would be 0.93x it
     n = 600
     d = make_dataset([[f"u{v}" for v in rng.permutation(n) % (n - 20)]])
     o = order.random_orders(d, rng)
