@@ -2,9 +2,12 @@
 
 Every entry of ``golden/fits.json`` records one fit's partition digest, learned
 ranks, best objective (``float.hex``), a digest of the objective trajectory,
-the inner iteration counts and the accepted order updates. A change that
-claims "same behaviour" leaves the file byte-identical. Regenerate it only
-for an intended behaviour change, and say so in the change log:
+a digest of the start objective and the segment baselines, the inner iteration
+counts, the refresh iterations, the epochs, the accepted order updates and
+whether the fit converged. A slice of fits runs under tight iteration caps, so
+capped traces are locked too. A change that claims "same behaviour" leaves the
+file byte-identical. Regenerate it only for an intended behaviour change, and
+say so in the change log:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -39,6 +42,7 @@ ORDINAL_VARIANTS = {
     "random_partition": {"init": "random_partition"},
 }
 ORDINAL_SEEDS = range(5)
+CAPPED_SEEDS = range(5)
 
 
 def _digest(data: bytes) -> str:
@@ -50,22 +54,32 @@ def record(part, orders, trace) -> dict:
     if orders is not None:
         ranks = [None if r is None else [int(v) for v in r] for r in orders.ranks]
     values = ",".join(float(v).hex() for v in trace.objective_values)
+    baselines = ",".join(float(v).hex() for v in [trace.init_objective, *trace.epoch_baselines])
     return {
         "partition": _digest(part.assign.astype("<i4").tobytes()),
         "ranks": ranks,
         "best_objective": float(trace.best_objective).hex(),
         "objective_values": _digest(values.encode()),
+        "baselines": _digest(baselines.encode()),
         "inner_counts": [int(c) for c in trace.inner_counts],
+        "order_update_iterations": [int(i) for i in trace.order_update_iterations],
+        "epochs": int(trace.epochs),
         "accepted_order_updates": int(trace.accepted_order_updates),
+        "converged": bool(trace.converged),
     }
 
 
-def main_fits(name: str, d) -> dict:
-    """Records of every ``FIXTURE_METHODS`` fit of fixture ``name`` (loaded as ``d``) over ``SEEDS``."""
+def main_fits(name: str, d, methods=FIXTURE_METHODS, seeds=SEEDS, **caps) -> dict:
+    """Records of every fit of fixture ``name`` (loaded as ``d``) by ``methods`` over ``seeds``.
+
+    ``caps`` are ``FitConfig`` iteration caps set on every fit and named in the keys.
+    """
+    tag = "".join(f"@{cap}={value}" for cap, value in caps.items())
     # Seed-major, as the bench and ablate commands fit, so the fits of a seed share their start.
-    fits = cluster.fit_many(d, [cluster.FitConfig(k=fixtures.FIXTURES[name].k, seed=seed, **cli.FIT_METHODS[meth])
-                                for seed in SEEDS for meth in FIXTURE_METHODS])
-    return {f"{name}/{meth}/{seed}": record(*next(fits)) for seed in SEEDS for meth in FIXTURE_METHODS}
+    k = fixtures.FIXTURES[name].k
+    fits = cluster.fit_many(d, [cluster.FitConfig(k=k, seed=seed, **cli.FIT_METHODS[meth], **caps)
+                                for seed in seeds for meth in methods])
+    return {f"{name}/{meth}{tag}/{seed}": record(*next(fits)) for seed in seeds for meth in methods}
 
 
 def compute() -> dict:
@@ -83,6 +97,9 @@ def compute() -> dict:
             for seed in ORDINAL_SEEDS:
                 res = cluster.fit(d, cluster.FitConfig(k=k, seed=seed, **kwargs))
                 out[f"{name}/{variant}/{seed}"] = record(*res)
+    out.update(main_fits("HR", datasets["HR"], ("main",), CAPPED_SEEDS, max_outer=1))
+    # HR, not SB: from the k-modes start every SB segment stops at its first step, so no SB fit hits max_inner=1
+    out.update(main_fits("HR", datasets["HR"], FIXTURE_METHODS, CAPPED_SEEDS, max_inner=1))
     d, k = datasets["AC"], fixtures.FIXTURES["AC"].k
     for seed in SEEDS:
         out[f"AC/mixed/{seed}"] = record(*cluster.fit_mixed(d, cluster.FitConfig(k=k, seed=seed)))
