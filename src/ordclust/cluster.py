@@ -1,11 +1,15 @@
 """Clustering drivers: the alternating order/partition fit, baselines, ablations.
 
-The main fit alternates two phases. The inner loop holds the value orders
-fixed and repeats assignment + profile refresh while the objective strictly
-decreases. The outer loop relearns the orders from the converged partition
-and runs another inner loop, stopping when an epoch fails to improve. The
-best objective visited wins; the non-improving terminal steps are recorded
-in the trace but never returned.
+The main fit is one loop of epochs. An epoch refreshes the value orders from
+the kept partition, then runs an inner segment under them: assignment and
+profile refresh while the objective strictly decreases. Full alternation
+refreshes in every epoch, up to ``max_outer`` epochs; the other flows keep
+their initial orders in the first epoch, and ``single_order_update`` adds one
+refreshing epoch. An epoch's last decreasing state is kept unless the epoch
+refreshed and failed to lower the objective, which ends the fit, so the kept
+state is the best visited; the non-improving steps are recorded in the trace
+but never returned. A fit is converged unless a segment ran out of
+``max_inner`` or full alternation ran out of ``max_outer``.
 """
 
 from __future__ import annotations
@@ -122,36 +126,6 @@ class FitResult(NamedTuple):
     trace: FitTrace
 
 
-def _inner_segment(enc, matrices, form, assign0, prof, l_base, trace, max_inner):
-    """Alternate assignment and profile refresh until L stops strictly decreasing.
-
-    ``prof`` is the profile of ``assign0``. Each step's profile is the
-    previous one updated by the samples that changed cluster, and its
-    objective comes from that profile's count table, so after the distances
-    a step costs O(k * sum l + moved * s) rather than O(n * s). Returns the
-    last strictly-improving state (or the start state when the first step
-    already fails to improve) as (assignment, profile, objective), plus
-    whether the segment ended on a non-improving step rather than at
-    ``max_inner``. The distance kernel is read off ``metric`` at every step,
-    so a wrapper installed there sees each call.
-    """
-    cur_assign, l_prev, k = assign0, l_base, prof.k
-    trace.epoch_baselines.append(l_base)
-    converged = False
-    for iters in range(1, max_inner + 1):
-        dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(enc, matrices, prof)
-        new_assign = dist.argmin(axis=1).astype(np.int32)
-        new_prof = metric.profile_from_assignment(enc, new_assign, k, prev=(cur_assign, prof))
-        l_new = metric.objective_total(matrices, new_prof, form)
-        trace.objective_values.append(l_new)
-        if l_new >= l_prev:
-            converged = True
-            break
-        cur_assign, prof, l_prev = new_assign, new_prof, l_new
-    trace.inner_counts.append(iters)
-    return cur_assign, prof, l_prev, converged
-
-
 def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
     if cfg.init == "kmodes_once":  # looked up on the module, so a wrapper installed there sees the call
         return fit_kmodes(d, cfg.k, seed=seed_seq)[0].assign
@@ -219,12 +193,11 @@ def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.Or
 
 
 def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
-    """Joint order and partition fit (with every ablation and order mode).
+    """Joint order and partition fit, with every ablation and order mode: the module's epoch loop.
 
-    Full alternation refreshes the orders up to ``max_outer`` times; every
-    other flow first converges under the initial orders, then refreshes them
-    once (``single_order_update``) or not at all. The first refresh whose
-    segment fails to improve ends the loop, so the last kept state is the best.
+    An epoch is an order refresh (``learn_orders``, its value distances and
+    the kept state's objective under them; skipped in the first epoch of a
+    flow that does not alternate) and then an inner segment from the kept state.
 
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
@@ -239,7 +212,7 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
     alternating = cfg.learns_orders and cfg.ablation != "single_order_update"
-    refreshes = cfg.max_outer if alternating else int(cfg.learns_orders)
+    epochs = cfg.max_outer if alternating else 1 + cfg.learns_orders
     frozen = None
     if cfg.ordinal_policy == "preserve_ordinal":
         frozen = tuple(ranks is not None for ranks in d.semantic_ranks)
@@ -251,25 +224,34 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     l_cur = metric.objective_total(matrices, prof, form)
     trace.init_objective = l_cur
     trace.converged = True
-    if not alternating:
-        cur_assign, prof, l_cur, trace.converged = _inner_segment(
-            enc, matrices, form, cur_assign, prof, l_cur, trace, cfg.max_inner
-        )
-    # Invariant at every refresh: ``prof`` is the profile of ``cur_assign`` and
-    # ``matrices`` the value distances of ``cur_orders``.
-    for _ in range(refreshes):
-        new_orders = order.learn_orders(d, prof, matrices, cur_orders, form=form, frozen=frozen)
-        new_matrices = metric.value_distance_matrices(d, new_orders)
-        l_base = metric.objective_total(new_matrices, prof, form)
-        trace.order_update_iterations.append(trace.total_inner_iterations)
-        a_new, p_new, l_new, seg_converged = _inner_segment(
-            enc, new_matrices, form, cur_assign, prof, l_base, trace, cfg.max_inner
-        )
-        trace.converged = trace.converged and seg_converged
-        if l_new >= l_cur:
+    # At every epoch start ``prof`` is the profile of ``cur_assign`` and ``matrices`` the distances of ``cur_orders``.
+    for epoch in range(epochs):
+        refresh = alternating or epoch > 0
+        orders, mats, assign, p, l_prev = cur_orders, matrices, cur_assign, prof, l_cur
+        if refresh:
+            orders = order.learn_orders(d, prof, matrices, cur_orders, form=form, frozen=frozen)
+            mats = metric.value_distance_matrices(d, orders)
+            l_prev = metric.objective_total(mats, prof, form)
+            trace.order_update_iterations.append(trace.total_inner_iterations)
+        trace.epoch_baselines.append(l_prev)
+        # Each step's profile is the previous one updated by the samples that changed cluster; the
+        # kernels are read off ``metric`` at every step, so a wrapper installed there sees each call.
+        for iters in range(1, cfg.max_inner + 1):
+            dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(enc, mats, p)
+            new_assign = dist.argmin(axis=1).astype(np.int32)
+            new_prof = metric.profile_from_assignment(enc, new_assign, k, prev=(assign, p))
+            l_new = metric.objective_total(mats, new_prof, form)
+            trace.objective_values.append(l_new)
+            if l_new >= l_prev:
+                break
+            assign, p, l_prev = new_assign, new_prof, l_new
+        else:  # max_inner ran out
+            trace.converged = False
+        trace.inner_counts.append(iters)
+        if refresh and l_prev >= l_cur:
             break
-        trace.accepted_order_updates += 1
-        cur_assign, cur_orders, matrices, prof, l_cur = a_new, new_orders, new_matrices, p_new, l_new
+        trace.accepted_order_updates += refresh
+        cur_assign, cur_orders, matrices, prof, l_cur = assign, orders, mats, p, l_prev
     else:  # no refresh failed to improve: full alternation ran out of max_outer
         trace.converged = trace.converged and not alternating
 

@@ -395,6 +395,11 @@ def test_capped_inner_segment_is_not_convergence():
     for ablation in ABLATIONS:
         res = cluster.fit(d, FitConfig(k=4, seed=0, init="random_partition", max_inner=1, ablation=ablation))
         assert not res.trace.converged, ablation
+    # full alternation that runs out of max_outer: every HR fit here accepts its one refresh
+    d = fixtures.load_fixture("HR")
+    for seed in range(4):
+        res = cluster.fit(d, FitConfig(k=fixtures.FIXTURES["HR"].k, seed=seed, max_outer=1))
+        assert res.trace.accepted_order_updates == 1 and not res.trace.converged, seed
 
 
 def test_mode_theta_ablation_runs():
