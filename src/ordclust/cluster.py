@@ -7,9 +7,9 @@ refreshes in every epoch, up to ``max_outer`` epochs; the other flows keep
 their initial orders in the first epoch, and ``single_order_update`` adds one
 refreshing epoch. An epoch's last decreasing state is kept unless the epoch
 refreshed and failed to lower the objective, which ends the fit, so the kept
-state is the best visited; the non-improving steps are recorded in the trace
-but never returned. A fit is converged unless a segment ran out of
-``max_inner`` or full alternation ran out of ``max_outer``.
+state is the best visited; non-improving steps are traced, one moving no
+sample with the kept objective, but never returned. A fit is converged unless
+a segment ran out of ``max_inner`` or full alternation ran out of ``max_outer``.
 """
 
 from __future__ import annotations
@@ -238,7 +238,10 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
         # kernels are read off ``metric`` at every step, so a wrapper installed there sees each call.
         for iters in range(1, cfg.max_inner + 1):
             dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(enc, mats, p)
-            new_assign = dist.argmin(axis=1).astype(np.int32)
+            new_assign = metric.nearest_clusters(enc, dist)
+            if np.array_equal(new_assign, assign):  # the same profile, so the objective to the bit
+                trace.objective_values.append(l_prev)
+                break
             new_prof = metric.profile_from_assignment(enc, new_assign, k, prev=(assign, p))
             l_new = metric.objective_total(mats, new_prof, form)
             trace.objective_values.append(l_new)
@@ -316,9 +319,9 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
         if means is None:
             onehot = np.zeros((width, k))
             onehot[modes, clusters] = 1.0
-            dist = enc.X @ onehot
+            dist = metric.mean_costs(enc, onehot, 1)
             np.subtract(s_cat, dist, out=dist)
-            a = dist.argmin(axis=1).astype(np.int32)
+            a = metric.nearest_clusters(enc, dist)
             l_new = float(dist[rows, a].sum()) / s
         else:
             dist = _squared_distances(cols, means)

@@ -24,7 +24,8 @@ mode form is ``|R[c] - R[mode]| / (l - 1)`` (``c != mode`` without an order)
 at each cluster's first most frequent value, as ``argmax`` picks. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf. The sparse
-  product adds each row's s terms from zero in attribute order, without BLAS;
+  product adds each row's s terms from zero in attribute order, without BLAS,
+  per row block (``OneHot.map_rows``), so no bit depends on the block count;
 - the profile keeps the integer (k, sum(l)) value counts, tallied by
   ``OneHot.counts`` over the column indices X stores, and divides them once
   into the stacked ``ClusterProfile.probs``. Inside the fit's inner loop the
@@ -37,8 +38,8 @@ at each cluster's first most frequent value, as ``argmax`` picks. Then
 - the order refresh (``order.learn_orders``) ranks each value by its cost
   in W;
 - the (n, n) export (``pairwise_distance_matrix``) is every sample's
-  distance to n singleton clusters, ``X @ W / s`` again, where a singleton's
-  cost column is read straight from the ranks: O(n * sum(l)) work and cells.
+  distance to n singleton clusters, ``X @ W / s`` again as one product, where
+  a singleton's cost column is read from the ranks: O(n * sum(l)) work and cells.
 
 k-prototypes (``cluster._centre_loop``) adds its categorical mismatches onto
 the squared numerical distances one attribute at a time; adding their total
@@ -185,16 +186,23 @@ def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np
 
 
 def _distances(enc: OneHot, matrices, prof: ClusterProfile, form: str) -> np.ndarray:
-    dist = _mean_costs(enc, value_costs(matrices, prof, form), len(matrices))
+    dist = mean_costs(enc, value_costs(matrices, prof, form), len(matrices))
     dist[:, prof.empty] = np.inf
     return dist
 
 
-def _mean_costs(enc: OneHot, table: np.ndarray, s: int) -> np.ndarray:
-    """``X @ table / s``: each sample's costs added from zero in attribute order, then averaged."""
-    dist = enc.X @ table
-    dist /= max(s, 1)
+def mean_costs(enc: OneHot, table: np.ndarray, s: int) -> np.ndarray:
+    """``X @ table / s`` by ``OneHot.map_rows`` blocks: each sample's costs added from zero in attribute order."""
+    dist = np.empty((enc.X.shape[0], table.shape[1]))
+    enc.map_rows(lambda rows, X: np.divide(X @ table, max(s, 1), out=dist[rows]))
     return dist
+
+
+def nearest_clusters(enc: OneHot, dist: np.ndarray) -> np.ndarray:
+    """int32 ``dist.argmin(axis=1)`` of an (n, k) table by the row blocks of ``enc``: each row's first minimum."""
+    nearest = np.empty(len(dist), dtype=np.int32)
+    enc.map_rows(lambda rows, _: np.copyto(nearest[rows], dist[rows].argmin(axis=1), casting="unsafe"))
+    return nearest
 
 
 def cluster_distances(enc: OneHot, matrices, prof: ClusterProfile) -> np.ndarray:
@@ -250,7 +258,8 @@ def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
     past ``check_pairwise_size`` raise ValueError.
     """
     check_pairwise_size(d.n, sum(d.cardinalities))
-    return _mean_costs(d.onehot, _singleton_costs(d, orders), d.s_categorical)
+    dist = d.onehot.X @ _singleton_costs(d, orders)  # one product: per-block products would double the peak
+    return np.divide(dist, max(d.s_categorical, 1), out=dist)
 
 
 def _singleton_costs(d: Dataset, orders) -> np.ndarray:

@@ -1,9 +1,11 @@
+import dataclasses
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ordclust import cluster, oracle
+from ordclust import cluster, data, oracle
 from ordclust.data import Dataset, split_columns
 
 ACCEPTANCE_LINES = []
@@ -47,6 +49,14 @@ def make_dataset(columns, labels=None, semantic=None, num=None):
         labels=label_arr,
         label_values=label_values,
     )
+
+
+def split_rows(monkeypatch, d, blocks):
+    """A fresh copy of ``d`` whose kernels run its one-hot rows in ``blocks`` row blocks (fewer only
+    when it has fewer cells): one cell per block suffices, and ``blocks`` CPUs are usable."""
+    monkeypatch.setattr(data, "ROW_BLOCK_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
+    return dataclasses.replace(d)
 
 
 def exact_profile_costs(d, prof, orders):

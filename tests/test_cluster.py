@@ -1,14 +1,17 @@
 import dataclasses
 import itertools
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import make_dataset, minmax_columns
+from conftest import make_dataset, minmax_columns, split_rows
 from ordclust import cli, cluster, evaluate, fixtures, metric, oracle, order
 from ordclust.cluster import ABLATIONS, FitConfig, Partition
 from ordclust.data import DataError, Dataset, synthesize
@@ -884,3 +887,52 @@ def test_concurrent_fits_on_a_shared_dataset_equal_the_serial_fits():
         sys.setswitchinterval(interval)
     serial = [_fit_state(cluster.fit(dataclasses.replace(d), cfg)) for cfg in cfgs]
     assert got == [serial] * 3
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_row_blocks_change_no_fit(monkeypatch, blocks):
+    # every flow, both inits and drawn orders, capped or not, and k-modes, against one block
+    d = fixtures.load_fixture("HR")
+    cfgs = [_flow_config(flow, seed, init) for seed in range(2) for init in cluster.INITS for flow in START_ORDER_FLOWS]
+    cfgs += _drawn_configs(d, range(2)) + [dataclasses.replace(_flow_config("main", 1), max_inner=1)]
+
+    def run(d):
+        kmodes = [cluster.fit_kmodes(d, 3, seed=seed) for seed in range(3)]
+        return ([_fit_state(cluster.fit(d, cfg)) for cfg in cfgs],
+                [(part.assign.tobytes(), dataclasses.replace(trace, wall_time=0.0)) for part, trace in kmodes])
+
+    one = run(split_rows(monkeypatch, d, 1))
+    split = split_rows(monkeypatch, d, blocks)
+    assert len(split.onehot.row_blocks) == blocks
+    assert run(split) == one
+
+
+FORK_SCRIPT = """
+import multiprocessing, os, sys
+from ordclust import cluster, data
+
+data.ROW_BLOCK_CELLS, os.sched_getaffinity = 1, lambda pid: {0, 1}
+d = data.synthesize(400, 4, 3, seed=1)
+
+def fit():
+    cluster.fit(d, cluster.FitConfig(k=3, max_outer=2))
+
+if __name__ == "__main__":
+    fit()  # the parent's pool runs blocks, so its threads exist before the fork
+    child = multiprocessing.get_context("fork").Process(target=fit)
+    child.start()
+    child.join(30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    sys.exit("the forked child's fit hung" if hung else child.exitcode)
+"""
+
+
+def test_a_forked_child_runs_row_blocks_in_its_own_pool():
+    # a child forked after the pool started inherits a pool without threads; its fits must not wait on it
+    path = os.pathsep.join([str(Path(cluster.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import exact_profile_costs, make_dataset
+from conftest import exact_profile_costs, make_dataset, split_rows
 from ordclust import cluster, metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import Dataset, split_columns
@@ -188,8 +188,12 @@ def test_pairwise_distance_matrix_properties():
     assert mat[0, 3] == pytest.approx(0.5)
 
 
-def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng):
-    d = synthesize(1000, 5, 3, values_per_attribute=6, seed=4)
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng, monkeypatch, blocks):
+    # the export is one product even where the fit's kernels run in row blocks: per-block
+    # products would hold a second (n, n) matrix
+    d = split_rows(monkeypatch, synthesize(1000, 5, 3, values_per_attribute=6, seed=4), blocks)
+    assert len(d.onehot.row_blocks) == blocks
     o = order.OrderSet((None,) + order.random_orders(d, rng).ranks[1:])  # one match/mismatch attribute
     expect = np.zeros((d.n, d.n))
     for mat, col in zip(oracle.build_distance_table(d, o).matrices, d.cat.T):
@@ -388,10 +392,13 @@ def test_distance_kernels_match_per_sample_oracle(rng, form):
     assert saw_empty
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3])
 @pytest.mark.parametrize("form", ["profile", "mode"])
-def test_distance_kernels_sum_attributes_in_order(rng, form):
-    # X @ W must reproduce the attribute-ordered float sum bit for bit
+def test_distance_kernels_sum_attributes_in_order(rng, monkeypatch, form, blocks):
+    # X @ W must reproduce the attribute-ordered float sum bit for bit, in any number of row blocks
     for d, q, o in _kernel_instances(rng):
+        d = split_rows(monkeypatch, d, blocks)
+        assert len(d.onehot.row_blocks) == min(blocks, d.n * d.s_categorical)
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         mats = metric.value_distance_matrices(d, o)
         probs = split_columns(prof.probs, d.onehot.offsets)
@@ -403,7 +410,10 @@ def test_distance_kernels_sum_attributes_in_order(rng, form):
         expect /= d.s_categorical
         expect[:, prof.empty] = np.inf
         kernel = metric.cluster_distances if form == "profile" else metric.mode_distances
-        assert np.array_equal(kernel(d.onehot, mats, prof), expect)
+        dist = kernel(d.onehot, mats, prof)
+        assert dist.tobytes() == expect.tobytes()
+        nearest = metric.nearest_clusters(d.onehot, dist)
+        assert nearest.dtype == np.int32 and np.array_equal(nearest, dist.argmin(axis=1))
 
 
 def test_profile_kernel_matches_tally(rng):
