@@ -27,9 +27,12 @@ from scipy import sparse
 KINDS = ("nominal", "ordinal", "numerical", "label", "ignore")
 MISSING_POLICIES = ("drop_row", "error")
 _NEWLINE, _COMMA = ord("\n"), ord(",")
-# Fewest one-hot cells per row block: on a 2-core host two blocks ran slower than one at 2e5
-# cells, level near 4e5 and 1.6x faster at 1e6.
+# Fewest one-hot cells per row block. With the second core of a 2-core host idle, two blocks of a
+# distance pass and its argmin ran 1.04x as fast as one at 2e5 cells, 1.35x at 4e5, 1.57x at 1e6.
 ROW_BLOCK_CELLS = 2**18
+# Each process's pool for ``OneHot.map_rows``, keyed by process id: a child forked after its parent's
+# pool started inherits that pool without its threads. Threads start as blocks wait for one.
+_pool = functools.cache(lambda pid: ThreadPoolExecutor())
 
 
 class SchemaError(ValueError):
@@ -132,7 +135,8 @@ class OneHot:
     def row_blocks(self) -> tuple:
         """(rows, CSR view of X[rows]) pairs: one per usable CPU at most, each of ``ROW_BLOCK_CELLS`` cells or more."""
         X, n = self.X, self.X.shape[0]
-        count = max(min(len(os.sched_getaffinity(0)), X.nnz // ROW_BLOCK_CELLS), 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        count = max(min(cpus, X.nnz // ROW_BLOCK_CELLS), 1)
         blocks = []
         for rows in (slice(n * i // count, n * (i + 1) // count) for i in range(count)):
             lo, hi = X.indptr[rows.start], X.indptr[rows.stop]
@@ -157,12 +161,6 @@ class OneHot:
         peak = np.maximum.reduceat(table, starts, axis=1)[:, self.attribute]
         tied = np.where(table == peak, np.arange(width), width)
         return np.minimum.reduceat(tied, starts, axis=1)
-
-
-@functools.cache
-def _pool(pid: int) -> ThreadPoolExecutor:
-    """Process ``pid``'s pool: a child forked after its parent's pool started inherits it without threads."""
-    return ThreadPoolExecutor(max(len(os.sched_getaffinity(0)) - 1, 1))
 
 
 def split_columns(table: np.ndarray, offsets) -> tuple:
