@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -188,12 +189,8 @@ def test_pairwise_distance_matrix_properties():
     assert mat[0, 3] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng, monkeypatch, blocks):
-    # the export is one product even where the fit's kernels run in row blocks: per-block
-    # products would hold a second (n, n) matrix
-    d = split_rows(monkeypatch, synthesize(1000, 5, 3, values_per_attribute=6, seed=4), blocks)
-    assert len(d.onehot.row_blocks) == blocks
+def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng, monkeypatch):
+    d = synthesize(1000, 5, 3, values_per_attribute=6, seed=4)
     o = order.OrderSet((None,) + order.random_orders(d, rng).ranks[1:])  # one match/mismatch attribute
     expect = np.zeros((d.n, d.n))
     for mat, col in zip(oracle.build_distance_table(d, o).matrices, d.cat.T):
@@ -201,14 +198,18 @@ def test_pairwise_distance_matrix_adds_row_blocks_within_one_matrix(rng, monkeyp
     expect /= d.s_categorical
     assert metric.pairwise_distance_matrix(d, o).tobytes() == expect.tobytes()
     del expect
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        metric.pairwise_distance_matrix(d, o)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * d.n * d.n * 8
+    # the export is one product even where the fit's kernels run in row blocks: per-block
+    # products would hold a second (n, n) matrix
+    for d in (d, split_rows(monkeypatch, d, 2)):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            metric.pairwise_distance_matrix(d, o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * d.n * d.n * 8
+    assert len(d.onehot.row_blocks) == 2
 
 
 _EXPORTED = [(name, kind) for name in FIXTURES for kind in ("dictionary", "hamming", "random")]
@@ -392,11 +393,10 @@ def test_distance_kernels_match_per_sample_oracle(rng, form):
     assert saw_empty
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3])
 @pytest.mark.parametrize("form", ["profile", "mode"])
-def test_distance_kernels_sum_attributes_in_order(rng, monkeypatch, form, blocks):
+def test_distance_kernels_sum_attributes_in_order(rng, monkeypatch, form):
     # X @ W must reproduce the attribute-ordered float sum bit for bit, in any number of row blocks
-    for d, q, o in _kernel_instances(rng):
+    for (d, q, o), blocks in itertools.product(_kernel_instances(rng), (1, 2, 3)):
         d = split_rows(monkeypatch, d, blocks)
         assert len(d.onehot.row_blocks) == min(blocks, d.n * d.s_categorical)
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
