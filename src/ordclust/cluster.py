@@ -159,17 +159,14 @@ def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, st
         return order.hamming_orders(d), "hamming"
     if cfg.order_mode == "semantic":
         return order.semantic_orders(d), "semantic"
-    if cfg.order_mode == "random":
-        return order.random_orders(d, rng), None
-    if cfg.order_mode == "fixed":
-        cfg.fixed_orders.validate(d)
-        return cfg.fixed_orders, None
+    if cfg.order_mode in ("random", "fixed"):  # given orders are checked by their distance build
+        return cfg.fixed_orders or order.random_orders(d, rng), None
     drawn = cfg.random_order_init
     base = order.random_orders(d, rng) if drawn else order.dictionary_orders(d)
     if cfg.ordinal_policy == "learn_all":
         return base, None if drawn else "dictionary"
-    ranks = [(sem.copy() if sem is not None else base.ranks[r]) for r, sem in enumerate(d.semantic_ranks)]
-    return order.OrderSet(tuple(ranks)), None if drawn else "preserved"
+    sem = order.OrderSet.from_ranks(d, d.semantic_ranks).stacked_ranks
+    return order.OrderSet(np.where(sem > 0, sem, base.stacked_ranks), d.onehot.offsets), None if drawn else "preserved"
 
 
 def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.OrderSet, metric.ValueDistances]:
@@ -181,13 +178,8 @@ def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.Or
     built per fit.
     """
     orders, kind = _initial_orders(d, cfg, rng)
-    if kind is None:
-        return orders, metric.value_distance_matrices(d, orders)
-    shared = memo.setdefault("orders", {})
+    shared = {} if kind is None else memo.setdefault("orders", {})
     if kind not in shared:
-        for arr in orders.ranks:
-            if arr is not None:
-                arr.flags.writeable = False
         shared[kind] = (orders, metric.value_distance_matrices(d, orders))
     return shared[kind]
 
@@ -213,9 +205,7 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
     alternating = cfg.learns_orders and cfg.ablation != "single_order_update"
     epochs = cfg.max_outer if alternating else 1 + cfg.learns_orders
-    frozen = None
-    if cfg.ordinal_policy == "preserve_ordinal":
-        frozen = tuple(ranks is not None for ranks in d.semantic_ranks)
+    frozen = tuple(r is not None for r in d.semantic_ranks) if cfg.ordinal_policy == "preserve_ordinal" else None
 
     cur_assign, prof = _start(d, cfg, init_seed, memo)
     cur_orders, matrices = _start_orders(d, cfg, np.random.default_rng(order_seed), memo)
@@ -299,7 +289,8 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     count is ``s - X @ M`` for the (sum l, k) one-hot M of the modes, exact in
     floats; with ``cols``, (dim, n) numerical rows, the mismatches are added onto
     the (k, n) squared distances one attribute at a time, the summation order
-    of the per-attribute form, over a contiguous (s_cat, n) copy of the codes.
+    of the per-attribute form, over a contiguous (s_cat, n) copy of the codes;
+    adding their total in one step reorders the float sum and changes some fits.
     """
     t0 = time.perf_counter()
     n, s_cat = enc.codes.shape
@@ -467,14 +458,14 @@ def lloyd_kmeans(cols: np.ndarray, k: int, seed=0, max_iter: int = 100) -> tuple
 
 
 def encode_with_orders(d: Dataset, o: order.OrderSet) -> np.ndarray:
-    """(s_categorical, n) rows: each categorical cell mapped onto [0, 1] by normalized learned rank."""
-    rows = np.empty((d.s_categorical, d.n))
-    for r, card in enumerate(d.cardinalities):
-        ranks = o.ranks[r]
-        if ranks is None:
-            ranks = np.arange(1, card + 1, dtype=np.int64)
-        rows[r] = (np.asarray(ranks, dtype=np.float64)[d.cat[:, r]] - 1.0) / (card - 1)
-    return rows
+    """(s_categorical, n) rows: each categorical cell mapped onto [0, 1] by normalized learned rank.
+
+    An attribute without an order is encoded in value order. Each value's
+    ``(rank - 1) / (l - 1)`` is computed once and gathered for every cell.
+    """
+    place, _, _, span = d.onehot.segments
+    ranks = np.where(o.stacked_ranks == 0, place, o.stacked_ranks)
+    return ((ranks - 1.0) / span)[d.onehot.codes.T]
 
 
 def fit_mixed(d: Dataset, cfg: FitConfig) -> FitResult:

@@ -10,12 +10,12 @@ The kernels work on the Dataset's one-hot encoding (``Dataset.onehot``): a
 CSR matrix X with one column per (attribute, value) and exactly s ones per
 row, stored in attribute order. Per-(cluster, value) tables share its stacked
 (k, sum(l)) layout, attribute r owning columns ``offsets[r]:offsets[r + 1]``.
-One order set becomes one ``ValueDistances`` of integer ranks R, with no
-(l, l) table. A profile becomes one table W (``value_costs``) of each value's
-cost against each cluster. Each cell is one division of two integers below
-2**53, so it is correctly rounded and the same on every IEEE-754 machine and
-BLAS kernel, and equal costs are equal floats. The profile form is
-``I[c, m] / ((l - 1) * size_m)`` with ``I[c, m] = sum_g |R[c] - R[g]| * counts[m, g]``:
+An order set's stacked ranks R (``order.OrderSet``) are read as they are into
+one ``ValueDistances``, with no (l, l) table. A profile becomes one table W
+(``value_costs``) of each value's cost against each cluster. Each cell is one
+division of two integers below 2**53, so it is correctly rounded and the same
+on every IEEE-754 machine and BLAS kernel, and equal costs are equal floats.
+The profile form is ``I[c, m] / ((l - 1) * size_m)`` with ``I[c, m] = sum_g |R[c] - R[g]| * counts[m, g]``:
 over the counts in rank order, with prefix sums A (counts) and B (rank x
 count), the value of rank t has ``I = t (2 A(t) - A0 - A1) - 2 B(t) + B0 + B1``,
 A0/B0 and A1/B1 being the sums before and through its attribute, so O(k *
@@ -36,14 +36,10 @@ at each cluster's first most frequent value, as ``argmax`` picks. Then
   and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
   total does not depend on the order of the rows;
 - the order refresh (``order.learn_orders``) ranks each value by its cost
-  in W;
+  in W and returns stacked ranks again;
 - the (n, n) export (``pairwise_distance_matrix``) is every sample's
   distance to n singleton clusters, ``X @ W / s`` again as one product, where
   a singleton's cost column is read from the ranks: O(n * sum(l)) work and cells.
-
-k-prototypes (``cluster._centre_loop``) adds its categorical mismatches onto
-the squared numerical distances one attribute at a time; adding their total
-in one step reorders the float sum and changes some fits.
 """
 
 from __future__ import annotations
@@ -100,24 +96,23 @@ class ValueDistances:
 
 
 def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
-    """Distances between the values of every categorical attribute under ``orders``.
+    """Distances between the values of every categorical attribute under the stacked ranks of ``orders``.
 
-    An attribute whose rank array is None falls back to match/mismatch
-    distances (no usable order): 0 between equal values, 1 otherwise.
+    An attribute whose ranks are all 0 falls back to match/mismatch distances (no usable order): 0
+    between equal values, 1 otherwise. Every other attribute's ranks must be a bijection onto 1..l.
     """
-    enc = d.onehot
-    ranks = np.concatenate([np.zeros(0)] + [np.zeros(l) if r is None else r  # also with no attribute
-                            for r, l in zip(orders.ranks, d.cardinalities)]).astype(np.int64)
-    if ranks.size != enc.attribute.size:
-        raise ValueError("one rank per categorical value required")
+    enc, ranks = d.onehot, orders.stacked_ranks
+    if not np.array_equal(orders.offsets, enc.offsets):
+        raise ValueError("the orders are laid out for another dataset's attributes")
     place, start, end, span = enc.segments
-    unordered = np.array([r is None for r in orders.ranks], dtype=bool)[enc.attribute]
+    unordered = ~np.logical_or.reduceat(ranks != 0, enc.offsets[:-1])[enc.attribute]  # every attribute has l >= 2
     key = np.where(unordered, place, ranks)
     by_rank = np.lexsort((key, start))
     if not np.array_equal(key[by_rank], place):
-        raise ValueError("ranks must be a bijection onto 1..l")
+        r = enc.attribute[np.argmax(key[by_rank] != place)]
+        raise ValueError(f"attribute {d.cat_names[r]!r}: ranks are not a bijection onto 1..{d.cardinalities[r]}")
     prefix_rows, den = np.stack([start + key, start, end]), np.where(unordered, 1, span)
-    for arr in (ranks, unordered, by_rank, prefix_rows, den):
+    for arr in (unordered, by_rank, prefix_rows, den):
         arr.flags.writeable = False
     return ValueDistances(ranks, unordered, by_rank, prefix_rows, den, enc)
 

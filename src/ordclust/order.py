@@ -12,73 +12,90 @@ the per-cluster placements are blended by cluster size into one integer rank
 per value. A refresh is handed the profile and value distance matrices the
 fit already holds for its partition and orders, and rebuilds neither.
 
-A refresh works on the stacked (k, sum(l)) layout of ``Dataset.onehot``
-(attribute r owns columns ``offsets[r]:offsets[r + 1]``) with a fixed number
-of numpy calls and no pass over the samples. Every row's cost ranks come
-from one stable two-key ``lexsort`` over (cost, segment start): equal costs
-keep value-index order, and the segment start is what a sorted position
-subtracts to become a rank. A value's consensus score is its integer total
-``sizes @ positions``, exact in any summation order, so score ties are real
-ties and break by value index; the printed score is that total / n. The
-per-row references (``oracle.per_row_orders`` and ``oracle.consensus_order``)
-give identical results.
+An ``OrderSet`` keeps its ranks in the stacked layout of ``Dataset.onehot``
+(attribute r owns columns ``offsets[r]:offsets[r + 1]``) that the kernels
+read, and a refresh works on (k, sum(l)) tables in it with a fixed number of
+numpy calls and no pass over the samples. Every row's cost ranks come from
+one stable two-key ``lexsort`` over (cost, segment start): equal costs keep
+value-index order, and the segment start is what a sorted position subtracts
+to become a rank. A value's consensus score is its integer total ``sizes @
+positions``, exact in any summation order, so score ties are real ties and
+break by value index; the printed score is that total / n. The per-row
+references (``oracle.per_row_orders`` and ``oracle.consensus_order``) give
+identical results.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metric
-from .data import Dataset
+from .data import Dataset, split_columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderSet:
-    """Per-attribute rank arrays; ``ranks[r][g]`` is the 1-based rank of value g.
+    """Stacked ranks: ``stacked_ranks[c]`` is the 1-based rank of column c's value within its attribute.
 
-    A ``None`` entry means the attribute carries no order and is measured by
-    match/mismatch distances instead.
+    An attribute with ranks 0 throughout has no order and is measured by match/mismatch distances.
+    The arrays given are made read-only; ``ranks`` and ``scores`` view them per attribute. Compared by identity.
     """
 
-    ranks: tuple
-    scores: tuple | None = None  # when learned: per value, its size-weighted position total / n
+    stacked_ranks: np.ndarray  # (sum l,) int64, laid out by ``offsets``
+    offsets: np.ndarray  # the dataset's ``onehot.offsets``
+    stacked_scores: np.ndarray | None = None  # learned: (sum l,) position total / n, NaN if passed through
 
-    def validate(self, d: Dataset) -> None:
-        if len(self.ranks) != d.s_categorical:
-            raise ValueError("one rank array per categorical attribute required")
-        for r, ranks in enumerate(self.ranks):
-            if ranks is None:
-                continue
-            l = d.cardinalities[r]
-            if sorted(np.asarray(ranks).tolist()) != list(range(1, l + 1)):
+    def __post_init__(self):
+        for arr in (self.stacked_ranks, self.stacked_scores):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @classmethod
+    def from_ranks(cls, d: Dataset, ranks) -> OrderSet:
+        """The set of one rank array or None (no order) per attribute of ``d``; a given rank of 0 is refused."""
+        stacked, offsets = np.zeros(int(d.onehot.offsets[-1]), dtype=np.int64), d.onehot.offsets
+        for r, (l, given) in enumerate(zip(d.cardinalities, ranks, strict=True)):
+            cast = None if given is None else np.asarray(given).astype(np.int64)
+            if cast is not None and (cast.shape != (l,) or not cast.all() or not np.array_equal(cast, given)):
                 raise ValueError(f"attribute {d.cat_names[r]!r}: ranks are not a bijection onto 1..{l}")
+            stacked[offsets[r]:offsets[r + 1]] = 0 if cast is None else cast
+        return cls(stacked, offsets)
+
+    @functools.cached_property
+    def ranks(self) -> tuple:
+        """``ranks[r][g]``: value g's rank on attribute r, a view of ``stacked_ranks``; None without an order."""
+        return tuple(r if r.any() else None for r in split_columns(self.stacked_ranks, self.offsets))
+
+    @functools.cached_property
+    def scores(self) -> tuple | None:
+        """Per-attribute views of ``stacked_scores``, None where passed through; None unless learned."""
+        return None if self.stacked_scores is None else tuple(
+            None if np.isnan(v).all() else v for v in split_columns(self.stacked_scores, self.offsets))
 
 
 def dictionary_orders(d: Dataset) -> OrderSet:
     """First-appearance ranks: value g gets rank g+1."""
-    return OrderSet(tuple(np.arange(1, l + 1, dtype=np.int64) for l in d.cardinalities))
+    return OrderSet(d.onehot.segments[0], d.onehot.offsets)
 
 
 def hamming_orders(d: Dataset) -> OrderSet:
     """No orders anywhere: every attribute measured by match/mismatch."""
-    return OrderSet(tuple(None for _ in d.cardinalities))
+    return OrderSet(np.zeros(int(d.onehot.offsets[-1]), dtype=np.int64), d.onehot.offsets)
 
 
 def random_orders(d: Dataset, rng: np.random.Generator) -> OrderSet:
     """One uniform random rank bijection per attribute."""
-    return OrderSet(tuple(rng.permutation(l).astype(np.int64) + 1 for l in d.cardinalities))
+    return OrderSet.from_ranks(d, [rng.permutation(l) + 1 for l in d.cardinalities])
 
 
 def semantic_orders(d: Dataset) -> OrderSet:
-    """Declared ranks for ordinal attributes, match/mismatch for the rest.
-
-    Raises if the schema declared no ordinal attribute at all.
-    """
+    """Declared ranks for ordinal attributes, match/mismatch for the rest; raises if none is declared."""
     if not any(ranks is not None for ranks in d.semantic_ranks):
         raise ValueError("no attribute declares a semantic order; semantic mode is inapplicable")
-    return OrderSet(tuple(r if r is None else r.copy() for r in d.semantic_ranks))
+    return OrderSet.from_ranks(d, d.semantic_ranks)
 
 
 def _segment_ranks(keys: np.ndarray, enc) -> np.ndarray:
@@ -125,9 +142,6 @@ def learn_orders(
     centre = ((np.diff(enc.offsets) + 1) // 2)[enc.attribute]
     positions = centre - np.where(ranks % 2 == 1, 1, -1) * (ranks // 2)
     totals = prof.sizes @ positions  # int64, exact
-    cuts = enc.offsets[1:-1]
-    consensus, scores = np.split(_segment_ranks(totals[None, :], enc)[0], cuts), np.split(totals / d.n, cuts)
-    for r, (l, prev) in enumerate(zip(d.cardinalities, current.ranks)):
-        if l <= 2 or (frozen is not None and frozen[r]):  # passed through unchanged
-            consensus[r], scores[r] = (None if prev is None else np.array(prev, dtype=np.int64)), None
-    return OrderSet(ranks=tuple(consensus), scores=tuple(scores))
+    passed = ((np.diff(enc.offsets) <= 2) | np.array(frozen or False))[enc.attribute]  # kept as in ``current``
+    ranks = np.where(passed, current.stacked_ranks, _segment_ranks(totals[None, :], enc)[0])
+    return OrderSet(ranks, enc.offsets, np.where(passed, np.nan, totals / d.n))

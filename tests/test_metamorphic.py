@@ -30,7 +30,7 @@ def _relabel(d, o, r, perm):
     ranks = list(o.ranks)
     ranks[r] = _moved(ranks[r], perm)
     d2 = dataclasses.replace(d, cat=cat, dictionaries=dictionaries, semantic_ranks=tuple(semantic))
-    return d2, order.OrderSet(tuple(ranks))
+    return d2, order.OrderSet.from_ranks(d2, ranks)
 
 
 @pytest.mark.parametrize("name", fixtures.SMALL_FIXTURES)
