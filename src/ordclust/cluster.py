@@ -133,26 +133,6 @@ def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
     return rng.integers(0, cfg.k, size=d.n, dtype=np.int32)
 
 
-def _start(d: Dataset, cfg: FitConfig, seed_seq, memo: dict) -> tuple[np.ndarray, metric.ClusterProfile]:
-    """Initial assignment and its profile, read-only, from the memo's one start slot.
-
-    The slot holds the start of the last (k, init, seed) fitted with ``memo``;
-    a miss builds the start and replaces the slot. The seed is keyed by the
-    pool of ``seed_seq``, the only state the start draws from, so equal seeds
-    match whatever their type.
-    """
-    key = (cfg.k, cfg.init, seed_seq.pool.tobytes())
-    slot = memo.get("start")
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    assign = _initial_partition(d, cfg, seed_seq)
-    prof = metric.profile_from_assignment(d.onehot, assign, cfg.k)
-    for arr in (assign, prof.sizes, prof.counts, prof.probs):
-        arr.flags.writeable = False
-    memo["start"] = (key, (assign, prof))
-    return assign, prof
-
-
 def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, str | None]:
     """Start orders and their kind; the kind is None when the orders are drawn or given."""
     if cfg.order_mode == "hamming" or cfg.ablation == "hamming_only":
@@ -169,19 +149,29 @@ def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, st
     return order.OrderSet(np.where(sem > 0, sem, base.stacked_ranks), d.onehot.offsets), None if drawn else "preserved"
 
 
-def _start_orders(d: Dataset, cfg: FitConfig, rng, memo: dict) -> tuple[order.OrderSet, metric.ValueDistances]:
-    """Start orders and their value distances.
+def _start(d: Dataset, cfg: FitConfig, memo: dict) -> tuple:
+    """Initial assignment, its profile, the start orders and their value distances, all read-only.
 
-    Each kind of deterministic start orders is kept in ``memo`` with its
-    distances, all read-only, so every fit starting from them holds the same
-    distances object and shares its cost tables. Drawn and given orders are
-    built per fit.
+    The partition and any drawn orders come from two streams spawned off
+    ``cfg.seed``. The memo's start slot keeps the assignment and profile of
+    the last (k, init, seed), the seed keyed by its stream's pool so equal
+    seeds of any type match. Each kind of deterministic start orders is kept
+    with its distances, so the fits from it share one distances object and
+    its cost tables; drawn and given orders are built per fit.
     """
-    orders, kind = _initial_orders(d, cfg, rng)
+    init_seed, order_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    key, slot = (cfg.k, cfg.init, init_seed.pool.tobytes()), memo.get("start")
+    if slot is None or slot[0] != key:
+        assign = _initial_partition(d, cfg, init_seed)
+        prof = metric.profile_from_assignment(d.onehot, assign, cfg.k)
+        for arr in (assign, prof.sizes, prof.counts):
+            arr.flags.writeable = False
+        memo["start"] = slot = (key, (assign, prof))
+    orders, kind = _initial_orders(d, cfg, np.random.default_rng(order_seed))
     shared = {} if kind is None else memo.setdefault("orders", {})
     if kind not in shared:
         shared[kind] = (orders, metric.value_distance_matrices(d, orders))
-    return shared[kind]
+    return *slot[1], *shared[kind]
 
 
 def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
@@ -199,16 +189,13 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
     enc, k = d.onehot, cfg.k
-    init_seed, order_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    memo = {} if _memo is None else _memo
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
     alternating = cfg.learns_orders and cfg.ablation != "single_order_update"
     epochs = cfg.max_outer if alternating else 1 + cfg.learns_orders
     frozen = tuple(r is not None for r in d.semantic_ranks) if cfg.ordinal_policy == "preserve_ordinal" else None
 
-    cur_assign, prof = _start(d, cfg, init_seed, memo)
-    cur_orders, matrices = _start_orders(d, cfg, np.random.default_rng(order_seed), memo)
+    cur_assign, prof, cur_orders, matrices = _start(d, cfg, {} if _memo is None else _memo)
 
     trace = FitTrace()
     l_cur = metric.objective_total(matrices, prof, form)

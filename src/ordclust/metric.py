@@ -20,17 +20,18 @@ over the counts in rank order, with prefix sums A (counts) and B (rank x
 count), the value of rank t has ``I = t (2 A(t) - A0 - A1) - 2 B(t) + B0 + B1``,
 A0/B0 and A1/B1 being the sums before and through its attribute, so O(k *
 sum(l)) work. Without an order it is ``(size_m - counts[m, c]) / size_m``. The
-mode form is ``|R[c] - R[mode]| / (l - 1)`` (``c != mode`` without an order)
-at each cluster's first most frequent value, as ``argmax`` picks. Then
+mode form is ``min(|key[c] - key[mode]| / den, 1)`` at each cluster's first
+most frequent value in its counts, as ``argmax`` picks: key is the rank and
+den is l - 1, or key the value's place and den 1 without an order, which
+reads ``c != mode``. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf. The sparse
   product adds each row's s terms from zero in attribute order, without BLAS,
   per row block (``OneHot.map_rows``), so no bit depends on the block count;
-- the profile keeps the integer (k, sum(l)) value counts, tallied by
-  ``OneHot.counts`` over the column indices X stores, and divides them once
-  into the stacked ``ClusterProfile.probs``. Inside the fit's inner loop the
-  counts are updated from the samples that changed cluster, the same
-  integers, so the same frequencies to the bit;
+- the profile is the integer (k, sum(l)) value counts, tallied by
+  ``OneHot.counts`` over the column indices X stores, and the cluster sizes;
+  nothing is divided. Inside the fit's inner loop the counts are updated
+  from the samples that changed cluster, the same integers to the bit;
 - the objective total is ``fsum(counts * W.T) / s``: a sample's cost depends
   only on its (value, cluster) cell, so the total needs O(k * sum(l)) work
   and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
@@ -54,9 +55,8 @@ from .data import Dataset, OneHot
 
 @dataclass(frozen=True)
 class ClusterProfile:
-    """Within-cluster value frequencies and counts, attributes stacked like ``OneHot``."""
+    """Within-cluster integer value counts and cluster sizes, attributes stacked like ``OneHot``."""
 
-    probs: np.ndarray  # (k, sum of l_r) float64 value frequencies, attributes stacked
     sizes: np.ndarray  # (k,) int64 cluster sample counts
     counts: np.ndarray  # (k, sum of l_r) int64 value counts, attributes stacked
     _costs: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # value_costs memo
@@ -102,7 +102,7 @@ def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
     between equal values, 1 otherwise. Every other attribute's ranks must be a bijection onto 1..l.
     """
     enc, ranks = d.onehot, orders.stacked_ranks
-    if not np.array_equal(orders.offsets, enc.offsets):
+    if ranks.shape != enc.attribute.shape or not np.array_equal(orders.offsets, enc.offsets):
         raise ValueError("the orders are laid out for another dataset's attributes")
     place, start, end, span = enc.segments
     unordered = ~np.logical_or.reduceat(ranks != 0, enc.offsets[:-1])[enc.attribute]  # every attribute has l >= 2
@@ -139,8 +139,7 @@ def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int, prev=None) 
         sizes = (prev_prof.sizes + np.bincount(assign[moved], minlength=k)
                  - np.bincount(prev_assign[moved], minlength=k))
         counts = prev_prof.counts + enc.counts(assign, k, moved) - enc.counts(prev_assign, k, moved)
-    nonzero = np.where(sizes > 0, sizes, 1).astype(np.float64)
-    return ClusterProfile(probs=counts / nonzero[:, None], sizes=sizes, counts=counts)
+    return ClusterProfile(sizes=sizes, counts=counts)
 
 
 def value_costs(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np.ndarray:
@@ -170,10 +169,9 @@ def _cost_table(matrices: ValueDistances, prof: ClusterProfile, form: str) -> np
             x = 2 * at - before - end
             cost = np.where(unordered, cost, matrices.ranks[:, None] * x[:, :k] - x[:, k:])
         table = cost / (matrices.den[:, None] * np.maximum(prof.sizes, 1))
-    elif form == "mode":  # each value against its attribute's mode in every cluster
-        ranks, modes = matrices.ranks, enc.first_maxima(prof.probs).T[enc.attribute]
-        table = np.abs(ranks[:, None] - ranks[modes]) / matrices.den[:, None]
-        table = np.where(matrices.unordered[:, None], modes != np.arange(len(ranks))[:, None], table)
+    elif form == "mode":  # prefix_rows[0] is start + key, and a value and its modes share a start
+        key, modes = matrices.prefix_rows[0], enc.first_maxima(prof.counts).T[enc.attribute]
+        table = np.minimum(np.abs(key[:, None] - key[modes]) / matrices.den[:, None], 1)
     else:
         raise ValueError(f"unknown form {form!r}")
     table.flags.writeable = False

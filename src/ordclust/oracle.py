@@ -63,7 +63,7 @@ def sample_cluster_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
     if prof.sizes[m] == 0:
         raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
     s = len(dist.matrices)
-    probs = split_columns(prof.probs[m], dist.offsets)
+    probs = split_columns(prof.counts[m] / prof.sizes[m], dist.offsets)
     total = 0.0
     for r in range(s):
         total += float(dist.vector(i, r) @ probs[r])
@@ -75,7 +75,7 @@ def sample_mode_distance(i: int, m: int, dist: DistanceTable, prof) -> float:
     if prof.sizes[m] == 0:
         raise ValueError(f"cluster {m} is empty; it has no distance to any sample")
     s = len(dist.matrices)
-    probs = split_columns(prof.probs[m], dist.offsets)
+    probs = split_columns(prof.counts[m] / prof.sizes[m], dist.offsets)
     total = 0.0
     for r in range(s):
         total += float(dist.vector(i, r)[int(np.argmax(probs[r]))])

@@ -57,7 +57,9 @@ class OrderSet:
     def from_ranks(cls, d: Dataset, ranks) -> OrderSet:
         """The set of one rank array or None (no order) per attribute of ``d``; a given rank of 0 is refused."""
         stacked, offsets = np.zeros(int(d.onehot.offsets[-1]), dtype=np.int64), d.onehot.offsets
-        for r, (l, given) in enumerate(zip(d.cardinalities, ranks, strict=True)):
+        if len(ranks) != len(d.cardinalities):
+            raise ValueError(f"{len(ranks)} rank arrays given for the dataset's {len(d.cardinalities)} attributes")
+        for r, (l, given) in enumerate(zip(d.cardinalities, ranks)):
             cast = None if given is None else np.asarray(given).astype(np.int64)
             if cast is not None and (cast.shape != (l,) or not cast.all() or not np.array_equal(cast, given)):
                 raise ValueError(f"attribute {d.cat_names[r]!r}: ranks are not a bijection onto 1..{l}")

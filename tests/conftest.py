@@ -78,6 +78,11 @@ def exact_profile_costs(d, prof, orders):
     return np.array(rows, dtype=np.float64).reshape(-1, prof.k)
 
 
+def frequencies(prof):
+    """(k, sum l) within-cluster value frequencies of a profile; an empty cluster's row is 0."""
+    return prof.counts / np.maximum(prof.sizes, 1)[:, None]
+
+
 def minmax_columns(num):
     """Per-column min-max scaling of an (n, s_num) table, constant columns to 0."""
     num = num.copy()

@@ -244,9 +244,12 @@ def test_fit_config_with_fixed_orders_hashes_and_equals_itself():
 
 def test_fit_refuses_fixed_orders_built_for_another_dataset():
     d = make_dataset([["a", "b", "c", "a"], ["x", "y", "x", "y"]])  # cardinalities (3, 2)
-    # one attribute fewer, then the same five values split (2, 3)
-    for other in ([["a", "b", "a", "b"]], [["a", "b", "a", "b"], ["x", "y", "z", "x"]]):
-        o = order.dictionary_orders(make_dataset(other))
+    # one attribute fewer, the same five values split (2, 3), then this layout with 3 or 40 stacked ranks
+    others = ([["a", "b", "a", "b"]], [["a", "b", "a", "b"], ["x", "y", "z", "x"]])
+    for o in [order.dictionary_orders(make_dataset(other)) for other in others] + [
+            order.OrderSet(np.ones(length, np.int64), d.onehot.offsets) for length in (3, 40)]:
+        with pytest.raises(ValueError, match="another dataset"):
+            metric.value_distance_matrices(d, o)
         with pytest.raises(ValueError, match="another dataset"):
             cluster.fit(d, FitConfig(k=2, order_mode="fixed", fixed_orders=o))
 

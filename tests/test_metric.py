@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import exact_profile_costs, make_dataset, split_rows
+from conftest import exact_profile_costs, frequencies, make_dataset, split_rows
 from ordclust import cluster, metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import Dataset, split_columns
@@ -18,7 +18,7 @@ def test_profile_counts_within_cluster():
     d = make_dataset([["a", "a", "b", "c"]])
     q = Partition(np.array([0, 0, 0, 1], dtype=np.int32), 2)
     prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
-    probs = split_columns(prof.probs, d.onehot.offsets)
+    probs = split_columns(frequencies(prof), d.onehot.offsets)
     assert probs[0][0].tolist() == pytest.approx([2 / 3, 1 / 3, 0.0])
     assert probs[0][1].tolist() == pytest.approx([0.0, 0.0, 1.0])
     assert prof.sizes.tolist() == [3, 1]
@@ -28,7 +28,7 @@ def test_profile_rows_sum_to_one(rng):
     d = synthesize(60, 3, 4, values_per_attribute=4, seed=5)
     q = Partition(rng.integers(0, 4, size=60).astype(np.int32), 4)
     prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
-    for probs in split_columns(prof.probs, d.onehot.offsets):
+    for probs in split_columns(frequencies(prof), d.onehot.offsets):
         sums = probs.sum(axis=1)
         for m in range(4):
             if prof.sizes[m] > 0:
@@ -49,7 +49,7 @@ def test_profile_matches_brute_tally():
     d = make_dataset([["a", "b", "a", "c", "b", "b"], ["x", "x", "y", "y", "x", "y"]])
     assign = np.array([0, 1, 0, 1, 0, 1], dtype=np.int32)
     prof = metric.profile_from_assignment(d.onehot, assign, 2)
-    probs = split_columns(prof.probs, d.onehot.offsets)
+    probs = split_columns(frequencies(prof), d.onehot.offsets)
     for r in range(2):
         for m in range(2):
             members = d.cat[assign == m, r]
@@ -108,7 +108,7 @@ def test_sample_cluster_distance_is_mean_over_attributes():
     assign = np.zeros(5, dtype=np.int32)
     prof = metric.profile_from_assignment(d.onehot, assign, 1)
     table = oracle.build_distance_table(d, order.dictionary_orders(d))
-    probs = split_columns(prof.probs, d.onehot.offsets)
+    probs = split_columns(frequencies(prof), d.onehot.offsets)
     t0 = float(table.vector(0, 0) @ probs[0][0])
     t1 = float(table.vector(0, 1) @ probs[1][0])
     got = oracle.sample_cluster_distance(0, 0, table, prof)
@@ -317,7 +317,7 @@ def test_cost_tables_equal_per_attribute_products_of_the_oracle_matrices(rng, fo
     ties = 0
     for d, q, o in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
-        probs = split_columns(prof.probs, d.onehot.offsets)
+        probs = split_columns(frequencies(prof), d.onehot.offsets)
         ties += sum(int(((p == p.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum()) for p in probs)
         for orders in _order_sets(d, q, o):
             mats = oracle.build_distance_table(d, orders).matrices
@@ -401,7 +401,7 @@ def test_distance_kernels_sum_attributes_in_order(rng, monkeypatch, form):
         assert len(d.onehot.row_blocks) == min(blocks, d.n * d.s_categorical)
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         mats = metric.value_distance_matrices(d, o)
-        probs = split_columns(prof.probs, d.onehot.offsets)
+        probs = split_columns(frequencies(prof), d.onehot.offsets)
         exact = split_columns(exact_profile_costs(d, prof, o).T, d.onehot.offsets)
         expect = np.zeros((d.n, q.k))
         for r, mat in enumerate(oracle.build_distance_table(d, o).matrices):
@@ -419,7 +419,7 @@ def test_distance_kernels_sum_attributes_in_order(rng, monkeypatch, form):
 def test_profile_kernel_matches_tally(rng):
     for d, q, _ in _kernel_instances(rng):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
-        probs = split_columns(prof.probs, d.onehot.offsets)
+        probs = split_columns(frequencies(prof), d.onehot.offsets)
         assert prof.sizes.tolist() == np.bincount(q.assign, minlength=q.k).tolist()
         for r, l in enumerate(d.cardinalities):
             assert probs[r].shape == (q.k, l)
@@ -436,7 +436,7 @@ def test_objective_total_matches_oracle(rng, form):
         prof = metric.profile_from_assignment(d.onehot, q.assign, q.k)
         table = oracle.build_distance_table(d, o)
         got = metric.objective_total(metric.value_distance_matrices(d, o), prof, form)
-        probs = split_columns(prof.probs, d.onehot.offsets)
+        probs = split_columns(frequencies(prof), d.onehot.offsets)
         exact = split_columns(exact_profile_costs(d, prof, o).T, d.onehot.offsets)
         # the exactly rounded sum of count x cost over the (k, sum l) cells, reproduced exactly
         products = []
@@ -493,7 +493,7 @@ def test_unknown_form_rejected():
 def _same_profile(a, b):
     assert a.counts.tobytes() == b.counts.tobytes()
     assert a.sizes.tobytes() == b.sizes.tobytes()
-    assert a.probs.tobytes() == b.probs.tobytes()
+    assert frequencies(a).tobytes() == frequencies(b).tobytes()
 
 
 @pytest.mark.parametrize("share", [metric.DELTA_MAX_MOVED, 1.0])  # 1.0: the delta for any move count

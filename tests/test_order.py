@@ -273,3 +273,10 @@ def test_random_orders_are_valid(rng):
     d = synthesize(10, 4, 2, values_per_attribute=6, seed=0)
     o = order.random_orders(d, rng)
     metric.value_distance_matrices(d, o)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_from_ranks_refuses_a_rank_array_count_other_than_the_attribute_count(count):
+    d = make_dataset([["a", "b", "a"], ["x", "y", "y"]])
+    with pytest.raises(ValueError, match=f"^{count} rank arrays given for the dataset's 2 attributes$"):
+        order.OrderSet.from_ranks(d, [np.array([1, 2])] * count)
