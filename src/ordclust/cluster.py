@@ -273,32 +273,29 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     of the last one computed. An emptied cluster keeps its stale centre.
 
     Modes are kept as one-hot columns of ``enc``. Without ``cols`` the mismatch
-    count is ``s - X @ M`` for the (sum l, k) one-hot M of the modes, exact in
-    floats; with ``cols``, (dim, n) numerical rows, the mismatches are added onto
-    the (k, n) squared distances one attribute at a time, the summation order
-    of the per-attribute form, over a contiguous (s_cat, n) copy of the codes;
-    adding their total in one step reorders the float sum and changes some fits.
+    count is ``X @ W`` for the (sum l, k) table W[c, m] = c != mode m, the mode
+    form without orders, exact in floats; with ``cols``, (dim, n) numerical
+    rows, the mismatches are added onto the (k, n) squared distances one
+    attribute at a time, the summation order of the per-attribute form, over a
+    contiguous (s_cat, n) copy of the codes; adding their total in one step
+    reorders the float sum and changes some fits.
     """
     t0 = time.perf_counter()
     n, s_cat = enc.codes.shape
     _check_centres(k, n, max_iter)
     rng = np.random.default_rng(seed)
-    width = int(enc.offsets[-1])
     s = s_cat + (0 if cols is None else cols.shape[0])
     idx = rng.choice(n, size=k, replace=False)
     modes = enc.codes[idx]  # (k, s_cat) one-hot columns
     means = None if cols is None else cols[:, idx].T.copy()
     code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
 
-    rows, clusters = np.arange(n), np.arange(k)[:, None]
+    rows, values = np.arange(n), np.arange(enc.offsets[-1])[:, None]
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
     for _ in range(max_iter):
         if means is None:
-            onehot = np.zeros((width, k))
-            onehot[modes, clusters] = 1.0
-            dist = metric.mean_costs(enc, onehot, 1)
-            np.subtract(s_cat, dist, out=dist)
+            dist = metric.mean_costs(enc, (values != modes.T[enc.attribute]).astype(float), 1)
             a = metric.nearest_clusters(enc, dist)
             l_new = float(dist[rows, a].sum()) / s
         else:

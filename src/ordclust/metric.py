@@ -40,7 +40,8 @@ reads ``c != mode``. Then
   in W and returns stacked ranks again;
 - the (n, n) export (``pairwise_distance_matrix``) is every sample's
   distance to n singleton clusters, ``X @ W / s`` again as one product, where
-  a singleton's cost column is read from the ranks: O(n * sum(l)) work and cells.
+  a singleton's mode is its sample, so its cost column is the mode form at
+  that sample's values: O(n * sum(l)) work and cells.
 """
 
 from __future__ import annotations
@@ -99,11 +100,13 @@ def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
     """Distances between the values of every categorical attribute under the stacked ranks of ``orders``.
 
     An attribute whose ranks are all 0 falls back to match/mismatch distances (no usable order): 0
-    between equal values, 1 otherwise. Every other attribute's ranks must be a bijection onto 1..l.
+    between equal values, 1 otherwise. Every other attribute's integer ranks must be a bijection onto 1..l.
     """
     enc, ranks = d.onehot, orders.stacked_ranks
     if ranks.shape != enc.attribute.shape or not np.array_equal(orders.offsets, enc.offsets):
         raise ValueError("the orders are laid out for another dataset's attributes")
+    if not np.can_cast(ranks.dtype, np.int64):
+        raise ValueError(f"ranks must be integers; the orders hold {ranks.dtype} ranks")
     place, start, end, span = enc.segments
     unordered = ~np.logical_or.reduceat(ranks != 0, enc.offsets[:-1])[enc.attribute]  # every attribute has l >= 2
     key = np.where(unordered, place, ranks)
@@ -247,29 +250,16 @@ def check_pairwise_size(n: int, values: int) -> None:
 def pairwise_distance_matrix(d: Dataset, orders) -> np.ndarray:
     """(n, n) sample-to-sample distances: each sample's distance to n singleton clusters.
 
-    Feeds external embedding tools; quadratic in n by nature, so exports
-    past ``check_pairwise_size`` raise ValueError.
+    Sample j is singleton cluster j's mode, so the cost table's column j is the mode form at its values.
+    Feeds external embedding tools; quadratic in n, so exports past ``check_pairwise_size`` raise ValueError.
     """
     check_pairwise_size(d.n, sum(d.cardinalities))
-    dist = d.onehot.X @ _singleton_costs(d, orders)  # one product: per-block products would double the peak
-    return np.divide(dist, max(d.s_categorical, 1), out=dist)
-
-
-def _singleton_costs(d: Dataset, orders) -> np.ndarray:
-    """(sum of cardinalities, n) costs of n singleton clusters, sample j in cluster j.
-
-    ``W[c, j]`` is the distance from value c to sample j's value x,
-    ``|R[c] - R[x]| / (l - 1)`` or ``c != x``, written in place per attribute.
-    """
-    matrices = value_distance_matrices(d, orders)
-    ranks, table = matrices.ranks, np.empty((len(matrices.ranks), d.n))
-    bounds = d.onehot.offsets.tolist()
-    for col, a, b in zip(d.cat.T, bounds, bounds[1:]):
+    enc, matrices = d.onehot, value_distance_matrices(d, orders)
+    key, den, bounds = matrices.prefix_rows[0], matrices.den[:, None], enc.offsets.tolist()
+    table = np.empty((len(key), d.n))
+    for modes, a, b in zip(enc.codes.T, bounds, bounds[1:]):
         out = table[a:b]
-        if matrices.unordered[a]:
-            np.not_equal(np.arange(b - a)[:, None], col, out=out)
-        else:
-            np.subtract(ranks[a:b, None], ranks[a:b][col], out=out)
-            np.abs(out, out=out)
-            out /= b - a - 1
-    return table
+        np.abs(np.subtract(key[a:b, None], key[modes], out=out), out=out)
+        np.minimum(np.divide(out, den[a:b], out=out), 1, out=out)
+    dist = enc.X @ table  # one product: per-block products would double the peak
+    return np.divide(dist, max(d.s_categorical, 1), out=dist)

@@ -72,6 +72,29 @@ def test_fit_schema_names_not_in_the_header_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_fit_reports_degenerate_columns(tmp_path):
+    out = tmp_path / "run"
+    assert run(["fit", "--data", "fixture:SB", "--k", "4", "--runs", "1", "--out", str(out)]) == 0
+    d = fixtures.load_fixture("SB")
+    assert len(d.degenerate) == 14
+    listed = ", ".join(f"{c.name}={c.value!r}" for c in d.degenerate)
+    assert f"\ndegenerate columns (excluded from clustering): {listed}\n" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("a,categorical", "unknown kind 'categorical' for column 'a'"),
+    ("a,ordinal,x,y,x", "duplicate values in declared order of 'a'"),
+    ("a,nominal,x,y", "'a': a declared value order requires kind=ordinal"),
+])
+def test_fit_bad_schema_line_is_data_error(line, message, tmp_path, capsys):
+    data, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+    data.write_text("a,b\nx,u\ny,v\nx,v\n")
+    schema.write_text(f"{line}\nb,nominal\n")
+    code = run(["fit", "--data", str(data), "--schema", str(schema), "--k", "2", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    assert f"data error: {message}" in capsys.readouterr().err
+
+
 def test_fit_bad_config_exit_code(tmp_path):
     code = run([
         "fit", "--data", "fixture:DS", "--k", "0", "--runs", "1",
@@ -359,6 +382,21 @@ def test_export_distances(tmp_path):
     assert mat.shape == (n, n)
     assert np.allclose(mat, mat.T)
     assert np.allclose(np.diag(mat), 0.0)
+
+
+def test_export_distances_without_orders_writes_the_match_mismatch_matrix(tmp_path):
+    out_file = tmp_path / "d.csv"
+    code = run(["export-distances", "--data", "fixture:HR", "--order-mode", "hamming", "--out-file", str(out_file)])
+    assert code == 0
+    d = fixtures.load_fixture("HR")
+    mat = metric.pairwise_distance_matrix(d, order.hamming_orders(d))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([f"s{i}" for i in range(d.n)])
+    writer.writerows([[f"{x:.6g}" for x in row] for row in mat])
+    assert out_file.read_bytes() == expected.getvalue().encode()
+    # each cell is the share of the attributes on which the two samples differ
+    assert mat.tobytes() == ((d.cat[:, None, :] != d.cat[None, :, :]).sum(axis=2) / d.s_categorical).tobytes()
 
 
 def test_export_distances_formats_one_row_at_a_time(tmp_path):

@@ -311,6 +311,20 @@ def test_value_distance_matrices_refuse_ranks_that_are_no_bijection():
             metric.value_distance_matrices(d, order.OrderSet.from_ranks(d, (np.array(ranks),)))
 
 
+def test_float_ranks_are_refused_by_every_distance_build():
+    # integer-valued float64 ranks, stacked without from_ranks' cast: the cost tables index with ranks
+    d = load_fixture("HR")
+    o = order.OrderSet(order.dictionary_orders(d).stacked_ranks.astype(np.float64), d.onehot.offsets)
+    builds = (lambda: metric.value_distance_matrices(d, o), lambda: metric.pairwise_distance_matrix(d, o),
+              lambda: cluster.fit(d, cluster.FitConfig(k=3, order_mode="fixed", fixed_orders=o)))
+    for build in builds:
+        with pytest.raises(ValueError, match="^ranks must be integers; the orders hold float64 ranks$"):
+            build()
+    narrow = order.OrderSet(order.dictionary_orders(d).stacked_ranks.astype(np.int32), d.onehot.offsets)
+    want = metric.pairwise_distance_matrix(d, order.dictionary_orders(d))
+    assert metric.pairwise_distance_matrix(d, narrow).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("form", ["profile", "mode"])
 def test_cost_tables_equal_per_attribute_products_of_the_oracle_matrices(rng, form):
     # profile: each cell the exact ratio I / (den * size); mode: the columns of each cluster's argmax value

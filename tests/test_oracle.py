@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ordclust import metric, oracle, order
+from ordclust import cluster, metric, oracle, order
 from ordclust.cluster import Partition
 from ordclust.data import synthesize
+from ordclust.fixtures import load_fixture
 
 
 def test_exhaustive_search_binary_orders_tie_lexicographic():
@@ -47,6 +48,22 @@ def test_objective_direct_agrees_with_fast_path(rng):
         fast = metric.objective(d, q, o)
         slow = oracle.objective_direct(d, q, o)
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+
+
+# only HR declares semantic orders; its other two attributes are measured by match/mismatch
+_UNORDERED_FITS = [(name, settings) for name in ("HR", "SB", "VT")
+                   for settings in ({"ablation": "hamming_only"}, {"order_mode": "hamming"})]
+
+
+@pytest.mark.parametrize("name,settings", _UNORDERED_FITS + [("HR", {"order_mode": "semantic"})])
+def test_objective_direct_agrees_with_fits_under_match_mismatch_attributes(name, settings):
+    # the termwise objective's match/mismatch branch, at the tolerance of ``verify_suite``
+    d = load_fixture(name)
+    for seed in range(3):
+        res = cluster.fit(d, cluster.FitConfig(k=len(set(d.labels.tolist())), seed=seed, **settings))
+        assert any(ranks is None for ranks in res.orders.ranks)
+        slow = oracle.objective_direct(d, res.partition, res.orders)
+        assert slow == pytest.approx(res.trace.best_objective, rel=1e-9)
 
 
 def test_objective_direct_singleton_clusters_zero():
