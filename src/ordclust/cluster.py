@@ -180,6 +180,8 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     An epoch is an order refresh (``learn_orders``, its value distances and
     the kept state's objective under them; skipped in the first epoch of a
     flow that does not alternate) and then an inner segment from the kept state.
+    A step's distances and argmin run once per distinct row where the one-hot
+    table has a ``distinct`` view, and its ``inverse`` hands each sample its row's cluster.
 
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
@@ -189,6 +191,7 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
     enc, k = d.onehot, cfg.k
+    rows_enc, inverse = enc.distinct or (enc, None)  # the rows the assignment step runs on
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
     alternating = cfg.learns_orders and cfg.ablation != "single_order_update"
@@ -214,8 +217,10 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
         # Each step's profile is the previous one updated by the samples that changed cluster; the
         # kernels are read off ``metric`` at every step, so a wrapper installed there sees each call.
         for iters in range(1, cfg.max_inner + 1):
-            dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(enc, mats, p)
-            new_assign = metric.nearest_clusters(enc, dist)
+            dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(rows_enc, mats, p)
+            new_assign = metric.nearest_clusters(rows_enc, dist)
+            if inverse is not None:
+                new_assign = new_assign[inverse]
             if np.array_equal(new_assign, assign):  # the same profile, so the objective to the bit
                 trace.objective_values.append(l_prev)
                 break
@@ -274,11 +279,13 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
 
     Modes are kept as one-hot columns of ``enc``. Without ``cols`` the mismatch
     count is ``X @ W`` for the (sum l, k) table W[c, m] = c != mode m, the mode
-    form without orders, exact in floats; with ``cols``, (dim, n) numerical
-    rows, the mismatches are added onto the (k, n) squared distances one
-    attribute at a time, the summation order of the per-attribute form, over a
-    contiguous (s_cat, n) copy of the codes; adding their total in one step
-    reorders the float sum and changes some fits.
+    form without orders, exact in floats, over the distinct rows where ``enc``
+    has a ``distinct`` view; the objective still adds one value per sample in
+    sample order. With ``cols``, (dim, n) numerical rows, the mismatches are
+    added onto the (k, n) squared distances one attribute at a time, the
+    summation order of the per-attribute form, over a contiguous (s_cat, n)
+    copy of the codes; adding their total in one step reorders the float sum
+    and changes some fits.
     """
     t0 = time.perf_counter()
     n, s_cat = enc.codes.shape
@@ -290,13 +297,17 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     means = None if cols is None else cols[:, idx].T.copy()
     code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
 
-    rows, values = np.arange(n), np.arange(enc.offsets[-1])[:, None]
+    rows_enc, inverse = enc.distinct or (enc, None)
+    rows = np.arange(n) if inverse is None else inverse  # each sample's row of the mismatch table
+    values = np.arange(enc.offsets[-1])[:, None]
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
     for _ in range(max_iter):
         if means is None:
-            dist = metric.mean_costs(enc, (values != modes.T[enc.attribute]).astype(float), 1)
-            a = metric.nearest_clusters(enc, dist)
+            dist = metric.mean_costs(rows_enc, (values != modes.T[enc.attribute]).astype(float), 1)
+            a = metric.nearest_clusters(rows_enc, dist)
+            if inverse is not None:
+                a = a[inverse]
             l_new = float(dist[rows, a].sum()) / s
         else:
             dist = _squared_distances(cols, means)

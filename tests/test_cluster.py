@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, minmax_columns, split_rows
-from ordclust import cli, cluster, evaluate, fixtures, metric, oracle, order
+from ordclust import cli, cluster, data, evaluate, fixtures, metric, oracle, order
 from ordclust.cluster import ABLATIONS, FitConfig, Partition
 from ordclust.data import DataError, Dataset, synthesize
 
@@ -961,3 +961,50 @@ def test_a_forked_child_runs_row_blocks_in_its_own_pool():
     done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _recount(enc, assign, k, rows):
+    """``OneHot.counts`` one cell at a time."""
+    expect = np.zeros((k, int(enc.offsets[-1])), dtype=np.int64)
+    np.add.at(expect, (assign[rows][:, None], enc.codes[rows]), 1)
+    return expect
+
+
+def test_distinct_rows_change_no_result(monkeypatch):
+    # The AC fixture's rows tiled past the size floor run the kernels once per distinct row; a twin
+    # without the view runs them per sample. Every fit, baseline and score must agree bit for bit.
+    base = fixtures.load_fixture("AC")
+    reps = -(-data.ROW_BLOCK_CELLS // (base.n * base.s_categorical))
+    d = dataclasses.replace(base, cat=np.tile(base.cat, (reps, 1)), num=np.tile(base.num, (reps, 1)),
+                            labels=np.tile(base.labels, reps))
+    twin = dataclasses.replace(d)
+    twin.onehot.__dict__["distinct"] = None
+    view, inverse = d.onehot.distinct
+    assert view.X.shape[0] == len(np.unique(d.cat, axis=0)) < d.n
+    assert np.array_equal(view.codes[inverse], d.onehot.codes)
+
+    rows_seen = []
+    for name in ("cluster_distances", "mode_distances", "mean_costs"):
+        kernel = getattr(metric, name)
+        monkeypatch.setattr(metric, name, lambda enc, *args, kernel=kernel: (
+            rows_seen.append(enc.X.shape[0]), kernel(enc, *args))[1])
+
+    def results(d):
+        rows_seen.clear()
+        fits = [_fit_state(cluster.fit(d, _flow_config(flow, seed, init)))
+                for flow in SHARED_START_FLOWS for init in cluster.INITS for seed in range(2)]
+        baselines = []
+        for seed in range(2):
+            for part, trace in (cluster.fit_kmodes(d, 3, seed=seed), cluster.fit_kprototypes(d, 3, seed=seed)):
+                baselines.append((part.assign.tobytes(), repr(dataclasses.replace(trace, wall_time=0.0)),
+                                  evaluate.compactness(d, part)))
+            baselines.append(_fit_state(cluster.fit_mixed(d, FitConfig(k=2, seed=seed))))
+        return fits, baselines, set(rows_seen)
+
+    got, expect = results(d), results(twin)
+    assert got[:2] == expect[:2]
+    assert got[2] == {view.X.shape[0]} and expect[2] == {d.n}
+    assign = np.random.default_rng(0).integers(0, 4, size=d.n)  # copies of a row in different clusters
+    for rows in (np.arange(d.n), np.flatnonzero(assign == 1)):
+        got = d.onehot.counts(assign, 5, None if rows.size == d.n else rows)
+        assert got.dtype == np.int64 and np.array_equal(got, _recount(d.onehot, assign, 5, rows))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, minmax_columns
-from ordclust import fixtures
+from ordclust import data, fixtures
 from ordclust.data import (
     AttributeSchema,
     DataError,
@@ -262,3 +262,41 @@ def test_dataset_arrays_read_only():
     d = synthesize(10, 2, 2, seed=0)
     with pytest.raises(ValueError):
         d.cat[0, 0] = 1
+
+
+def _distinct_cases():
+    rng = np.random.default_rng(4)
+    binary = rng.integers(0, 2, size=(8, 63), dtype=np.int32)
+    share = data.DISTINCT_MAX_SHARE
+    at = np.arange(200, dtype=np.int32) % int(share * 200)  # int(share * 200) distinct rows of 200
+    above = np.arange(200, dtype=np.int32) % (int(share * 200) + 1)
+    floor = rng.integers(0, 9, size=(16, 4), dtype=np.int32)[np.arange(data.ROW_BLOCK_CELLS // 4) % 16]
+    return {  # (cat, cardinalities, floor or None for ROW_BLOCK_CELLS, distinct rows or None)
+        "no categorical columns": (np.empty((40, 0), dtype=np.int32), (), 0, 1),
+        "key space of 2**63": (np.tile(binary, (5, 1)), (2,) * 63, 1, None),
+        "key space below 2**63, the keys wrapping": (np.tile(binary[:, :62], (5, 1)), (2,) * 62, 1, 8),
+        "one repeated row": (np.zeros((300, 3), dtype=np.int32), (2, 3, 4), 1, 1),
+        "below the floor": (floor[1:], (9,) * 4, None, None),
+        "at the floor": (floor, (9,) * 4, None, 16),
+        "distinct share at the threshold": (np.column_stack([at, at]), (200, 200), 1, int(share * 200)),
+        "distinct share just above the threshold": (np.column_stack([above, above]), (200, 200), 1, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_distinct_cases()))
+def test_distinct_view_is_found_exactly_where_it_pays(case, monkeypatch):
+    cat, cards, floor, expect = _distinct_cases()[case]
+    if floor is not None:
+        monkeypatch.setattr(data, "ROW_BLOCK_CELLS", floor)
+    enc = data.OneHot.encode(cat, cards)
+    assert enc.X.nnz >= data.ROW_BLOCK_CELLS or expect is None
+    if expect is None:
+        assert enc.distinct is None
+    else:
+        view, inverse = enc.distinct
+        assert view.X.shape[0] == expect == len(np.unique(cat, axis=0))
+        assert np.array_equal(view.codes[inverse], enc.codes)
+    assign = np.arange(len(cat)) % 3  # copies of a row in different clusters
+    tally = np.zeros((3, int(enc.offsets[-1])), dtype=np.int64)
+    np.add.at(tally, (assign[:, None], enc.codes), 1)
+    assert np.array_equal(enc.counts(assign, 3), tally)
