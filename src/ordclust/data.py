@@ -32,8 +32,8 @@ _NEWLINE, _COMMA = ord("\n"), ord(",")
 # distance pass and its argmin ran 1.04x as fast as one at 2e5 cells, 1.35x at 4e5, 1.57x at 1e6.
 ROW_BLOCK_CELLS = 2**18
 # Largest share of distinct rows at which ``OneHot.distinct`` compresses a table. A capped fit of
-# 100k x 20 rows (k = 5) ran at 0.31x the per-sample time at 10% distinct, 0.51x at 35%, 0.71x at
-# 50%, 0.98x at 75% and 1.29x at 100% (2-core host); half keeps a margin below the crossover.
+# 100k x 20 rows (k = 5) ran at 0.36x the per-sample time at 10% distinct, 0.74x at 50%, 0.83x at
+# 60%, 0.97x at 75% and 1.23x at 100% (2-core host); half keeps a margin below the crossover.
 DISTINCT_MAX_SHARE = 0.5
 # Each process's pool for ``OneHot.map_rows``, keyed by process id: a child forked after its parent's
 # pool started inherits that pool without its threads. Threads start as blocks wait for one.
@@ -87,7 +87,9 @@ class OneHot:
     Attribute r owns columns ``offsets[r]:offsets[r + 1]``. Row i of ``X`` holds
     exactly s ones, at columns ``offsets[r] + cat[i, r]`` in attribute order.
     Those column indices are stored once, in ``X.indices``: ``codes`` views
-    them as an (n, s) table and ``counts`` tallies them per cluster.
+    them as an (n, s) table and ``counts`` tallies them per cluster. Where rows
+    repeat, ``distinct`` holds the distinct rows as their own ``OneHot`` and each
+    sample's index among them, so ``counts`` and the fit's kernels run once per row.
     ``attribute``, ``segments``, ``row_blocks`` and ``distinct`` are built on first use and kept with it.
     """
 
@@ -121,7 +123,7 @@ class OneHot:
             assign, codes = assign[rows], codes[rows]
         elif self.distinct is not None:
             enc, inverse = self.distinct
-            size = len(enc.X.indptr) - 1
+            size = enc.X.shape[0]
             pairs = np.bincount(assign.astype(np.int64) * size + inverse, minlength=k * size)
             occur = np.flatnonzero(pairs)
             weights = np.repeat(pairs[occur], codes.shape[1])

@@ -27,11 +27,15 @@ reads ``c != mode``. Then
 
 - distances are ``X @ W / s``, with empty clusters set to +inf. The sparse
   product adds each row's s terms from zero in attribute order, without BLAS,
-  per row block (``OneHot.map_rows``), so no bit depends on the block count;
+  per row block (``OneHot.map_rows``), so no bit depends on the block count.
+  A row's distances depend only on its values, so the fit passes the
+  ``OneHot.distinct`` rows where the table has that view, and the distance
+  kernels return one row per distinct row;
 - the profile is the integer (k, sum(l)) value counts, tallied by
-  ``OneHot.counts`` over the column indices X stores, and the cluster sizes;
-  nothing is divided. Inside the fit's inner loop the counts are updated
-  from the samples that changed cluster, the same integers to the bit;
+  ``OneHot.counts`` over the column indices X stores (per (cluster, distinct
+  row) pair where there is a view), and the cluster sizes; nothing is
+  divided. Inside the fit's inner loop the counts are updated from the
+  samples that changed cluster, the same integers to the bit;
 - the objective total is ``fsum(counts * W.T) / s``: a sample's cost depends
   only on its (value, cluster) cell, so the total needs O(k * sum(l)) work
   and no per-sample table. ``math.fsum`` rounds the sum exactly, so the
@@ -209,12 +213,12 @@ def nearest_clusters(enc: OneHot, dist: np.ndarray) -> np.ndarray:
 
 
 def cluster_distances(enc: OneHot, matrices, prof: ClusterProfile) -> np.ndarray:
-    """(n, k) profile-weighted distances; empty clusters are +inf columns."""
+    """(rows of ``enc``, k) profile-weighted distances; empty clusters are +inf columns."""
     return _distances(enc, matrices, prof, "profile")
 
 
 def mode_distances(enc: OneHot, matrices, prof: ClusterProfile) -> np.ndarray:
-    """(n, k) distances to each cluster's most frequent value; empty -> +inf."""
+    """(rows of ``enc``, k) distances to each cluster's most frequent value; empty -> +inf."""
     return _distances(enc, matrices, prof, "mode")
 
 

@@ -963,13 +963,6 @@ def test_a_forked_child_runs_row_blocks_in_its_own_pool():
     assert done.returncode == 0, done.stderr
 
 
-def _recount(enc, assign, k, rows):
-    """``OneHot.counts`` one cell at a time."""
-    expect = np.zeros((k, int(enc.offsets[-1])), dtype=np.int64)
-    np.add.at(expect, (assign[rows][:, None], enc.codes[rows]), 1)
-    return expect
-
-
 def test_distinct_rows_change_no_result(monkeypatch):
     # The AC fixture's rows tiled past the size floor run the kernels once per distinct row; a twin
     # without the view runs them per sample. Every fit, baseline and score must agree bit for bit.
@@ -1006,5 +999,7 @@ def test_distinct_rows_change_no_result(monkeypatch):
     assert got[2] == {view.X.shape[0]} and expect[2] == {d.n}
     assign = np.random.default_rng(0).integers(0, 4, size=d.n)  # copies of a row in different clusters
     for rows in (np.arange(d.n), np.flatnonzero(assign == 1)):
+        expect = np.zeros((5, int(d.onehot.offsets[-1])), dtype=np.int64)  # one cell at a time
+        np.add.at(expect, (assign[rows][:, None], d.onehot.codes[rows]), 1)
         got = d.onehot.counts(assign, 5, None if rows.size == d.n else rows)
-        assert got.dtype == np.int64 and np.array_equal(got, _recount(d.onehot, assign, 5, rows))
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
