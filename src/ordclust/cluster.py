@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from . import metric, order
 from .data import Dataset, normalize_numerical
@@ -295,6 +296,7 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     idx = rng.choice(n, size=k, replace=False)
     modes = enc.codes[idx]  # (k, s_cat) one-hot columns
     means = None if cols is None else cols[:, idx].T.copy()
+    points = None if cols is None else np.ascontiguousarray(cols.T)  # the row-major copy the mean product reads
     code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
 
     rows_enc, inverse = enc.distinct or (enc, None)
@@ -320,7 +322,7 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
             trace.converged = True
             break
         if means is not None:
-            _update_means(cols, a, means)
+            _update_means(points, a, means)
         best = enc.first_maxima(enc.counts(a, k))  # lowest-index most frequent value per attribute
         occupied = np.bincount(a, minlength=k) > 0
         modes[occupied] = best[occupied]
@@ -396,16 +398,21 @@ def _nearest(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, nearest
 
 
-def _update_means(cols: np.ndarray, a: np.ndarray, centers: np.ndarray) -> None:
-    """Set each live cluster's centre to its members' mean, bit-identical to
-    ``data[a == m].mean(axis=0)``; an emptied cluster keeps its stale centre."""
-    counts = np.bincount(a, minlength=len(centers))
+def _update_means(points: np.ndarray, a: np.ndarray, centers: np.ndarray) -> None:
+    """Set each live cluster's centre to the mean of its members among the C-contiguous (n, dim)
+    ``points``, bit-identical to ``points[a == m].mean(axis=0)``; an emptied cluster keeps its stale centre.
+
+    The sums are one product of the (k, n) CSC membership matrix, a 1.0 at row ``a[i]`` of column
+    i, with ``points``: scipy's ``csc_matvecs`` adds each sample's row into its cluster's sums from
+    zero, in sample order, as numpy's axis-0 sum adds, and 1.0 * x is exact with or without FMA."""
+    n, k = len(points), len(centers)
+    counts = np.bincount(a, minlength=k)
     live = counts > 0
-    if len(cols) == 1:  # a one-column mean is numpy's pairwise sum
-        centers[live, 0] = [cols[0][a == m].mean() for m in np.flatnonzero(live)]
+    if points.shape[1] == 1:  # a one-column mean is numpy's pairwise sum
+        centers[live, 0] = [points[a == m, 0].mean() for m in np.flatnonzero(live)]
         return
-    for r, row in enumerate(cols):  # in sample order from zero, as numpy's axis-0 sum adds
-        centers[live, r] = np.bincount(a, weights=row, minlength=len(centers))[live] / counts[live]
+    members = sparse.csc_matrix((np.ones(n), a, np.arange(n + 1)), shape=(k, n))
+    centers[live] = (members @ points)[live] / counts[live, None]
 
 
 def _assign(cols: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -442,12 +449,13 @@ def lloyd_kmeans(cols: np.ndarray, k: int, seed=0, max_iter: int = 100) -> tuple
     _check_centres(k, cols.shape[1], max_iter)
     centers = _kmeans_pp_init(cols, k, np.random.default_rng(seed))
     norms = np.einsum("ij,ij->j", cols, cols)
+    points = np.ascontiguousarray(cols.T)  # the row-major copy the mean product reads
     assign_prev = None
     for _ in range(max_iter):
         a = _assign(cols, centers, norms)
         if assign_prev is not None and np.array_equal(a, assign_prev):
             return a.astype(np.int32), True
-        _update_means(cols, a, centers)
+        _update_means(points, a, centers)
         assign_prev = a
     return assign_prev.astype(np.int32), False
 

@@ -172,21 +172,36 @@ class OneHot:
 
         A row's key is the sum of its codes, each times the product of the later attributes'
         cardinalities. A code is the value's index plus its attribute's offset, so in wrapping int64
-        arithmetic the key is the row's mixed-radix number plus one constant: equal keys mean equal
-        rows while the key space, the product of the cardinalities, is below 2**63.
+        arithmetic the key is the row's mixed-radix number plus the all-zero row's key: equal keys
+        mean equal rows while the key space, the product of the cardinalities, is below 2**63.
+        The rows are kept in key order. Where the key space is at most n, one bincount over the
+        mixed-radix numbers counts and groups them, with no sort; there no key wraps (each is
+        below (s / 2 + 1) n), so their order is the keys' order. Otherwise the keys are sorted.
         """
         lengths = np.diff(self.offsets).tolist()
-        if self.X.nnz < ROW_BLOCK_CELLS or math.prod(lengths) >= 2**63:
+        space, n = math.prod(lengths), self.X.shape[0]
+        if self.X.nnz < ROW_BLOCK_CELLS or space >= 2**63:
             return None
-        key = np.einsum("ij,j->i", self.codes, np.cumprod([1, *lengths[::-1]])[-2::-1])  # buffered: no (n, s) copy
-        if np.count_nonzero(np.diff(np.sort(key))) + 1 > DISTINCT_MAX_SHARE * key.size:
-            return None
-        order = np.argsort(key)  # any one sample of each distinct row stands for it
-        starts = np.concatenate(([True], np.diff(key[order]) != 0))
-        inverse = np.empty(key.size, dtype=np.intp)
-        inverse[order] = np.cumsum(starts) - 1
+        weights = np.cumprod([1, *lengths[::-1]])[-2::-1]
+        key = np.einsum("ij,j->i", self.codes, weights)  # buffered: no (n, s) copy
+        if space <= n:
+            radix = key - self.offsets[:-1] @ weights
+            tally = np.bincount(radix, minlength=space)
+            present = np.flatnonzero(tally)
+            if present.size > DISTINCT_MAX_SHARE * n:
+                return None
+            inverse = (np.cumsum(tally > 0) - 1)[radix]
+            rows = present[:, None] // weights % lengths
+        else:
+            if np.count_nonzero(np.diff(np.sort(key))) + 1 > DISTINCT_MAX_SHARE * n:
+                return None
+            order = np.argsort(key)  # any one sample of each distinct row stands for it
+            starts = np.concatenate(([True], np.diff(key[order]) != 0))
+            inverse = np.empty(n, dtype=np.intp)
+            inverse[order] = np.cumsum(starts) - 1
+            rows = self.codes[order[starts]] - self.offsets[:-1]
         inverse.flags.writeable = False
-        return OneHot.encode(self.codes[order[starts]] - self.offsets[:-1], lengths), inverse
+        return OneHot.encode(rows, lengths), inverse
 
     def map_rows(self, fn) -> None:
         """``fn(rows, X[rows])`` per row block, the calling thread running the first and ``_pool`` the rest."""
@@ -424,17 +439,29 @@ def _fits_fixed(lens: np.ndarray) -> bool:
 
 
 def _gather(raw: bytes, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cells ``raw[lo[i]:hi[i]]`` as one fixed-width bytes array, or bytes
-    objects when ``_fits_fixed`` says no."""
+    """Cells ``raw[lo[i]:hi[i]]``, ``lo`` ascending, as one fixed-width bytes array, or bytes
+    objects when ``_fits_fixed`` says no.
+
+    Each cell is read as the ``width`` bytes from its start, one fancy index into a read-only,
+    overlapping view of the file, and the bytes past its end are zeroed by one multiply with
+    rows of a lower-triangular table. A cell whose window would pass the end of the file
+    (the last few, found by one ``searchsorted``) is copied byte by byte instead."""
     lens = hi - lo
     if not _fits_fixed(lens):
         return np.array([raw[a:b] for a, b in zip(lo.tolist(), hi.tolist())], dtype=object)
     width = max(int(lens.max(initial=0)), 1)
-    out = np.zeros((lens.size, width), dtype=np.uint8)
-    last = len(buf) - 1
-    for k in range(width):
-        np.copyto(out[:, k], buf[np.minimum(lo + k, last)], where=lens > k)
-    return out.view(f"S{width}")[:, 0]
+    window = np.ndarray((len(raw) - width + 1,), f"S{width}", buffer=raw, strides=(1,))
+    inside = int(np.searchsorted(lo, len(raw) - width, side="right"))
+    cells = window[lo[:inside]]
+    if inside < lens.size:
+        tail, last = np.zeros((lens.size - inside, width), dtype=np.uint8), len(buf) - 1
+        for k in range(width):
+            np.copyto(tail[:, k], buf[np.minimum(lo[inside:] + k, last)], where=lens[inside:] > k)
+        cells = np.concatenate([cells, tail.view(f"S{width}")[:, 0]])
+    if lens.min(initial=width) < width:
+        octets = cells.view(np.uint8).reshape(lens.size, width)
+        np.multiply(octets, np.take(np.tri(width + 1, width, -1, dtype=np.uint8), lens, axis=0), out=octets)
+    return cells
 
 
 def _from_cells(tokenized, schema, missing_policy, missing_values, origin: str) -> Dataset:

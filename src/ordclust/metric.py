@@ -124,25 +124,27 @@ def value_distance_matrices(d: Dataset, orders) -> ValueDistances:
     return ValueDistances(ranks, unordered, by_rank, prefix_rows, den, enc)
 
 
-# A delta tallies every moved sample twice, after a gather; past this share of
-# moved samples one full tally is cheaper (100k x 20 rows, 2-core host). A full
-# tally of a table with a ``OneHot.distinct`` view adds each occupied (cluster,
-# distinct row) pair once, so there it is cheaper from about 5% moved (207k
-# rows, 4% distinct: 2.3 ms against 2.5 ms at 5% and 6.3 ms at 22%); a few ms a
-# step, so the one share serves both.
+# A delta tallies every moved sample twice, after a gather; past these shares of
+# moved samples one full tally is cheaper. Per sample: past a third (100k x 20
+# rows, 2-core host). With a ``OneHot.distinct`` view the full tally adds each
+# occupied (cluster, distinct row) pair once, so it is cheaper from about 5%
+# moved: on 207k rows, 4% distinct (k = 2), 2.28 ms against a delta's 1.35 ms
+# at 2.5% moved, 2.48 ms at 5.3%, 3.79 ms at 11% and 6.31 ms at 22%.
 DELTA_MAX_MOVED = 1 / 3
+DELTA_MAX_MOVED_DISTINCT = 1 / 20
 
 
 def profile_from_assignment(enc: OneHot, assign: np.ndarray, k: int, prev=None) -> ClusterProfile:
     """Profile of ``assign``; ``prev`` = (assignment, profile) of an earlier partition of the same rows.
 
-    With ``prev`` and few moved samples, only the samples whose cluster
-    changed are tallied: their cells are added under the new cluster and
-    removed under the old one. Counts are integers either way, so the result
-    is the same to the bit.
+    With ``prev`` and few moved samples (see ``DELTA_MAX_MOVED``), only the
+    samples whose cluster changed are tallied: their cells are added under the
+    new cluster and removed under the old one. Counts are integers either way,
+    so the result is the same to the bit.
     """
     moved = None if prev is None else np.flatnonzero(assign != prev[0])
-    if moved is None or moved.size > DELTA_MAX_MOVED * assign.size:
+    share = DELTA_MAX_MOVED if enc.distinct is None else DELTA_MAX_MOVED_DISTINCT
+    if moved is None or moved.size > share * assign.size:
         sizes = np.bincount(assign, minlength=k).astype(np.int64)
         counts = enc.counts(assign, k)
     else:

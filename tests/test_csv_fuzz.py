@@ -181,6 +181,30 @@ def test_short_cells_group_as_the_reference_loader_does(width):
             assert outcome(lambda: tokenized(tokenize, text, schema, "drop_row")) == expected, text
 
 
+@pytest.mark.parametrize("width", range(1, 18))
+def test_cells_at_the_end_of_the_file_match_the_reference_loader(width):
+    # A fixed-width column reads each cell as the ``width`` bytes from its start; a cell that starts
+    # closer than that to the end of the file is copied byte by byte. Each column holds cells of 1 to
+    # ``width`` bytes, the widest or the shortest on the last line, with and without a trailing newline,
+    # and once more with a last cell too long for a fixed-width column.
+    schema = [AttributeSchema("c0", "nominal"), AttributeSchema("c1", "numerical")]
+    rows = [("é" + "x" * (w - 2) if w > 1 else "x", "12345678901234567"[:w]) for w in range(1, width + 1)]
+    long_row = [("y" * 1000, "5")]
+    tails = 0
+    for body, fixed in ((rows * 2, True), (rows[::-1] * 2, True), (rows * 2 + long_row, False)):
+        for newline in ("", "\n"):
+            text = "\n".join(["c0,c1"] + [",".join(row) for row in body]) + newline
+            columns, _, _ = data._byte_cells(text.encode(), ["c0", "c1"], "t.csv")
+            widths = [max(len(row[j].encode()) for row in body) for j in range(2)]
+            assert [cells.dtype for cells in columns] == [f"S{widths[0]}" if fixed else object, f"S{widths[1]}"]
+            tails += len(body[-1][1]) + len(newline) < widths[1]  # c1's last cell reads past the end
+            expected = outcome(lambda: reference(text, schema, "drop_row"))
+            assert not isinstance(expected[0], str), expected  # the table loads
+            for tokenize in (data._byte_cells, data._csv_cells):
+                assert outcome(lambda: tokenized(tokenize, text, schema, "drop_row")) == expected, text
+    assert tails == (0 if width < 2 else 2 if width == 2 else 4)
+
+
 def test_value_first_seen_in_a_dropped_row():
     text = "a,b\nnew,\nx,1\nnew,2\ny,3\n"
     schema = [AttributeSchema("a", "nominal"), AttributeSchema("b", "numerical")]

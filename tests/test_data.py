@@ -271,6 +271,7 @@ def _distinct_cases():
     at = np.arange(200, dtype=np.int32) % int(share * 200)  # int(share * 200) distinct rows of 200
     above = np.arange(200, dtype=np.int32) % (int(share * 200) + 1)
     floor = rng.integers(0, 9, size=(16, 4), dtype=np.int32)[np.arange(data.ROW_BLOCK_CELLS // 4) % 16]
+    fifty = np.arange(200, dtype=np.int32) % 50  # 50 distinct rows of 200: (j % a, j % b) for j < lcm(a, b)
     return {  # (cat, cardinalities, floor or None for ROW_BLOCK_CELLS, distinct rows or None)
         "no categorical columns": (np.empty((40, 0), dtype=np.int32), (), 0, 1),
         "key space of 2**63": (np.tile(binary, (5, 1)), (2,) * 63, 1, None),
@@ -280,6 +281,8 @@ def _distinct_cases():
         "at the floor": (floor, (9,) * 4, None, 16),
         "distinct share at the threshold": (np.column_stack([at, at]), (200, 200), 1, int(share * 200)),
         "distinct share just above the threshold": (np.column_stack([above, above]), (200, 200), 1, None),
+        "key space n: grouped by one bincount": (np.column_stack([fifty % 8, fifty % 25]), (8, 25), 1, 50),
+        "key space n + 1: grouped by a sort": (np.column_stack([fifty % 3, fifty % 67]), (3, 67), 1, 50),
     }
 
 
@@ -294,7 +297,10 @@ def test_distinct_view_is_found_exactly_where_it_pays(case, monkeypatch):
         assert enc.distinct is None
     else:
         view, inverse = enc.distinct
-        assert view.X.shape[0] == expect == len(np.unique(cat, axis=0))
+        rows, first_inverse = np.unique(cat, axis=0, return_inverse=True)  # rows in key order
+        assert view.X.shape[0] == expect == len(rows)
+        assert np.array_equal(view.codes - view.offsets[:-1], rows)
+        assert inverse.dtype == np.intp and np.array_equal(inverse, first_inverse.ravel())
         assert np.array_equal(view.codes[inverse], enc.codes)
     assign = np.arange(len(cat)) % 3  # copies of a row in different clusters
     tally = np.zeros((3, int(enc.offsets[-1])), dtype=np.int64)

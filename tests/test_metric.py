@@ -535,6 +535,24 @@ def test_delta_profile_equals_profile_from_scratch(rng, monkeypatch, share):
             _same_profile(back, base)
 
 
+@pytest.mark.parametrize("share", [0.0, metric.DELTA_MAX_MOVED_DISTINCT, 1.0])
+def test_delta_profile_on_a_distinct_view_table(monkeypatch, share):
+    # 0.0: a full pair tally at every move; 1.0: a delta at every move.
+    monkeypatch.setattr(metric, "DELTA_MAX_MOVED_DISTINCT", share)
+    d = synthesize(30_000, 10, 4, values_per_attribute=2, seed=6)  # 2**10 distinct rows, past the 2**18-cell floor
+    enc, k = d.onehot, 4
+    assert enc.distinct is not None
+    rng = np.random.default_rng(7)
+    old = rng.integers(0, k, size=d.n).astype(np.int32)
+    base = metric.profile_from_assignment(enc, old, k)
+    for moved in (0.0, 0.02, 0.2, 1.0):
+        new = np.where(rng.random(d.n) < moved, rng.integers(0, k, size=d.n), old).astype(np.int32)
+        expect = np.zeros_like(base.counts)
+        np.add.at(expect, (new[:, None], enc.codes), 1)
+        delta = metric.profile_from_assignment(enc, new, k, prev=(old, base))
+        assert np.array_equal(delta.counts, expect) and np.array_equal(delta.sizes, np.bincount(new, minlength=k))
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
