@@ -411,7 +411,8 @@ def _update_means(points: np.ndarray, a: np.ndarray, centers: np.ndarray) -> Non
     if points.shape[1] == 1:  # a one-column mean is numpy's pairwise sum
         centers[live, 0] = [points[a == m, 0].mean() for m in np.flatnonzero(live)]
         return
-    members = sparse.csc_matrix((np.ones(n), a, np.arange(n + 1)), shape=(k, n))
+    members = sparse.csc_matrix((k, n))  # set directly: the constructor's index checks took 2 of 4 ms
+    members.data, members.indices, members.indptr = np.ones(n), a, np.arange(n + 1, dtype=a.dtype)
     centers[live] = (members @ points)[live] / counts[live, None]
 
 
