@@ -23,7 +23,9 @@ BENCH_SUITE = "name,data,schema,k\nAC,fixture:AC,,2\n"
 COMMANDS = {  # name -> argv; "{out}" is the command's output directory
     "fit": ["fit", "--data", "fixture:HR", "--k", "3", "--runs", "3", "--out", "{out}",
             "--export-orders", "--export-trace", "--export-distances"],
-    "fit_mixed": ["fit", "--data", "fixture:AC", "--k", "2", "--runs", "2", "--mixed", "--out", "{out}"],
+    "fit_mixed": ["fit", "--data", "fixture:AC", "--k", "2", "--runs", "2", "--mixed", "--out", "{out}",
+                  "--export-trace", "--export-orders"],
+    "fit_degenerate": ["fit", "--data", "fixture:SB", "--k", "4", "--runs", "2", "--out", "{out}"],
     "ablate": ["ablate", "--data", "fixture:HR", "--k", "3", "--runs", "3", "--out", "{out}"],
     "bench": ["bench", "--suite", "{out}/suite.csv", "--methods", ",".join(cli.METHODS), "--runs", "2",
               "--out", "{out}"],
