@@ -134,20 +134,30 @@ def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
     return rng.integers(0, cfg.k, size=d.n, dtype=np.int32)
 
 
-def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> tuple[order.OrderSet, str | None]:
-    """Start orders and their kind; the kind is None when the orders are drawn or given."""
+def _orders_kind(cfg: FitConfig) -> str | None:
+    """The kind of a fit's start orders; None when they are drawn or given."""
     if cfg.order_mode == "hamming" or cfg.ablation == "hamming_only":
-        return order.hamming_orders(d), "hamming"
+        return "hamming"
+    if cfg.order_mode in ("random", "fixed") or cfg.random_order_init:
+        return None
     if cfg.order_mode == "semantic":
-        return order.semantic_orders(d), "semantic"
+        return "semantic"
+    return "dictionary" if cfg.ordinal_policy == "learn_all" else "preserved"
+
+
+def _initial_orders(d: Dataset, cfg: FitConfig, kind: str | None, rng) -> order.OrderSet:
+    """A fit's start orders, of its ``_orders_kind``."""
+    if kind == "hamming":
+        return order.hamming_orders(d)
+    if kind == "semantic":
+        return order.semantic_orders(d)
     if cfg.order_mode in ("random", "fixed"):  # given orders are checked by their distance build
-        return cfg.fixed_orders or order.random_orders(d, rng), None
-    drawn = cfg.random_order_init
-    base = order.random_orders(d, rng) if drawn else order.dictionary_orders(d)
+        return cfg.fixed_orders or order.random_orders(d, rng)
+    base = order.dictionary_orders(d) if kind else order.random_orders(d, rng)
     if cfg.ordinal_policy == "learn_all":
-        return base, None if drawn else "dictionary"
+        return base
     sem = order.OrderSet.from_ranks(d, d.semantic_ranks).stacked_ranks
-    return order.OrderSet(np.where(sem > 0, sem, base.stacked_ranks), d.onehot.offsets), None if drawn else "preserved"
+    return order.OrderSet(np.where(sem > 0, sem, base.stacked_ranks), d.onehot.offsets)
 
 
 def _start(d: Dataset, cfg: FitConfig, memo: dict) -> tuple:
@@ -168,9 +178,10 @@ def _start(d: Dataset, cfg: FitConfig, memo: dict) -> tuple:
         for arr in (assign, prof.sizes, prof.counts):
             arr.flags.writeable = False
         memo["start"] = slot = (key, (assign, prof))
-    orders, kind = _initial_orders(d, cfg, np.random.default_rng(order_seed))
+    kind = _orders_kind(cfg)
     shared = {} if kind is None else memo.setdefault("orders", {})
-    if kind not in shared:
+    if kind not in shared:  # built only on a miss
+        orders = _initial_orders(d, cfg, kind, np.random.default_rng(order_seed))
         shared[kind] = (orders, metric.value_distance_matrices(d, orders))
     return *slot[1], *shared[kind]
 

@@ -886,6 +886,16 @@ def test_drawn_start_orders_are_built_per_fit(monkeypatch):
     assert len(built) == sum(1 + len(res.trace.order_update_iterations) for res in results)
 
 
+def test_fit_many_builds_each_kind_of_start_orders_once(monkeypatch):
+    # Looked up before it is built: a fit whose kind is in the memo builds no orders.
+    calls, build = [], order.dictionary_orders
+    monkeypatch.setattr(order, "dictionary_orders", lambda d: calls.append(d) or build(d))
+    d = fixtures.load_fixture("HR")
+    list(cluster.fit_many(d, [_flow_config(flow, seed) for seed in range(3)
+                              for flow in ("main", "mode_dist", "single_update")]))
+    assert len(calls) == 1
+
+
 def test_fits_leave_no_state_on_the_dataset():
     d = fixtures.load_fixture("HR")
     list(cluster.fit_many(d, [_flow_config(flow, 0) for flow in START_ORDER_FLOWS]))
