@@ -27,6 +27,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
+# The fit options a report's config line names, in its order; all but ``mixed`` are FitConfig fields.
+FIT_OPTIONS = ("k", "init", "order_mode", "ablation", "ordinal_policy", "mixed", "max_outer", "max_inner",
+               "random_order_init")
+SCORES = ("ca", "ari", "nmi", "cmp")  # the fields of evaluate.RunMetrics, in every output's order
+SEED_ROW = ("  {seed:4d}  {scores.ca:.4f}  {scores.ari:+.4f}  {scores.nmi:.4f}  {scores.cmp:.4f}  "
+            "{trace.best_objective:9.4f}  {trace.total_inner_iterations:5d}  "
+            "{trace.accepted_order_updates:7d}  {effective_k:5d}")  # a report's per-seed line
 REPORT_NOTES = (
     "objective divisor: number of effective categorical attributes",
     "numerical scaling: min-max onto [0, 1] (mixed pipeline only)",
@@ -56,20 +63,6 @@ def _load(args) -> Dataset:
     return load_dataset(data_path, schema_path, args.missing_policy, missing)
 
 
-def _fit_config(args, seed: int) -> cluster.FitConfig:
-    return cluster.FitConfig(
-        k=args.k,
-        init=args.init,
-        order_mode=args.order_mode,
-        ablation=args.ablation,
-        ordinal_policy=args.ordinal_policy,
-        seed=seed,
-        max_outer=args.max_outer,
-        max_inner=args.max_inner,
-        random_order_init=args.random_order_init,
-    )
-
-
 FIT_METHODS = {  # FitConfig keywords of the benchmark methods that run the main fit
     "main": {},
     "mode_dist": {"ablation": "no_prob_weight"},
@@ -90,10 +83,15 @@ def _run_method(d: Dataset, method: str, k: int, seed: int) -> cluster.Partition
 
 
 def _count(text: str) -> int:
-    """An option that counts runs, seeds or draws: an integer >= 1."""
+    """An option that counts runs, seeds, draws or sizes: an integer >= 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return int(text)
+
+
+def _counts(text: str) -> list[int]:
+    """A comma-separated list of counts."""
+    return [_count(part) for part in text.split(",")]
 
 
 def _format_orders(d: Dataset, o: order.OrderSet) -> list[str]:
@@ -130,88 +128,73 @@ def _seed_list(base: int, runs: int) -> list[int]:
     return [base + i for i in range(runs)]
 
 
+def _mean_std(report: evaluate.MetricReport, names) -> str:
+    """``name mean±std`` for each named score, two spaces apart."""
+    return "  ".join(f"{n} {getattr(report.mean, n):.4f}±{getattr(report.std, n):.4f}" for n in names)
+
+
+def _report_lines(run: dict) -> list[str]:
+    """The lines of a fit's ``report.txt``, rendered from its run record."""
+    ds, best = run["dataset"], run["per_seed"][run["best"]]
+    degenerate = ", ".join(f"{name}={value!r}" for name, value in ds["degenerate"])
+    return [
+        "run report", "=" * 60,
+        f"dataset: {ds['data']} (n={ds['n']}, categorical={ds['categorical']}, numerical={ds['numerical']})",
+        f"degenerate columns (excluded from clustering): {degenerate}" if degenerate else "degenerate columns: none",
+        "config: " + " ".join(f"{name}={value}" for name, value in run["config"].items()),
+        f"seeds: {', '.join(str(r['seed']) for r in run['per_seed'])}",
+        "notes:", *(f"  - {note}" for note in REPORT_NOTES),
+        "",
+        "per-seed metrics:",
+        "  seed      ca      ari      nmi      cmp  objective  iters  updates  eff_k",
+        *(SEED_ROW.format(**r) for r in run["per_seed"]),
+        "",
+        f"aggregate: {_mean_std(run['aggregate'], SCORES)}",
+        f"best objective: {best['trace'].best_objective:.6f} (seed {best['seed']})",
+        "",
+        f"learned orders (seed {best['seed']}):",
+        *("  " + line for line in run["orders"]),
+    ]
+
+
 def cmd_fit(args) -> int:
-    seeds = _seed_list(args.seed, args.runs)
-    cfgs = [_fit_config(args, seed) for seed in seeds]
+    config = {name: getattr(args, name) for name in FIT_OPTIONS}
+    options = {name: value for name, value in config.items() if name != "mixed"}
+    cfgs = [cluster.FitConfig(seed=seed, **options) for seed in _seed_list(args.seed, args.runs)]
     d = _load(args)
     if args.export_distances:
         metric.check_pairwise_size(d.n, sum(d.cardinalities))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    per_seed, traces, results = [], [], []
-    fits = (cluster.fit_mixed(d, cfg) for cfg in cfgs) if args.mixed else cluster.fit_many(d, cfgs)
-    for res in fits:
-        results.append(res)
-        traces.append(res.trace)
-        per_seed.append(evaluate.score(d, res.partition, d.labels))
-    report = evaluate.aggregate(per_seed)
-    best = min(range(len(results)), key=lambda i: results[i].trace.best_objective)
+    fits = list((cluster.fit_mixed(d, cfg) for cfg in cfgs) if args.mixed else cluster.fit_many(d, cfgs))
+    per_seed = [{"seed": cfg.seed, "scores": evaluate.score(d, res.partition, d.labels), "trace": res.trace,
+                 "effective_k": res.partition.effective_k} for cfg, res in zip(cfgs, fits)]
+    best = min(range(len(fits)), key=lambda i: fits[i].trace.best_objective)
+    run = {  # the run record: every output below is rendered from it
+        "dataset": {"data": args.data, "n": d.n, "categorical": d.s_categorical, "numerical": d.s_numerical,
+                    "degenerate": [(c.name, c.value) for c in d.degenerate]},
+        "config": config,
+        "per_seed": per_seed,
+        "aggregate": evaluate.aggregate([r["scores"] for r in per_seed]),
+        "best": best,  # the index into per_seed of the lowest objective
+        "orders": _format_orders(d, fits[best].orders),
+    }
 
-    lines = ["run report", "=" * 60]
-    lines.append(f"dataset: {args.data} (n={d.n}, categorical={d.s_categorical}, numerical={d.s_numerical})")
-    if d.degenerate:
-        lines.append("degenerate columns (excluded from clustering): "
-                     + ", ".join(f"{c.name}={c.value!r}" for c in d.degenerate))
-    else:
-        lines.append("degenerate columns: none")
-    lines.append(
-        f"config: k={args.k} init={args.init} order_mode={args.order_mode} "
-        f"ablation={args.ablation} ordinal_policy={args.ordinal_policy} "
-        f"mixed={args.mixed} max_outer={args.max_outer} max_inner={args.max_inner} "
-        f"random_order_init={args.random_order_init}"
-    )
-    lines.append(f"seeds: {', '.join(map(str, seeds))}")
-    lines.append("notes:")
-    lines.extend(f"  - {n}" for n in REPORT_NOTES)
-    lines.append("")
-    lines.append("per-seed metrics:")
-    lines.append("  seed      ca      ari      nmi      cmp  objective  iters  updates  eff_k")
-    for seed, m, res in zip(seeds, per_seed, results):
-        tr = res.trace
-        lines.append(
-            f"  {seed:4d}  {m.ca:.4f}  {m.ari:+.4f}  {m.nmi:.4f}  {m.cmp:.4f}  "
-            f"{tr.best_objective:9.4f}  {tr.total_inner_iterations:5d}  "
-            f"{tr.accepted_order_updates:7d}  {res.partition.effective_k:5d}"
-        )
-    lines.append("")
-    lines.append(
-        f"aggregate: ca {report.mean.ca:.4f}±{report.std.ca:.4f}  "
-        f"ari {report.mean.ari:.4f}±{report.std.ari:.4f}  "
-        f"nmi {report.mean.nmi:.4f}±{report.std.nmi:.4f}  "
-        f"cmp {report.mean.cmp:.4f}±{report.std.cmp:.4f}"
-    )
-    lines.append(f"best objective: {results[best].trace.best_objective:.6f} (seed {seeds[best]})")
-    lines.append("")
-    lines.append(f"learned orders (seed {seeds[best]}):")
-    lines.extend("  " + s for s in _format_orders(d, results[best].orders))
-
-    (outdir / "report.txt").write_text("\n".join(lines) + "\n")
-    _write_csv(
-        outdir / "metrics.csv",
-        ["seed", "ca", "ari", "nmi", "cmp", "objective", "inner_iterations", "order_updates"],
-        [
-            [seed, m.ca, m.ari, m.nmi, m.cmp, tr.best_objective, tr.total_inner_iterations,
-             tr.accepted_order_updates]
-            for seed, m, tr in zip(seeds, per_seed, traces)
-        ],
-    )
+    (outdir / "report.txt").write_text("\n".join(_report_lines(run)) + "\n")
+    metrics = [[r["seed"], *(getattr(r["scores"], n) for n in SCORES), r["trace"].best_objective,
+                r["trace"].total_inner_iterations, r["trace"].accepted_order_updates] for r in per_seed]
+    _write_csv(outdir / "metrics.csv", ["seed", *SCORES, "objective", "inner_iterations", "order_updates"], metrics)
     if args.export_trace:
-        rows = []
-        for seed, tr in zip(seeds, traces):
-            marks = set(tr.order_update_iterations)
-            for i, l in enumerate(tr.objective_values):
-                rows.append([seed, i + 1, f"{l:.10g}", 1 if i in marks else 0])
-        _write_csv(outdir / "trace.csv", ["seed", "iteration", "objective", "order_update"], rows)
+        _write_csv(outdir / "trace.csv", ["seed", "iteration", "objective", "order_update"],
+                   [[r["seed"], i + 1, f"{l:.10g}", int(i in r["trace"].order_update_iterations)]
+                    for r in per_seed for i, l in enumerate(r["trace"].objective_values)])
     if args.export_orders:
-        (outdir / "orders.txt").write_text("\n".join(_format_orders(d, results[best].orders)) + "\n")
+        (outdir / "orders.txt").write_text("\n".join(run["orders"]) + "\n")
     if args.export_distances:
-        _write_distances(outdir / "distances.csv", d, results[best].orders)
+        _write_distances(outdir / "distances.csv", d, fits[best].orders)
     print(f"report written to {outdir / 'report.txt'}")
-    print(
-        f"aggregate: ca {report.mean.ca:.4f}±{report.std.ca:.4f}  "
-        f"ari {report.mean.ari:.4f}±{report.std.ari:.4f}"
-    )
+    print(f"aggregate: {_mean_std(run['aggregate'], SCORES[:2])}")
     return EXIT_OK
 
 
@@ -276,22 +259,13 @@ def _matrix_rows(name: str, d: Dataset, k: int, methods, seeds: list[int]) -> li
             if key not in scored:
                 scored[key] = evaluate.score(d, part, d.labels)
             per_seed.append(scored[key])
-    rows = []
-    for meth, per_seed in zip(methods, scores):
-        rep = evaluate.aggregate(per_seed)
-        rows.append([
-            name, meth,
-            f"{rep.mean.ca:.4f}", f"{rep.std.ca:.4f}",
-            f"{rep.mean.ari:.4f}", f"{rep.std.ari:.4f}",
-            f"{rep.mean.nmi:.4f}", f"{rep.std.nmi:.4f}",
-            f"{rep.mean.cmp:.4f}", f"{rep.std.cmp:.4f}",
-        ])
-    return rows
+    reports = [evaluate.aggregate(per_seed) for per_seed in scores]
+    return [[name, meth, *(f"{getattr(stat, n):.4f}" for n in SCORES for stat in (rep.mean, rep.std))]
+            for meth, rep in zip(methods, reports)]
 
 
 def _write_matrix(outdir: Path, rows: list) -> None:
-    header = ["dataset", "method", "ca_mean", "ca_std", "ari_mean", "ari_std",
-              "nmi_mean", "nmi_std", "cmp_mean", "cmp_std"]
+    header = ["dataset", "method", *(f"{n}_{stat}" for n in SCORES for stat in ("mean", "std"))]
     _write_csv(outdir / "benchmark_matrix.csv", header, rows)
     print(f"benchmark matrix written to {outdir / 'benchmark_matrix.csv'}")
 
@@ -326,7 +300,7 @@ def cmd_bench(args) -> int:
             out_rows += _matrix_rows(name, d, k, methods, seeds)
         except Exception as exc:  # keep the suite going, record the failure
             failures.append((name, str(exc)))
-            out_rows.append([name, "ERROR", str(exc)] + [""] * 7)
+            out_rows.append([name, "ERROR", str(exc)] + [""] * (2 * len(SCORES) - 1))
     _write_matrix(outdir, out_rows)
     for name, msg in failures:
         print(f"warning: {name} failed: {msg}", file=sys.stderr)
@@ -376,9 +350,8 @@ def efficiency_bench(
 def cmd_bench_efficiency(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    points = [int(p) for p in args.points.split(",")]
     rows = efficiency_bench(
-        args.axis, points, n=args.n, s=args.s, k=args.k,
+        args.axis, args.points, n=args.n, s=args.s, k=args.k,
         values_per_attribute=args.values, seed=args.seed,
     )
     _write_csv(
@@ -486,11 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-efficiency", help="wall-time scaling sweep on synthetic data")
     p.add_argument("--axis", default="n", choices=("n", "s", "k"))
-    p.add_argument("--points", default="10000,20000,30000,40000,50000,60000,70000,80000,90000,100000")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--s", type=int, default=20)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--values", type=int, default=5)
+    p.add_argument("--points", type=_counts,
+                   default="10000,20000,30000,40000,50000,60000,70000,80000,90000,100000")
+    p.add_argument("--n", type=_count, default=10_000)
+    p.add_argument("--s", type=_count, default=20)
+    p.add_argument("--k", type=_count, default=5)
+    p.add_argument("--values", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=str(_default_outdir() / "efficiency"))
     p.set_defaults(func=cmd_bench_efficiency)

@@ -38,6 +38,32 @@ def test_fit_end_to_end(tmp_path):
     assert len(dist_rows) == d.n + 1
 
 
+@pytest.mark.parametrize("argv, aggregate", [
+    (["--data", "fixture:HR", "--k", "3", "--runs", "3"], "ca 0.4318±0.0000  ari 0.0355±0.0197"),
+    (["--data", "fixture:AC", "--k", "2", "--runs", "2", "--mixed"], "ca 0.7891±0.0010  ari 0.3334±0.0024"),
+])
+def test_fit_console_lines(argv, aggregate, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["fit", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"report written to {out / 'report.txt'}\naggregate: {aggregate}\n"
+
+
+def test_fit_without_labels_reports_nan_scores(tmp_path, capsys):
+    csv_path, schema_path = fixtures.fixture_paths("HR")
+    schema = tmp_path / "HR.schema"
+    schema.write_text(schema_path.read_text().replace("class,label", "class,ignore"))
+    out = tmp_path / "run"
+    assert run(["fit", "--data", str(csv_path), "--schema", str(schema), "--k", "3", "--runs", "2",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("\naggregate: ca nan±nan  ari nan±nan\n")
+    report = (out / "report.txt").read_text()
+    assert "\n     0  nan  +nan  nan  0.6896    34.0026     14        2      3\n" in report
+    assert "\naggregate: ca nan±nan  ari nan±nan  nmi nan±nan  cmp 0.7114±0.0308\n" in report
+    with open(out / "metrics.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[:4] for r in rows] == [["0", "nan", "nan", "nan"], ["1", "nan", "nan", "nan"]]
+
+
 def test_fit_reports_resolved_config(tmp_path):
     out = tmp_path / "run"
     code = run([
@@ -328,6 +354,18 @@ def test_bench_efficiency(tmp_path):
     with open(out / "efficiency.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [int(r[0]) for r in rows] == [200, 400]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--points", "0"], ["--points", "200,0"], ["--n", "0"], ["--s", "0"], ["--k", "-1"], ["--values", "0"],
+])
+def test_bench_efficiency_counts_below_one_are_config_errors_before_any_fit(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cluster, "fit", lambda *a, **kw: pytest.fail("fitted"))
+    with pytest.raises(SystemExit) as exc:
+        run(["bench-efficiency", *flags, "--out", str(tmp_path / "eff")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {flags[0]}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "eff").exists()
 
 
 def test_verify_command_exit_zero():
