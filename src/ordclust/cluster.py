@@ -10,6 +10,7 @@ refreshed and failed to lower the objective, which ends the fit, so the kept
 state is the best visited; non-improving steps are traced, one moving no
 sample with the kept objective, but never returned. A fit is converged unless
 a segment ran out of ``max_inner`` or full alternation ran out of ``max_outer``.
+The fits of one ``fit_many`` call reuse each other's refreshes and steps by content.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ INITS = ("kmodes_once", "random_partition")
 ORDER_MODES = ("learned", "semantic", "random", "hamming", "fixed")
 ABLATIONS = ("full", "no_prob_weight", "single_order_update", "hamming_only")
 ORDINAL_POLICIES = ("learn_all", "preserve_ordinal", "preserve_all")
+# Most assignment cells one fit_many call's step memo keeps: 2**18 int32 cells, 1 MiB. The largest
+# fixture call needs about 84k (HR: 634 distinct steps of 132 rows); a 100k-row fit keeps two steps.
+MEMO_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,9 @@ def _start(d: Dataset, cfg: FitConfig, memo: dict) -> tuple:
     The partition and any drawn orders come from two streams spawned off
     ``cfg.seed``. The memo's start slot keeps the assignment and profile of
     the last (k, init, seed), the seed keyed by its stream's pool so equal
-    seeds of any type match. Each kind of deterministic start orders is kept
-    with its distances, so the fits from it share one distances object and
-    its cost tables; drawn and given orders are built per fit.
+    seeds of any type match. Each kind of deterministic start orders is kept;
+    drawn and given orders are built per fit. Distances come from the memo's
+    table, except for given orders, whose own build checks their layout.
     """
     init_seed, order_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     key, slot = (cfg.k, cfg.init, init_seed.pool.tobytes()), memo.get("start")
@@ -181,9 +185,43 @@ def _start(d: Dataset, cfg: FitConfig, memo: dict) -> tuple:
     kind = _orders_kind(cfg)
     shared = {} if kind is None else memo.setdefault("orders", {})
     if kind not in shared:  # built only on a miss
-        orders = _initial_orders(d, cfg, kind, np.random.default_rng(order_seed))
-        shared[kind] = (orders, metric.value_distance_matrices(d, orders))
-    return *slot[1], *shared[kind]
+        shared[kind] = _initial_orders(d, cfg, kind, np.random.default_rng(order_seed))
+    orders = shared[kind]
+    return *slot[1], orders, _value_distances(d, orders, {} if cfg.fixed_orders else memo)
+
+
+def _value_distances(d: Dataset, orders: order.OrderSet, memo: dict) -> metric.ValueDistances:
+    """Value distances of ``orders`` looked up by stacked ranks: equal ranks share one object and its cost tables."""
+    key = orders.stacked_ranks.tobytes()
+    if key not in memo:
+        memo[key] = metric.value_distance_matrices(d, orders)
+    return memo[key]
+
+
+def _step(d: Dataset, mats, assign: np.ndarray, prof, form: str, memo: dict) -> tuple | None:
+    """One inner step from ``assign`` and its profile: None if no sample moves, else the new
+    assignment, its profile and objective. The assignment is a function of (counts, mats, form),
+    kept under that key up to ``MEMO_CELLS``; the profile and objective join it on the first move.
+    Distances run once per ``distinct`` row, read off ``metric`` so a wrapper there sees each call.
+    """
+    key = ("step", prof.counts.tobytes(), mats, form)
+    entry = memo.get(key)
+    if entry is None:
+        rows_enc, inverse = d.onehot.distinct or (d.onehot, None)
+        dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(rows_enc, mats, prof)
+        new_assign = metric.nearest_clusters(rows_enc, dist)
+        entry = [new_assign if inverse is None else new_assign[inverse], None]
+        entry[0].flags.writeable = False
+        cells = memo.get("cells", 0) + entry[0].size
+        if cells <= MEMO_CELLS:
+            memo[key], memo["cells"] = entry, cells
+    if np.array_equal(entry[0], assign):  # the same profile, so the objective to the bit
+        return None
+    if entry[1] is None:  # each profile is the previous one updated by the samples that changed cluster
+        new_prof = metric.profile_from_assignment(d.onehot, entry[0], prof.k, prev=(assign, prof))
+        new_prof.sizes.flags.writeable = new_prof.counts.flags.writeable = False
+        entry[1] = new_prof, metric.objective_total(mats, new_prof, form)
+    return entry[0], *entry[1]
 
 
 def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
@@ -191,26 +229,25 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
 
     An epoch is an order refresh (``learn_orders``, its value distances and
     the kept state's objective under them; skipped in the first epoch of a
-    flow that does not alternate) and then an inner segment from the kept state.
-    A step's distances and argmin run once per distinct row where the one-hot
-    table has a ``distinct`` view, and its ``inverse`` hands each sample its row's cluster.
+    flow that does not alternate) and then an inner segment of ``_step`` calls
+    from the kept state. Refreshes and steps are looked up in ``_memo``, which
+    ``fit_many`` shares across one call's fits; each fit still takes its own
+    branches, so the memo changes no bit of any result.
 
     Deterministic per (seed, config): the initializer, any random orders and
     the loop itself all draw from streams spawned off ``cfg.seed``.
-    ``_memo`` is ``fit_many``'s start memo for one call.
     """
     if d.s_categorical < 1:
         raise ValueError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
-    enc, k = d.onehot, cfg.k
-    rows_enc, inverse = enc.distinct or (enc, None)  # the rows the assignment step runs on
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
     alternating = cfg.learns_orders and cfg.ablation != "single_order_update"
     epochs = cfg.max_outer if alternating else 1 + cfg.learns_orders
     frozen = tuple(r is not None for r in d.semantic_ranks) if cfg.ordinal_policy == "preserve_ordinal" else None
 
-    cur_assign, prof, cur_orders, matrices = _start(d, cfg, {} if _memo is None else _memo)
+    memo = {} if _memo is None else _memo
+    cur_assign, prof, cur_orders, matrices = _start(d, cfg, memo)
 
     trace = FitTrace()
     l_cur = metric.objective_total(matrices, prof, form)
@@ -220,24 +257,21 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     for epoch in range(epochs):
         refresh = alternating or epoch > 0
         orders, mats, assign, p, l_prev = cur_orders, matrices, cur_assign, prof, l_cur
-        if refresh:
-            orders = order.learn_orders(d, prof, matrices, cur_orders, form=form, frozen=frozen)
-            mats = metric.value_distance_matrices(d, orders)
-            l_prev = metric.objective_total(mats, prof, form)
+        if refresh:  # a pure function of (counts, distances, form, frozen), kept in the memo
+            key = ("refresh", prof.counts.tobytes(), matrices, form, frozen)
+            if key not in memo:
+                orders = order.learn_orders(d, prof, matrices, cur_orders, form=form, frozen=frozen)
+                mats = _value_distances(d, orders, memo)
+                memo[key] = orders, mats, metric.objective_total(mats, prof, form)
+            orders, mats, l_prev = memo[key]
             trace.order_update_iterations.append(trace.total_inner_iterations)
         trace.epoch_baselines.append(l_prev)
-        # Each step's profile is the previous one updated by the samples that changed cluster; the
-        # kernels are read off ``metric`` at every step, so a wrapper installed there sees each call.
         for iters in range(1, cfg.max_inner + 1):
-            dist = (metric.mode_distances if form == "mode" else metric.cluster_distances)(rows_enc, mats, p)
-            new_assign = metric.nearest_clusters(rows_enc, dist)
-            if inverse is not None:
-                new_assign = new_assign[inverse]
-            if np.array_equal(new_assign, assign):  # the same profile, so the objective to the bit
+            moved = _step(d, mats, assign, p, form, memo)
+            if moved is None:
                 trace.objective_values.append(l_prev)
                 break
-            new_prof = metric.profile_from_assignment(enc, new_assign, k, prev=(assign, p))
-            l_new = metric.objective_total(mats, new_prof, form)
+            new_assign, new_prof, l_new = moved
             trace.objective_values.append(l_new)
             if l_new >= l_prev:
                 break
@@ -255,18 +289,19 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     trace.epochs = max(len(trace.order_update_iterations), 1)
     trace.best_objective = l_cur
     trace.wall_time = time.perf_counter() - t0
-    return FitResult(Partition(cur_assign, k), cur_orders, trace)
+    return FitResult(Partition(cur_assign, cfg.k), cur_orders, trace)
 
 
 def fit_many(d: Dataset, cfgs) -> Iterator[FitResult]:
     """``fit(d, cfg)`` for each config, yielded in the order given.
 
-    The fits of one call share their starts. Consecutive configs with the
-    same (k, init, seed) fit from one initial partition and profile, built by
-    the first of them, and each deterministic kind of start orders is built
-    once per call with its value distances. So give the configs seed-major,
-    every config of a seed before the next seed; any order gives the same
-    results, bit for bit, as separate ``fit`` calls.
+    The fits of one call share one memo, dropped when the call ends. Consecutive
+    configs with the same (k, init, seed) fit from one initial partition and
+    profile, so give the configs seed-major. Each deterministic kind of start
+    orders is built once, and equal ranks share one value distances object.
+    A refresh or step from a state an earlier fit reached is not recomputed:
+    seeds converge to the same states. Any order gives the same results, bit
+    for bit, as separate ``fit`` calls.
     """
     memo = {}
     for cfg in cfgs:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -872,18 +873,20 @@ def test_equal_seeds_of_any_type_share_one_start(kmodes_calls):
 
 
 def test_drawn_start_orders_are_built_per_fit(monkeypatch):
-    # A fit builds matrices for its start orders and after each refresh; shared
-    # start orders would skip the first build from the second fit on.
-    built, build = [], metric.value_distance_matrices
-
-    def counted(*args):
-        built.append(args[1])
-        return build(*args)
-
-    monkeypatch.setattr(metric, "value_distance_matrices", counted)
+    # Every fit from drawn orders draws its own, also where an earlier fit drew
+    # equal ranks (seed 0 twice), and none is read from the shared start-kind
+    # slot; equal ranks only share one distances object.
     d = fixtures.load_fixture("HR")
-    results = list(cluster.fit_many(d, _drawn_configs(d, (0, 0, 1))))
-    assert len(built) == sum(1 + len(res.trace.order_update_iterations) for res in results)
+    cfgs = _drawn_configs(d, (0, 0, 1))
+    drawn, draw, memos, fit = [], order.random_orders, [], cluster.fit
+    monkeypatch.setattr(order, "random_orders", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    monkeypatch.setattr(cluster, "fit", lambda d, cfg, _memo: memos.append(_memo) or fit(d, cfg, _memo=_memo))
+    results = list(cluster.fit_many(d, cfgs))
+    assert len(drawn) == sum(cfg.order_mode == "random" or cfg.random_order_init for cfg in cfgs) == 6
+    assert all(memo is memos[0] for memo in memos) and "orders" not in memos[0]
+    returned = [res.orders for cfg, res in zip(cfgs, results) if cfg.order_mode == "random"]  # never refreshed
+    assert [any(o is x for x in drawn) for o in returned] == [True] * 3
+    assert returned[0] is not returned[1] and np.array_equal(returned[0].stacked_ranks, returned[1].stacked_ranks)
 
 
 def test_fit_many_builds_each_kind_of_start_orders_once(monkeypatch):
@@ -894,6 +897,85 @@ def test_fit_many_builds_each_kind_of_start_orders_once(monkeypatch):
     list(cluster.fit_many(d, [_flow_config(flow, seed) for seed in range(3)
                               for flow in ("main", "mode_dist", "single_update")]))
     assert len(calls) == 1
+
+
+def _bench_configs(name, seeds=range(20)):
+    """The fits one ``bench`` fixture row set makes: seed-major, the four shared-start flows."""
+    k = fixtures.FIXTURES[name].k
+    return [FitConfig(k=k, seed=seed, **cli.FIT_METHODS[flow]) for seed in seeds for flow in SHARED_START_FLOWS]
+
+
+@pytest.mark.parametrize("name", ["BC", "CS", "VT"])
+def test_memoized_fits_equal_fits_on_fresh_datasets(monkeypatch, name):
+    # Tables where seeds converge to the same states, so steps and refreshes are
+    # read from the memo; in bench order, shuffled, and with no step kept.
+    d = fixtures.load_fixture(name)
+    cfgs = _bench_configs(name)
+    solo = [_fit_state(cluster.fit(dataclasses.replace(d), cfg)) for cfg in cfgs]
+    perm = np.random.default_rng(5).permutation(len(cfgs))
+
+    def states(order):
+        return [_fit_state(res) for res in cluster.fit_many(d, [cfgs[i] for i in order])]
+
+    assert states(range(len(cfgs))) == solo
+    assert states(perm) == [solo[i] for i in perm]
+    monkeypatch.setattr(cluster, "MEMO_CELLS", 0)
+    assert states(range(len(cfgs))) == solo
+
+
+def test_fit_many_skips_repeated_steps_and_refreshes(monkeypatch):
+    # BC's bench call: a fit without the memo makes 120 refreshes, 260 distance
+    # calls and 122 distance builds.
+    calls = {"learn_orders": 0, "distances": 0, "value_distance_matrices": 0}
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(order, "learn_orders", counted("learn_orders", order.learn_orders))
+    for kernel in ("cluster_distances", "mode_distances"):
+        monkeypatch.setattr(metric, kernel, counted("distances", getattr(metric, kernel)))
+    monkeypatch.setattr(metric, "value_distance_matrices",
+                        counted("value_distance_matrices", metric.value_distance_matrices))
+    results = list(cluster.fit_many(fixtures.load_fixture("BC"), _bench_configs("BC")))
+    assert sum(len(res.trace.order_update_iterations) for res in results) == 120
+    assert calls == {"learn_orders": 12, "distances": 20, "value_distance_matrices": 5}
+
+
+def test_the_memo_goes_with_its_call(monkeypatch):
+    refs, tally = [], metric.profile_from_assignment
+    monkeypatch.setattr(metric, "profile_from_assignment",
+                        lambda *args, **kwargs: refs.append(weakref.ref(prof := tally(*args, **kwargs))) or prof)
+    d = fixtures.load_fixture("BC")
+    fits = cluster.fit_many(d, _bench_configs("BC", range(2)))
+    results = [next(fits)]
+    assert any(ref() is not None for ref in refs)  # kept for the call's later fits
+    results += list(fits)
+    assert len(results) == 8 and all(ref() is None for ref in refs)
+
+
+def test_a_large_call_keeps_at_most_the_budget_of_step_cells(monkeypatch):
+    # 100k rows: every step's assignment is 400 kB, so the 1 MiB budget keeps two.
+    d = synthesize(100_000, 20, 5, seed=0)
+    cfgs = [FitConfig(k=5, seed=seed, max_outer=2, max_inner=10) for seed in (0, 1)]
+    d.onehot.distinct  # noqa: B018 - the table's views, built before tracing
+
+    def held_by_call():
+        tracemalloc.start()
+        try:
+            fits = cluster.fit_many(d, cfgs)
+            results = [next(fits), next(fits)]
+            held = tracemalloc.get_traced_memory()[0]
+            assert next(fits, None) is None
+            return results, held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    results, held = held_by_call()
+    assert sum(res.trace.total_inner_iterations for res in results) > 10  # more steps than the budget keeps
+    budget = cluster.MEMO_CELLS * np.dtype(np.int32).itemsize
+    monkeypatch.setattr(cluster, "MEMO_CELLS", 0)
+    _, held_without_steps = held_by_call()
+    assert 2 * d.n * 4 <= held - held_without_steps <= budget + 2**16  # two steps' cells, their profiles and keys
 
 
 def test_fits_leave_no_state_on_the_dataset():
