@@ -31,7 +31,7 @@ ORDER_MODES = ("learned", "semantic", "random", "hamming", "fixed")
 ABLATIONS = ("full", "no_prob_weight", "single_order_update", "hamming_only")
 ORDINAL_POLICIES = ("learn_all", "preserve_ordinal", "preserve_all")
 # Most assignment cells one fit_many call's step memo keeps: 2**18 int32 cells, 1 MiB. The largest
-# fixture call needs about 84k (HR: 634 distinct steps of 132 rows); a 100k-row fit keeps two steps.
+# bench fixture call, seeds 0-19, needs 85k (HR: 647 distinct steps of 132 rows); 100k rows keep two.
 MEMO_CELLS = 2**18
 
 

@@ -929,7 +929,10 @@ def test_fit_many_skips_repeated_steps_and_refreshes(monkeypatch):
     calls = {"learn_orders": 0, "distances": 0, "value_distance_matrices": 0}
 
     def counted(name, fn):
-        return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(order, "learn_orders", counted("learn_orders", order.learn_orders))
     for kernel in ("cluster_distances", "mode_distances"):
@@ -942,9 +945,15 @@ def test_fit_many_skips_repeated_steps_and_refreshes(monkeypatch):
 
 
 def test_the_memo_goes_with_its_call(monkeypatch):
+    # Every profile a fit tallies, the memoized ones included, is freed with the call's generator.
     refs, tally = [], metric.profile_from_assignment
-    monkeypatch.setattr(metric, "profile_from_assignment",
-                        lambda *args, **kwargs: refs.append(weakref.ref(prof := tally(*args, **kwargs))) or prof)
+
+    def tracked(*args, **kwargs):
+        prof = tally(*args, **kwargs)
+        refs.append(weakref.ref(prof))
+        return prof
+
+    monkeypatch.setattr(metric, "profile_from_assignment", tracked)
     d = fixtures.load_fixture("BC")
     fits = cluster.fit_many(d, _bench_configs("BC", range(2)))
     results = [next(fits)]
