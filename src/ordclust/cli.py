@@ -133,6 +133,12 @@ def _mean_std(report: evaluate.MetricReport, names) -> str:
     return "  ".join(f"{n} {getattr(report.mean, n):.4f}±{getattr(report.std, n):.4f}" for n in names)
 
 
+def _orders_kind(cfg: cluster.FitConfig) -> str:
+    """How a fit's reported orders came about, the word heading them in the report."""
+    kind = "hamming" if cfg.ablation == "hamming_only" else cfg.order_mode
+    return "preserved" if kind == "learned" and not cfg.learns_orders else kind  # preserve_all keeps its start
+
+
 def _report_lines(run: dict) -> list[str]:
     """The lines of a fit's ``report.txt``, rendered from its run record."""
     ds, best = run["dataset"], run["per_seed"][run["best"]]
@@ -152,7 +158,7 @@ def _report_lines(run: dict) -> list[str]:
         f"aggregate: {_mean_std(run['aggregate'], SCORES)}",
         f"best objective: {best['trace'].best_objective:.6f} (seed {best['seed']})",
         "",
-        f"learned orders (seed {best['seed']}):",
+        f"{run['orders_kind']} orders (seed {best['seed']}):",
         *("  " + line for line in run["orders"]),
     ]
 
@@ -179,6 +185,7 @@ def cmd_fit(args) -> int:
         "aggregate": evaluate.aggregate([r["scores"] for r in per_seed]),
         "best": best,  # the index into per_seed of the lowest objective
         "orders": _format_orders(d, fits[best].orders),
+        "orders_kind": _orders_kind(cfgs[0]),
     }
 
     (outdir / "report.txt").write_text("\n".join(_report_lines(run)) + "\n")

@@ -15,6 +15,7 @@ The fits of one ``fit_many`` call reuse each other's refreshes and steps by cont
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from . import metric, order
-from .data import Dataset, normalize_numerical
+from .data import Dataset, block_count, blocks, normalize_numerical, run_jobs
 
 INITS = ("kmodes_once", "random_partition")
 ORDER_MODES = ("learned", "semantic", "random", "hamming", "fixed")
@@ -332,7 +333,8 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     added onto the (k, n) squared distances one attribute at a time, the
     summation order of the per-attribute form, over a contiguous (s_cat, n)
     copy of the codes; adding their total in one step reorders the float sum
-    and changes some fits.
+    and changes some fits. That pass runs per sample block into one (n,)
+    ``nearest``, summed in one call; the integer tally stays one pass.
     """
     t0 = time.perf_counter()
     n, s_cat = enc.codes.shape
@@ -341,9 +343,16 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     s = s_cat + (0 if cols is None else cols.shape[0])
     idx = rng.choice(n, size=k, replace=False)
     modes = enc.codes[idx]  # (k, s_cat) one-hot columns
-    means = None if cols is None else cols[:, idx].T.copy()
-    points = None if cols is None else np.ascontiguousarray(cols.T)  # the row-major copy the mean product reads
-    code_rows = None if cols is None else enc.codes.T.copy()  # a strided column takes twice as long
+    if cols is not None:
+        means, groups = cols[:, idx].T.copy(), _feature_groups(cols)
+        code_rows = enc.codes.T.copy()  # a strided column takes twice as long
+        samples = blocks(n, block_count(n * s))
+
+        def nearest_block(block, a, nearest):  # the samples of one block: distances, then the nearest centre
+            dist = _squared_distances(cols[:, block], means)
+            for r in range(s_cat):
+                dist += code_rows[r, block] != modes[:, r, None]
+            a[block], nearest[block] = _nearest(dist)
 
     rows_enc, inverse = enc.distinct or (enc, None)
     rows = np.arange(n) if inverse is None else inverse  # each sample's row of the mismatch table
@@ -351,24 +360,22 @@ def _centre_loop(enc, cols, k, seed, max_iter, monotone) -> tuple[Partition, Fit
     trace = FitTrace()
     cur_assign, l_prev = None, np.inf
     for _ in range(max_iter):
-        if means is None:
+        if cols is None:
             dist = metric.mean_costs(rows_enc, (values != modes.T[enc.attribute]).astype(float), 1)
             a = metric.nearest_clusters(rows_enc, dist)
             if inverse is not None:
                 a = a[inverse]
             l_new = float(dist[rows, a].sum()) / s
         else:
-            dist = _squared_distances(cols, means)
-            for r in range(s_cat):
-                dist += code_rows[r] != modes[:, r, None]
-            a, nearest = _nearest(dist)
+            a, nearest = np.empty(n, dtype=np.intp), np.empty(n)
+            run_jobs([functools.partial(nearest_block, block, a, nearest) for block in samples], len(samples))
             l_new = float(nearest.sum()) / s
         trace.objective_values.append(l_new)
         if cur_assign is not None and (np.array_equal(a, cur_assign) or (monotone and l_new >= l_prev)):
             trace.converged = True
             break
-        if means is not None:
-            _update_means(points, a, means)
+        if cols is not None:
+            _update_means(groups, a, means)
         best = enc.first_maxima(enc.counts(a, k))  # lowest-index most frequent value per attribute
         occupied = np.bincount(a, minlength=k) > 0
         modes[occupied] = best[occupied]
@@ -444,22 +451,36 @@ def _nearest(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, nearest
 
 
-def _update_means(points: np.ndarray, a: np.ndarray, centers: np.ndarray) -> None:
-    """Set each live cluster's centre to the mean of its members among the C-contiguous (n, dim)
-    ``points``, bit-identical to ``points[a == m].mean(axis=0)``; an emptied cluster keeps its stale centre.
+def _feature_groups(cols: np.ndarray) -> list[tuple]:
+    """(feature slice, C-contiguous (n, features) copy) pairs of a (dim, n) array, one group per
+    ``block_count`` of its cells at most: the row-major copies ``_update_means`` reads."""
+    groups = blocks(len(cols), min(block_count(cols.size), len(cols)))
+    copies = run_jobs([functools.partial(np.ascontiguousarray, cols[g].T) for g in groups], len(groups))
+    return list(zip(groups, copies))
+
+
+def _update_means(groups, a: np.ndarray, centers: np.ndarray) -> None:
+    """Set each live cluster's centre to the mean of its members among the points whose features
+    ``_feature_groups`` holds, bit-identical to ``points[a == m].mean(axis=0)`` over the (n, dim)
+    points; an emptied cluster keeps its stale centre.
 
     The sums are one product of the (k, n) CSC membership matrix, a 1.0 at row ``a[i]`` of column
-    i, with ``points``: scipy's ``csc_matvecs`` adds each sample's row into its cluster's sums from
-    zero, in sample order, as numpy's axis-0 sum adds, and 1.0 * x is exact with or without FMA."""
-    n, k = len(points), len(centers)
+    i, with each group's features: scipy's ``csc_matvecs`` adds each sample's row into its
+    cluster's sums from zero, in sample order, as numpy's axis-0 sum adds, whatever the other
+    columns, and 1.0 * x is exact with or without FMA. The groups run as ``run_jobs`` jobs."""
+    n, k = len(a), len(centers)
     counts = np.bincount(a, minlength=k)
     live = counts > 0
-    if points.shape[1] == 1:  # a one-column mean is numpy's pairwise sum
-        centers[live, 0] = [points[a == m, 0].mean() for m in np.flatnonzero(live)]
+    if centers.shape[1] == 1:  # a one-column mean is numpy's pairwise sum
+        centers[live, 0] = [groups[0][1][a == m, 0].mean() for m in np.flatnonzero(live)]
         return
     members = sparse.csc_matrix((k, n))  # set directly: the constructor's index checks took 2 of 4 ms
     members.data, members.indices, members.indptr = np.ones(n), a, np.arange(n + 1, dtype=a.dtype)
-    centers[live] = (members @ points)[live] / counts[live, None]
+
+    def update(features, points):
+        centers[live, features] = (members @ points)[live] / counts[live, None]
+
+    run_jobs([functools.partial(update, *group) for group in groups], len(groups))
 
 
 def _assign(cols: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -475,15 +496,19 @@ def _assign(cols: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndar
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sizes = np.einsum("ij,ij->i", centers, centers)
-        ranks = sizes[:, None] - 2.0 * (centers @ cols)
-        a, best, second = np.zeros(cols.shape[1], dtype=np.intp), ranks[0].copy(), np.inf
+        ranks = centers @ cols  # then |c|^2 - 2 c.x in place, the same bits
+        ranks *= -2.0
+        ranks += sizes[:, None]
+        a, best, second = np.zeros(cols.shape[1], dtype=np.intp), ranks[0], np.inf
         for m in range(1, len(ranks)):
             a[ranks[m] < best] = m
             second = np.minimum(second, np.maximum(best, ranks[m]))
             np.minimum(best, ranks[m], out=best)
         f64 = np.finfo(np.float64)
-        tol = 16 * (len(cols) + 2) * f64.eps * (norms + (sizes.max() + f64.tiny))
-        doubt = np.flatnonzero(~(second - best > tol))
+        tol = norms + (sizes.max() + f64.tiny)
+        tol *= 16 * (len(cols) + 2) * f64.eps
+        second -= best
+        doubt = np.flatnonzero(~(second > tol))
     if doubt.size:
         a[doubt] = _nearest(_squared_distances(cols[:, doubt], centers))[0]
     return a
@@ -492,17 +517,20 @@ def _assign(cols: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndar
 def lloyd_kmeans(cols: np.ndarray, k: int, seed=0, max_iter: int = 100) -> tuple[np.ndarray, bool]:
     """Plain seeded k-means (k-means++ init) over the columns of a (dim, n) array; returns the
     assignment and False when ``max_iter`` ran out before it repeated. Distances, assignment
-    and means are each bit-identical to the (n, dim) form, so it finds that form's partition."""
+    and means are each bit-identical to the (n, dim) form, so it finds that form's partition.
+    The assignment runs per sample block: ``_assign`` keeps each column's exact result however
+    BLAS rounds a block's ranks."""
     _check_centres(k, cols.shape[1], max_iter)
     centers = _kmeans_pp_init(cols, k, np.random.default_rng(seed))
     norms = np.einsum("ij,ij->j", cols, cols)
-    points = np.ascontiguousarray(cols.T)  # the row-major copy the mean product reads
+    groups, samples = _feature_groups(cols), blocks(cols.shape[1], block_count(cols.size))
     assign_prev = None
     for _ in range(max_iter):
-        a = _assign(cols, centers, norms)
+        jobs = [functools.partial(_assign, cols[:, block], centers, norms[block]) for block in samples]
+        a = np.concatenate(run_jobs(jobs, len(jobs)))
         if assign_prev is not None and np.array_equal(a, assign_prev):
             return a.astype(np.int32), True
-        _update_means(points, a, centers)
+        _update_means(groups, a, centers)
         assign_prev = a
     return assign_prev.astype(np.int32), False
 

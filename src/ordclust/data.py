@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,16 +29,63 @@ from scipy import sparse
 KINDS = ("nominal", "ordinal", "numerical", "label", "ignore")
 MISSING_POLICIES = ("drop_row", "error")
 _NEWLINE, _COMMA = ord("\n"), ord(",")
-# Fewest one-hot cells per row block. With the second core of a 2-core host idle, two blocks of a
-# distance pass and its argmin ran 1.04x as fast as one at 2e5 cells, 1.35x at 4e5, 1.57x at 1e6.
+# Fewest cells per block of a pass that ``run_jobs`` splits: one-hot cells per row block, and the
+# cells of a CSV file's columns or of k-means features per column job or sample block; below it a
+# pass runs serially and starts no thread. With the second core of a 2-core host idle, two blocks of
+# a distance pass and its argmin ran 1.04x as fast as one at 2e5 cells, 1.35x at 4e5, 1.57x at 1e6.
+# On the 207k-row mixed AC file (3.1e6 CSV cells, 2.9e6 features) two threads took load_csv from
+# 185 to 144 ms, lloyd_kmeans from 114 to 98 ms and fit_kprototypes from 67 to 47 ms.
 ROW_BLOCK_CELLS = 2**18
 # Largest share of distinct rows at which ``OneHot.distinct`` compresses a table. A capped fit of
 # 100k x 20 rows (k = 5) ran at 0.36x the per-sample time at 10% distinct, 0.74x at 50%, 0.83x at
 # 60%, 0.97x at 75% and 1.23x at 100% (2-core host); half keeps a margin below the crossover.
 DISTINCT_MAX_SHARE = 0.5
-# Each process's pool for ``OneHot.map_rows``, keyed by process id: a child forked after its parent's
-# pool started inherits that pool without its threads. Threads start as blocks wait for one.
+# Each process's pool for ``run_jobs``, keyed by process id: a child forked after its parent's pool
+# started inherits that pool without its threads. Threads start as jobs wait for one.
 _pool = functools.cache(lambda pid: ThreadPoolExecutor())
+
+
+def block_count(cells: int) -> int:
+    """Blocks, and threads, for a pass over ``cells`` cells: one per usable CPU at most, each of
+    ``ROW_BLOCK_CELLS`` cells or more."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(min(cpus, cells // ROW_BLOCK_CELLS), 1)
+
+
+def blocks(size: int, count: int) -> list[slice]:
+    """``count`` contiguous slices of ``range(size)``, their lengths differing by one at most."""
+    return [slice(size * i // count, size * (i + 1) // count) for i in range(count)]
+
+
+def run_jobs(jobs, threads: int) -> list:
+    """The results of calling each of ``jobs``, in order. The calling thread runs the first job;
+    below ``threads`` threads in all, ``_pool`` workers and then the caller take the rest in order.
+    Every job runs to its end before the error of the first failed job, if any, is raised. With
+    one thread the jobs run in turn, as a loop would run them."""
+    jobs = list(jobs)
+    if threads < 2 or len(jobs) < 2:
+        return [job() for job in jobs]
+    outcomes, taken = [None] * len(jobs), itertools.count(1)  # next() on a count is one C call: atomic
+
+    def run(i):
+        try:
+            outcomes[i] = True, jobs[i]()
+        except Exception as exc:  # held until every job has run
+            outcomes[i] = False, exc
+
+    def take():
+        while (i := next(taken)) < len(jobs):
+            run(i)
+
+    futures = [_pool(os.getpid()).submit(take) for _ in range(min(threads, len(jobs)) - 1)]
+    run(0)
+    take()
+    for future in futures:
+        future.result()
+    for done, value in outcomes:
+        if not done:
+            raise value
+    return [value for _, value in outcomes]
 
 
 class SchemaError(ValueError):
@@ -151,18 +199,15 @@ class OneHot:
 
     @functools.cached_property
     def row_blocks(self) -> tuple:
-        """(rows, CSR view of X[rows]) pairs: one per usable CPU at most, each of ``ROW_BLOCK_CELLS`` cells or more."""
-        X, n = self.X, self.X.shape[0]
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        count = max(min(cpus, X.nnz // ROW_BLOCK_CELLS), 1)
-        blocks = []
-        for rows in (slice(n * i // count, n * (i + 1) // count) for i in range(count)):
+        """(rows, CSR view of X[rows]) pairs, ``block_count`` of the table's cells."""
+        X, out = self.X, []
+        for rows in blocks(X.shape[0], block_count(X.nnz)):
             lo, hi = X.indptr[rows.start], X.indptr[rows.stop]
             block = sparse.csr_matrix((rows.stop - rows.start, X.shape[1]))  # its constructor copies small views
             block.data, block.indices = X.data[lo:hi], X.indices[lo:hi]
             block.indptr = X.indptr[rows.start:rows.stop + 1] - lo
-            blocks.append((rows, block))
-        return tuple(blocks)
+            out.append((rows, block))
+        return tuple(out)
 
     @functools.cached_property
     def distinct(self) -> tuple[OneHot, np.ndarray] | None:
@@ -204,12 +249,8 @@ class OneHot:
         return OneHot.encode(rows, lengths), inverse
 
     def map_rows(self, fn) -> None:
-        """``fn(rows, X[rows])`` per row block, the calling thread running the first and ``_pool`` the rest."""
-        first, *rest = self.row_blocks
-        futures = [_pool(os.getpid()).submit(fn, *block) for block in rest]
-        fn(*first)
-        for future in futures:
-            future.result()
+        """``fn(rows, X[rows])`` per row block, through ``run_jobs``."""
+        run_jobs([functools.partial(fn, *block) for block in self.row_blocks], len(self.row_blocks))
 
     def first_maxima(self, table: np.ndarray) -> np.ndarray:
         """(k, s) column of each row's largest entry within each attribute of a (k, sum l) table,
@@ -403,11 +444,11 @@ def _byte_cells(raw: bytes, names: list[str], origin: str):
     if not raw:
         raise DataError(f"{origin}: empty file")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NEWLINE)
+    scans = [lambda: np.flatnonzero(buf == _NEWLINE), lambda: np.flatnonzero(buf == _COMMA)]
+    ends, commas = run_jobs(scans, block_count(buf.size))
     if not raw.endswith(b"\n"):
         ends = np.append(ends, len(raw))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    commas = np.flatnonzero(buf == _COMMA)
     cells = np.where(ends > starts, np.diff(np.searchsorted(commas, ends), prepend=0) + 1, 0)
     _check_header(raw[:ends[0]].decode("utf-8-sig").split(",") if cells[0] else [], names, origin)
     m = len(names)
@@ -420,11 +461,13 @@ def _byte_cells(raw: bytes, names: list[str], origin: str):
     rows = np.flatnonzero(cells[1:stop]) + 1
     # Every line before the ragged one holds m - 1 commas or none.
     inner = commas[m - 1 : (m - 1) * (rows.size + 1)]
-    columns = []
-    for j in range(m):
+
+    def column(j):
         lo = starts[rows] if j == 0 else inner[j - 1 :: m - 1] + 1
         hi = ends[rows] if j == m - 1 else inner[j :: m - 1]
-        columns.append(_gather(raw, buf, lo, hi))
+        return _gather(raw, buf, lo, hi)
+
+    columns = run_jobs([functools.partial(column, j) for j in range(m)], block_count(rows.size * m))
     return columns, rows + 1, ragged
 
 
@@ -564,66 +607,53 @@ def _floats(cells: np.ndarray, name: str, origin: str) -> np.ndarray:
     return values
 
 
+def _column(col: AttributeSchema, cells: np.ndarray, origin: str):
+    """One column's encoding, with its checks: a numerical column's float values; a categorical
+    or label column's codes, its literals, and an ordinal column's 1-based declared ranks."""
+    if col.kind == "numerical":
+        values = _floats(cells, col.name, origin)
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{origin}: column {col.name!r} holds a non-finite value")
+        return values
+    codes, literals = _first_appearance(cells)
+    ranks = None
+    if col.kind == "ordinal" and len(literals) > 1:  # a degenerate column is dropped unchecked
+        unknown = [v for v in literals if v not in col.semantic_order]
+        if unknown:
+            raise DataError(
+                f"{origin}: ordinal column {col.name!r} holds values outside "
+                f"its declared order: {unknown}"
+            )
+        vocab = {v: i for i, v in enumerate(literals)}
+        declared = [v for v in col.semantic_order if v in vocab]
+        ranks = np.empty(len(literals), dtype=np.int64)
+        for pos, v in enumerate(declared, start=1):
+            ranks[vocab[v]] = pos
+    return codes, literals, ranks
+
+
 def _encode(columns, schema, origin: str) -> Dataset:
+    """The columns encoded as ``run_jobs`` jobs, so the error raised is the first in schema order."""
     n = len(columns[0])
-    cat_cols, num_cols = [], []
-    dictionaries, cat_names, semantic_ranks = [], [], []
-    num_names = []
-    labels = None
-    label_values = None
-    degenerate = []
-
-    for col, cells in zip(schema, columns):
-        if col.kind == "ignore":
-            continue
+    used = [(col, cells) for col, cells in zip(schema, columns) if col.kind != "ignore"]
+    jobs = [functools.partial(_column, col, cells, origin) for col, cells in used]
+    cat, num, degenerate, labels, label_values = [], [], [], None, None
+    for (col, _), encoded in zip(used, run_jobs(jobs, block_count(n * len(used)))):
         if col.kind == "numerical":
-            values = _floats(cells, col.name, origin)
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"{origin}: column {col.name!r} holds a non-finite value")
-            num_cols.append(values)
-            num_names.append(col.name)
-            continue
-
-        # categorical / label: dictionary by first appearance
-        codes, literals = _first_appearance(cells)
-
-        if col.kind == "label":
-            labels = codes
-            label_values = literals
-            continue
-        if len(literals) == 1:
-            degenerate.append(DegenerateColumn(col.name, literals[0]))
-            continue
-        ranks = None
-        if col.kind == "ordinal":
-            unknown = [v for v in literals if v not in col.semantic_order]
-            if unknown:
-                raise DataError(
-                    f"{origin}: ordinal column {col.name!r} holds values outside "
-                    f"its declared order: {unknown}"
-                )
-            vocab = {v: i for i, v in enumerate(literals)}
-            declared = [v for v in col.semantic_order if v in vocab]
-            ranks = np.empty(len(literals), dtype=np.int64)
-            for pos, v in enumerate(declared, start=1):
-                ranks[vocab[v]] = pos
-        cat_cols.append(codes)
-        dictionaries.append(literals)
-        cat_names.append(col.name)
-        semantic_ranks.append(ranks)
-
-    cat = np.column_stack(cat_cols) if cat_cols else np.empty((n, 0), dtype=np.int32)
-    num = np.column_stack(num_cols) if num_cols else np.empty((n, 0), dtype=np.float64)
+            num.append((col.name, encoded))
+        elif col.kind == "label":
+            labels, label_values, _ = encoded
+        elif len(encoded[1]) == 1:
+            degenerate.append(DegenerateColumn(col.name, encoded[1][0]))
+        else:
+            cat.append((col.name, *encoded))
+    cat_names, cat_cols, dictionaries, semantic_ranks = zip(*cat) if cat else ((),) * 4
+    num_names, num_cols = zip(*num) if num else ((),) * 2
     return Dataset(
-        cat=cat,
-        num=num,
-        dictionaries=tuple(dictionaries),
-        cat_names=tuple(cat_names),
-        semantic_ranks=tuple(semantic_ranks),
-        num_names=tuple(num_names),
-        labels=labels,
-        label_values=label_values,
-        degenerate=tuple(degenerate),
+        cat=np.column_stack(cat_cols) if cat else np.empty((n, 0), dtype=np.int32),
+        num=np.column_stack(num_cols) if num else np.empty((n, 0), dtype=np.float64),
+        dictionaries=dictionaries, cat_names=cat_names, semantic_ranks=semantic_ranks, num_names=num_names,
+        labels=labels, label_values=label_values, degenerate=tuple(degenerate),
     )
 
 

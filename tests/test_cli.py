@@ -75,6 +75,18 @@ def test_fit_reports_resolved_config(tmp_path):
     assert "order_mode=hamming" in report
 
 
+@pytest.mark.parametrize("flags, kind", [
+    ([], "learned"), (["--order-mode", "hamming"], "hamming"), (["--order-mode", "semantic"], "semantic"),
+    (["--ablation", "hamming_only"], "hamming"), (["--ordinal-policy", "preserve_all"], "preserved"),
+])
+def test_fit_report_heads_the_orders_by_how_they_came_about(flags, kind, tmp_path):
+    out = tmp_path / "run"
+    assert run(["fit", "--data", "fixture:HR", "--k", "3", "--runs", "1", *flags, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert f"\n{kind} orders (seed 0):\n" in report
+    assert ("learned orders" in report) == (kind == "learned")
+
+
 def test_fit_missing_schema_is_data_error(tmp_path, capsys):
     code = run([
         "fit", "--data", str(tmp_path / "none.csv"), "--schema", str(tmp_path / "none.schema"),

@@ -1034,43 +1034,56 @@ def test_row_blocks_change_no_fit(monkeypatch, blocks):
 
 
 FORK_SCRIPT = """
-import multiprocessing, os, sys
+import multiprocessing, os, sys, tempfile
 from ordclust import cluster, data
 
 data.ROW_BLOCK_CELLS, os.sched_getaffinity = 1, lambda pid: {0, 1}
 d = data.synthesize(400, 4, 3, seed=1)
+schema = [data.AttributeSchema("a", "nominal"), data.AttributeSchema("x", "numerical"),
+          data.AttributeSchema("y", "numerical")]
 
-def fit():
+def fit(path):
     cluster.fit(d, cluster.FitConfig(k=3, max_outer=2))
+    cluster.lloyd_kmeans(data.normalize_numerical(data.load_csv(path, schema)), 3)
 
 if __name__ == "__main__":
-    fit()  # the parent's pool runs blocks, so its threads exist before the fork
-    child = multiprocessing.get_context("fork").Process(target=fit)
-    child.start()
-    child.join(30)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    sys.exit("the forked child's fit hung" if hung else child.exitcode)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w") as fh:
+            fh.write("a,x,y\\n" + "".join(f"v{i % 3},{i % 7},{i % 11}\\n" for i in range(400)))
+        fit(path)  # the parent's pool runs blocks and columns, so its threads exist before the fork
+        child = multiprocessing.get_context("fork").Process(target=fit, args=(path,))
+        child.start()
+        child.join(30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+    sys.exit("the forked child's fit, load or k-means hung" if hung else child.exitcode)
 """
 
 
 def test_a_forked_child_runs_row_blocks_in_its_own_pool():
-    # a child forked after the pool started inherits a pool without threads; its fits must not wait on it
+    # a child forked after the pool started inherits a pool without threads; its fits, CSV loads and
+    # k-means must not wait on it
     path = os.pathsep.join([str(Path(cluster.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
+def _tiled_ac():
+    """The AC fixture's rows tiled past the size floor."""
+    base = fixtures.load_fixture("AC")
+    reps = -(-data.ROW_BLOCK_CELLS // (base.n * base.s_categorical))
+    return dataclasses.replace(base, cat=np.tile(base.cat, (reps, 1)), num=np.tile(base.num, (reps, 1)),
+                               labels=np.tile(base.labels, reps))
+
+
 def test_distinct_rows_change_no_result(monkeypatch):
     # The AC fixture's rows tiled past the size floor run the kernels once per distinct row; a twin
     # without the view runs them per sample. Every fit, baseline and score must agree bit for bit.
-    base = fixtures.load_fixture("AC")
-    reps = -(-data.ROW_BLOCK_CELLS // (base.n * base.s_categorical))
-    d = dataclasses.replace(base, cat=np.tile(base.cat, (reps, 1)), num=np.tile(base.num, (reps, 1)),
-                            labels=np.tile(base.labels, reps))
+    d = _tiled_ac()
     twin = dataclasses.replace(d)
     twin.onehot.__dict__["distinct"] = None
     view, inverse = d.onehot.distinct
@@ -1104,3 +1117,41 @@ def test_distinct_rows_change_no_result(monkeypatch):
         np.add.at(expect, (assign[rows][:, None], d.onehot.codes[rows]), 1)
         got = d.onehot.counts(assign, 5, None if rows.size == d.n else rows)
         assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+
+def test_sample_blocks_change_no_mixed_result(monkeypatch):
+    # k-means, k-prototypes and the mixed fit run their per-sample passes in 1, 2 or 3 blocks and
+    # their means in as many feature groups; every partition and trace must equal one block's.
+    d = _tiled_ac()
+    cols = np.concatenate([cluster.encode_with_orders(d, order.dictionary_orders(d)), data.normalize_numerical(d)])
+
+    def run(d):
+        kmeans = [cluster.lloyd_kmeans(cols, k, seed=seed) for k in (2, 5) for seed in range(2)]
+        fits = [cluster.fit_kprototypes(d, 3, seed=seed) for seed in range(2)]
+        mixed = [_fit_state(cluster.fit_mixed(d, FitConfig(k=2, seed=seed))) for seed in range(2)]
+        return ([(a.tobytes(), converged) for a, converged in kmeans],
+                [(part.assign.tobytes(), repr(dataclasses.replace(trace, wall_time=0.0))) for part, trace in fits],
+                mixed)
+
+    one = run(split_rows(monkeypatch, d, 1))
+    for blocks in (2, 3):
+        split = split_rows(monkeypatch, d, blocks)
+        assert data.block_count(cols.size) == len(cluster._feature_groups(cols)) == blocks
+        assert run(split) == one
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+def test_update_means_in_feature_groups_equals_the_row_mean(rng, monkeypatch, groups):
+    monkeypatch.setattr(data, "ROW_BLOCK_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(groups)))
+    points = 10.0 ** rng.uniform(-3, 3, size=(500, 7))
+    feature_groups = cluster._feature_groups(np.ascontiguousarray(points.T))
+    assert len(feature_groups) == groups
+    a = rng.integers(0, 4, size=500)
+    a[a == 2] = 0  # an emptied cluster keeps its stale centre
+    centers = rng.random((4, 7))
+    stale = centers[2].copy()
+    cluster._update_means(feature_groups, a, centers)
+    for m in (0, 1, 3):
+        assert np.array_equal(centers[m], points[a == m].mean(axis=0))
+    assert np.array_equal(centers[2], stale)

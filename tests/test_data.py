@@ -1,16 +1,22 @@
+import dataclasses
+import functools
+import itertools
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset, minmax_columns
-from ordclust import data, fixtures
+from ordclust import cli, data, fixtures
 from ordclust.data import (
     AttributeSchema,
     DataError,
     SchemaError,
     load_csv,
+    load_dataset,
     load_schema,
     loads_csv,
     normalize_numerical,
@@ -306,3 +312,93 @@ def test_distinct_view_is_found_exactly_where_it_pays(case, monkeypatch):
     tally = np.zeros((3, int(enc.offsets[-1])), dtype=np.int64)
     np.add.at(tally, (assign[:, None], enc.codes), 1)
     assert np.array_equal(enc.counts(assign, 3), tally)
+
+
+def _dataset_bytes(d):
+    """Every field of a Dataset, arrays as (dtype, shape, bytes)."""
+    def plain(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.shape, x.tobytes()
+        return tuple(map(plain, x)) if isinstance(x, tuple) else x
+    return tuple(plain(getattr(d, field.name)) for field in dataclasses.fields(d))
+
+
+def _force_cpus(monkeypatch, cpus):
+    """One cell per block suffices, and ``cpus`` CPUs are usable."""
+    monkeypatch.setattr(data, "ROW_BLOCK_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["bytes", "csv_reader"])
+def test_column_jobs_load_the_same_dataset(tmp_path, monkeypatch, line_end):
+    # The bundled fixtures and the AC file tiled past the size floor, through either tokenizer
+    # (a carriage return sends a file through csv.reader): 1, 2 or 3 threads give one Dataset.
+    ac_csv, ac_schema = fixtures.fixture_paths("AC")
+    header, *body = ac_csv.read_bytes().splitlines(keepends=True)
+    reps = -(-data.ROW_BLOCK_CELLS // (len(body) * len(header.split(b","))))
+    tiled = tmp_path / "AC_tiled.csv"
+    tiled.write_bytes(header + b"".join(body) * reps)
+    files = [fixtures.fixture_paths(name) for name in fixtures.FIXTURES] + [(tiled, ac_schema)]
+    assert len(files) == 12
+    for csv_path, schema_path in files:
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(csv_path.read_bytes().replace(b"\n", line_end))
+        loads = []
+        for cpus in (1, 2, 3):
+            _force_cpus(monkeypatch, cpus)
+            loads.append(_dataset_bytes(load_dataset(copy, schema_path)))
+        assert loads[1] == loads[0] and loads[2] == loads[0], csv_path.name
+
+
+BAD_COLUMNS = {  # schema line, cells, and the error the column raises
+    "o": ("o,ordinal,lo,hi", ["lo", "weird", "hi"], "ordinal column 'o' holds values outside its declared order"),
+    "x": ("x,numerical", ["1", "2", "x"], "column 'x': could not convert string to float: 'x'"),
+    "y": ("y,numerical", ["1", "inf", "3"], "column 'y' holds a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("names", list(itertools.permutations(BAD_COLUMNS)), ids="".join)
+def test_the_first_bad_column_in_schema_order_is_raised(tmp_path, monkeypatch, capsys, names):
+    # an ordinal value outside its declared order, a cell float() refuses and a non-finite value,
+    # in every schema order: at any thread count the first column's error, and exit code 3
+    csv_path, schema_path = tmp_path / "t.csv", tmp_path / "t.schema"
+    rows = [names, *zip(*(BAD_COLUMNS[c][1] for c in names))]
+    csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+    schema_path.write_text("".join(BAD_COLUMNS[c][0] + "\n" for c in names))
+    errors = []
+    for cpus in (1, 2, 3):
+        _force_cpus(monkeypatch, cpus)
+        code = cli.main(["fit", "--data", str(csv_path), "--schema", str(schema_path),
+                         "--k", "2", "--runs", "1", "--out", str(tmp_path / "out")])
+        assert code == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"data error: {csv_path}: {BAD_COLUMNS[names[0]][2]}"), errors[0]
+    assert errors == errors[:1] * 3
+
+
+def test_run_jobs_runs_every_job_once_and_raises_the_first_error(monkeypatch):
+    # more threads than cores, switching often: each job runs once and the results come back in
+    # order; the first failed job's error is raised after every job has run, or, on one thread,
+    # where a loop would raise it
+    ran = []
+
+    def job(i, fail=()):
+        ran.append(i)
+        if i in fail:
+            raise DataError(f"job {i}")
+        return int(np.full(100, i).sum())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 8):
+            ran.clear()
+            results = data.run_jobs([functools.partial(job, i) for i in range(300)], threads)
+            assert results == [100 * i for i in range(300)]
+            assert sorted(ran) == list(range(300))
+            ran.clear()
+            with pytest.raises(DataError, match="^job 5$"):
+                data.run_jobs([functools.partial(job, i, fail=(5, 17, 250)) for i in range(300)], threads)
+            assert sorted(ran) == list(range(6 if threads == 1 else 300))
+    finally:
+        sys.setswitchinterval(interval)
