@@ -33,8 +33,8 @@ _NEWLINE, _COMMA = ord("\n"), ord(",")
 # cells of a CSV file's columns or of k-means features per column job or sample block; below it a
 # pass runs serially and starts no thread. With the second core of a 2-core host idle, two blocks of
 # a distance pass and its argmin ran 1.04x as fast as one at 2e5 cells, 1.35x at 4e5, 1.57x at 1e6.
-# On the 207k-row mixed AC file (3.1e6 CSV cells, 2.9e6 features) two threads took load_csv from
-# 185 to 144 ms, lloyd_kmeans from 114 to 98 ms and fit_kprototypes from 67 to 47 ms.
+# On the 207k-row mixed AC file (3.1e6 CSV cells, 2.9e6 features) two threads cut the time of
+# load_csv by 22-40%, lloyd_kmeans by 14-41% and fit_kprototypes by 26-30% (three rounds).
 ROW_BLOCK_CELLS = 2**18
 # Largest share of distinct rows at which ``OneHot.distinct`` compresses a table. A capped fit of
 # 100k x 20 rows (k = 5) ran at 0.36x the per-sample time at 10% distinct, 0.74x at 50%, 0.83x at
