@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster, evaluate, fixtures, metric, oracle, order
-# load_csv is not called here; it stays bound because perfbench's tracer test looks for it.
-from .data import DataError, Dataset, SchemaError, load_csv, load_dataset, synthesize  # noqa: F401
+from .data import DataError, Dataset, SchemaError, load_csv, load_schema, synthesize
+from .evaluate import SCORES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,7 +30,6 @@ EXIT_RUNTIME = 4
 # The fit options a report's config line names, in its order; all but ``mixed`` are FitConfig fields.
 FIT_OPTIONS = ("k", "init", "order_mode", "ablation", "ordinal_policy", "mixed", "max_outer", "max_inner",
                "random_order_init")
-SCORES = ("ca", "ari", "nmi", "cmp")  # the fields of evaluate.RunMetrics, in every output's order
 SEED_ROW = ("  {seed:4d}  {scores.ca:.4f}  {scores.ari:+.4f}  {scores.nmi:.4f}  {scores.cmp:.4f}  "
             "{trace.best_objective:9.4f}  {trace.total_inner_iterations:5d}  "
             "{trace.accepted_order_updates:7d}  {effective_k:5d}")  # a report's per-seed line
@@ -60,7 +59,7 @@ def _resolve_data(data: str, schema: str | None) -> tuple[Path, Path]:
 def _load(args) -> Dataset:
     data_path, schema_path = _resolve_data(args.data, args.schema)
     missing = tuple(args.missing_token) if args.missing_token else ("",)
-    return load_dataset(data_path, schema_path, args.missing_policy, missing)
+    return load_csv(data_path, load_schema(schema_path), args.missing_policy, missing)
 
 
 FIT_METHODS = {  # FitConfig keywords of the benchmark methods that run the main fit
@@ -133,12 +132,6 @@ def _mean_std(report: evaluate.MetricReport, names) -> str:
     return "  ".join(f"{n} {getattr(report.mean, n):.4f}±{getattr(report.std, n):.4f}" for n in names)
 
 
-def _orders_kind(cfg: cluster.FitConfig) -> str:
-    """How a fit's reported orders came about, the word heading them in the report."""
-    kind = "hamming" if cfg.ablation == "hamming_only" else cfg.order_mode
-    return "preserved" if kind == "learned" and not cfg.learns_orders else kind  # preserve_all keeps its start
-
-
 def _report_lines(run: dict) -> list[str]:
     """The lines of a fit's ``report.txt``, rendered from its run record."""
     ds, best = run["dataset"], run["per_seed"][run["best"]]
@@ -185,7 +178,7 @@ def cmd_fit(args) -> int:
         "aggregate": evaluate.aggregate([r["scores"] for r in per_seed]),
         "best": best,  # the index into per_seed of the lowest objective
         "orders": _format_orders(d, fits[best].orders),
-        "orders_kind": _orders_kind(cfgs[0]),
+        "orders_kind": cfgs[0].orders,  # how the orders came about, the word heading them in the report
     }
 
     (outdir / "report.txt").write_text("\n".join(_report_lines(run)) + "\n")
@@ -303,7 +296,7 @@ def cmd_bench(args) -> int:
     for name, data, schema, k in suite:
         try:
             data_path, schema_path = _resolve_data(data, schema)
-            d = load_dataset(data_path, schema_path, args.missing_policy)
+            d = load_csv(data_path, load_schema(schema_path), args.missing_policy)
             out_rows += _matrix_rows(name, d, k, methods, seeds)
         except Exception as exc:  # keep the suite going, record the failure
             failures.append((name, str(exc)))

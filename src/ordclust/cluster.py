@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from . import metric, order
-from .data import Dataset, block_count, blocks, normalize_numerical, run_jobs
+from .data import DataError, Dataset, block_count, blocks, normalize_numerical, run_jobs
 
 INITS = ("kmodes_once", "random_partition")
 ORDER_MODES = ("learned", "semantic", "random", "hamming", "fixed")
@@ -91,7 +91,7 @@ class FitConfig:
             raise ValueError("fixed_orders is given exactly when order_mode='fixed'")
         if self.ablation == "hamming_only" and self.order_mode != "learned":
             raise ValueError("ablation 'hamming_only' sets the orders itself; it needs order_mode='learned'")
-        learned = self.order_mode == "learned" and self.ablation != "hamming_only"
+        learned = self.orders in ("learned", "preserved")
         if self.random_order_init and not learned:
             raise ValueError("random_order_init needs learned orders")
         if self.ordinal_policy != "learn_all" and not learned:
@@ -100,10 +100,19 @@ class FitConfig:
             raise ValueError(f"ablation {self.ablation!r} needs learnable orders")
 
     @property
+    def orders(self) -> str:
+        """How a fit's orders come about: the order mode, except ``hamming`` under the ``hamming_only``
+        ablation and ``preserved`` for learned orders that ``preserve_all`` never refreshes."""
+        if self.ablation == "hamming_only":
+            return "hamming"
+        if self.order_mode == "learned" and self.ordinal_policy == "preserve_all":
+            return "preserved"
+        return self.order_mode
+
+    @property
     def learns_orders(self) -> bool:
-        """Whether a fit refreshes its orders: learned orders, not all of them preserved."""
-        return (self.order_mode == "learned" and self.ablation != "hamming_only"
-                and self.ordinal_policy != "preserve_all")
+        """Whether a fit refreshes its orders."""
+        return self.orders == "learned"
 
 
 @dataclass
@@ -139,26 +148,15 @@ def _initial_partition(d: Dataset, cfg: FitConfig, seed_seq) -> np.ndarray:
     return rng.integers(0, cfg.k, size=d.n, dtype=np.int32)
 
 
-def _orders_kind(cfg: FitConfig) -> str | None:
-    """The kind of a fit's start orders; None when they are drawn or given."""
-    if cfg.order_mode == "hamming" or cfg.ablation == "hamming_only":
-        return "hamming"
-    if cfg.order_mode in ("random", "fixed") or cfg.random_order_init:
-        return None
-    if cfg.order_mode == "semantic":
-        return "semantic"
-    return "dictionary" if cfg.ordinal_policy == "learn_all" else "preserved"
-
-
-def _initial_orders(d: Dataset, cfg: FitConfig, kind: str | None, rng) -> order.OrderSet:
-    """A fit's start orders, of its ``_orders_kind``."""
-    if kind == "hamming":
+def _initial_orders(d: Dataset, cfg: FitConfig, rng) -> order.OrderSet:
+    """A fit's start orders, as ``cfg.orders`` names them."""
+    if cfg.orders == "hamming":
         return order.hamming_orders(d)
-    if kind == "semantic":
+    if cfg.orders == "semantic":
         return order.semantic_orders(d)
-    if cfg.order_mode in ("random", "fixed"):  # given orders are checked by their distance build
+    if cfg.orders in ("random", "fixed"):  # given orders are checked by their distance build
         return cfg.fixed_orders or order.random_orders(d, rng)
-    base = order.dictionary_orders(d) if kind else order.random_orders(d, rng)
+    base = order.random_orders(d, rng) if cfg.random_order_init else order.dictionary_orders(d)
     if cfg.ordinal_policy == "learn_all":
         return base
     sem = order.OrderSet.from_ranks(d, d.semantic_ranks).stacked_ranks
@@ -183,10 +181,10 @@ def _start(d: Dataset, cfg: FitConfig, memo: dict) -> tuple:
         for arr in (assign, prof.sizes, prof.counts):
             arr.flags.writeable = False
         memo["start"] = slot = (key, (assign, prof))
-    kind = _orders_kind(cfg)
-    shared = {} if kind is None else memo.setdefault("orders", {})
+    shared = {} if cfg.orders in ("random", "fixed") or cfg.random_order_init else memo.setdefault("orders", {})
+    kind = (cfg.orders, cfg.ordinal_policy == "learn_all")
     if kind not in shared:  # built only on a miss
-        shared[kind] = _initial_orders(d, cfg, kind, np.random.default_rng(order_seed))
+        shared[kind] = _initial_orders(d, cfg, np.random.default_rng(order_seed))
     orders = shared[kind]
     return *slot[1], orders, _value_distances(d, orders, {} if cfg.fixed_orders else memo)
 
@@ -239,7 +237,7 @@ def fit(d: Dataset, cfg: FitConfig, *, _memo: dict | None = None) -> FitResult:
     the loop itself all draw from streams spawned off ``cfg.seed``.
     """
     if d.s_categorical < 1:
-        raise ValueError("no usable categorical attributes; nothing to cluster on")
+        raise DataError("no usable categorical attributes; nothing to cluster on")
     t0 = time.perf_counter()
 
     form = "mode" if cfg.ablation in ("no_prob_weight", "single_order_update") else "profile"
@@ -394,7 +392,7 @@ def fit_kmodes(d: Dataset, k: int, seed=0, max_iter: int = 100) -> tuple[Partiti
     and as the default initializer of the main fit.
     """
     if d.s_categorical < 1:
-        raise ValueError("no usable categorical attributes; nothing to cluster on")
+        raise DataError("no usable categorical attributes; nothing to cluster on")
     return _centre_loop(d.onehot, None, k, seed, max_iter, monotone=True)
 
 

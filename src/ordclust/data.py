@@ -409,10 +409,7 @@ def _csv_cells(raw: bytes, names: list[str], origin: str):
     reader = csv.reader(io.StringIO(raw.decode("utf-8-sig"), newline=""))  # drops a leading BOM
     rows, linenos, ragged = [], [], None
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{origin}: empty file")
-        _check_header(header, names, origin)
+        _check_header(next(reader), names, origin)  # text holding a quote, CR or NUL makes at least one row
         for row in reader:
             if not row:
                 continue

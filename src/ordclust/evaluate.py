@@ -10,7 +10,7 @@ reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -142,15 +142,14 @@ class RunMetrics:
     nmi: float
     cmp: float
 
-    def as_dict(self) -> dict:
-        return {"ca": self.ca, "ari": self.ari, "nmi": self.nmi, "cmp": self.cmp}
+
+SCORES = tuple(f.name for f in fields(RunMetrics))  # the score names, in every output's order
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-run scores plus their mean and sample standard deviation."""
+    """The mean and sample standard deviation of per-run scores."""
 
-    runs: tuple
     mean: RunMetrics
     std: RunMetrics
 
@@ -169,14 +168,7 @@ def aggregate(per_seed: list[RunMetrics]) -> MetricReport:
     """Mean and sample standard deviation over runs (std 0 for a single run)."""
     if not per_seed:
         raise ValueError("need at least one run")
-
-    def stat(fn):
-        vals = {}
-        for key in ("ca", "ari", "nmi", "cmp"):
-            xs = [m.as_dict()[key] for m in per_seed]
-            vals[key] = fn(xs)
-        return RunMetrics(**vals)
-
-    mean = stat(lambda xs: float(np.mean(xs)))
-    std = stat(lambda xs: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0)
-    return MetricReport(runs=tuple(per_seed), mean=mean, std=std)
+    columns = {name: [getattr(m, name) for m in per_seed] for name in SCORES}
+    mean = RunMetrics(**{name: float(np.mean(xs)) for name, xs in columns.items()})
+    std = RunMetrics(**{name: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0 for name, xs in columns.items()})
+    return MetricReport(mean=mean, std=std)

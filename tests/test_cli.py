@@ -78,6 +78,7 @@ def test_fit_reports_resolved_config(tmp_path):
 @pytest.mark.parametrize("flags, kind", [
     ([], "learned"), (["--order-mode", "hamming"], "hamming"), (["--order-mode", "semantic"], "semantic"),
     (["--ablation", "hamming_only"], "hamming"), (["--ordinal-policy", "preserve_all"], "preserved"),
+    (["--order-mode", "random"], "random"),
 ])
 def test_fit_report_heads_the_orders_by_how_they_came_about(flags, kind, tmp_path):
     out = tmp_path / "run"
@@ -108,6 +109,36 @@ def test_fit_schema_names_not_in_the_header_is_data_error(tmp_path, capsys):
     assert code == 3
     assert "column 1: schema declares 'zzz', CSV header has 'a'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--mixed"]])
+def test_fit_without_a_usable_categorical_attribute_is_data_error(flags, tmp_path, capsys):
+    data, schema = tmp_path / "t.csv", tmp_path / "t.schema"
+    data.write_text("a,x\np,1\np,2\np,3\n")  # the one categorical column holds one value
+    schema.write_text("a,nominal\nx,numerical\n")
+    code = run(["fit", "--data", str(data), "--schema", str(schema), *flags, "--k", "2", "--runs", "1",
+                "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: no usable categorical attributes; nothing to cluster on\n"
+
+
+def test_demo_orders_without_labels_is_data_error(tmp_path, capsys):
+    csv_path, schema_path = fixtures.fixture_paths("HR")
+    schema = tmp_path / "HR.schema"
+    schema.write_text(schema_path.read_text().replace("class,label", "class,ignore"))
+    code = run(["demo-orders", "--data", str(csv_path), "--schema", str(schema), "--k", "3",
+                "--out", str(tmp_path / "demo")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: the order demo needs ground-truth labels\n"
+
+
+def test_an_unexpected_failure_is_a_runtime_error(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", boom)
+    assert run(["verify"]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: boom\n"
 
 
 def test_fit_reports_degenerate_columns(tmp_path):
@@ -540,18 +571,31 @@ def test_bench_config_errors_exit_before_reading_the_suite(flags, tmp_path, caps
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("argv", [
+LOADING_COMMANDS = [  # each command that loads one dataset from --data; {tmp} is the test's directory
     ["fit", "--k", "2", "--out", "{tmp}/o"],
     ["ablate", "--k", "2", "--out", "{tmp}/o"],
     ["demo-orders", "--k", "2", "--out", "{tmp}/o"],
     ["export-distances", "--out-file", "{tmp}/o/d.csv"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", LOADING_COMMANDS)
 @pytest.mark.parametrize("name", ["NOPE", "hr"])
 def test_unknown_fixture_is_data_error(argv, name, tmp_path, capsys):
     code = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--data", f"fixture:{name}"])
     assert code == cli.EXIT_DATA
     bundled = ", ".join(fixtures.FIXTURES)
     assert capsys.readouterr().err == f"data error: unknown fixture {name!r}; bundled: {bundled}\n"
+
+
+@pytest.mark.parametrize("argv", LOADING_COMMANDS)
+def test_a_data_file_without_a_schema_is_data_error(argv, tmp_path, capsys):
+    data = tmp_path / "t.csv"
+    data.write_text("a\nx\ny\n")
+    code = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--data", str(data)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: --schema is required unless --data uses fixture:<NAME>\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_unknown_fixture_is_an_error_row(tmp_path, capsys):

@@ -69,6 +69,16 @@ def test_partition_stores_a_read_only_array():
         q.assign[0] = 1
 
 
+@pytest.mark.parametrize("assign, message", [
+    ([[0, 1], [1, 0]], "assignment must be one id per sample"),
+    ([0, 2], r"cluster ids must lie in \[0, k\)"),
+    ([-1, 0], r"cluster ids must lie in \[0, k\)"),
+])
+def test_partition_rejects_ids_that_are_not_one_in_range_per_sample(assign, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Partition(np.array(assign), 2)
+
+
 def test_partition_leaves_the_callers_array_writeable():
     a = np.array([0, 1, 0])
     q = Partition(a, 2)
@@ -195,6 +205,16 @@ def test_fit_requires_categorical_columns():
     )
     with pytest.raises(ValueError, match="categorical"):
         cluster.fit(d, FitConfig(k=2, seed=0))
+    with pytest.raises(DataError, match="^no usable categorical attributes"):
+        cluster.fit_kmodes(d, 2)
+
+
+def test_mixed_fits_require_numerical_columns():
+    d = make_dataset([["a", "b", "a", "b"]])
+    with pytest.raises(ValueError, match="^dataset has no numerical columns"):
+        cluster.fit_kprototypes(d, 2)
+    with pytest.raises(ValueError, match="^dataset has no numerical columns; use fit directly"):
+        cluster.fit_mixed(d, FitConfig(k=2))
 
 
 def test_fit_config_validation():
@@ -206,6 +226,13 @@ def test_fit_config_validation():
         FitConfig(k=2, order_mode="fixed")
     with pytest.raises(ValueError):
         FitConfig(k=2, ablation="single_order_update", order_mode="hamming")
+    for kwargs, message in [({"order_mode": "nope"}, "unknown order mode 'nope'"),
+                            ({"ablation": "nope"}, "unknown ablation 'nope'"),
+                            ({"ordinal_policy": "nope"}, "unknown ordinal policy 'nope'"),
+                            ({"max_outer": 0}, "iteration caps must be >= 1"),
+                            ({"max_inner": 0}, "iteration caps must be >= 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FitConfig(k=2, **kwargs)
 
 
 NO_ORDER = order.hamming_orders(make_dataset([["a", "b"]]))  # one attribute without an order
@@ -303,6 +330,12 @@ def test_fit_config_accepts_38_of_the_240_settings():
             assert (kwargs["ordinal_policy"], kwargs["random_order_init"]) == ("learn_all", False)
         if kwargs["order_mode"] != "learned":
             assert kwargs["ablation"] == "full"
+    cfgs = [FitConfig(k=2, **kwargs) for kwargs in valid]  # how each setting's orders come about
+    assert {cfg.orders for cfg in cfgs} == {"learned", "preserved", "semantic", "random", "hamming", "fixed"}
+    for cfg in cfgs:
+        assert cfg.learns_orders == (cfg.orders == "learned")
+        assert (cfg.orders == "preserved") == (cfg.order_mode == "learned" and cfg.ordinal_policy == "preserve_all")
+        assert (cfg.orders == "hamming") == (cfg.order_mode == "hamming" or cfg.ablation == "hamming_only")
 
 
 def test_learns_orders_is_whether_a_fit_refreshes():

@@ -54,6 +54,8 @@ def test_missing_error_policy(tmp_path):
     schema = [AttributeSchema("a", "nominal"), AttributeSchema("b", "nominal")]
     with pytest.raises(DataError, match="missing"):
         load_csv(p, schema, missing_policy="error")
+    with pytest.raises(SchemaError, match="^unknown missing policy 'keep'$"):
+        load_csv(p, schema, missing_policy="keep")
 
 
 def test_arity_mismatch(tmp_path):
@@ -259,9 +261,29 @@ def test_synthesize_value_range():
     assert set(d.cat[:, 0].tolist()) <= {0, 1}
 
 
+@pytest.mark.parametrize("counts", [(0, 2, 2, 2), (4, 0, 2, 2), (4, 2, 0, 2), (4, 2, 2, 0)])
+def test_synthesize_counts_below_one_are_rejected(counts):
+    with pytest.raises(DataError, match="^all synthesis counts must be >= 1$"):
+        synthesize(*counts)
+
+
 def test_synthesize_planted_labels():
     d = synthesize(10, 2, 3, seed=0, planted_labels=True)
     assert d.labels.tolist() == [i % 3 for i in range(10)]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"cat": np.zeros(3, dtype=np.int32)}, "cat and num must be 2-d arrays"),
+    ({"num": np.empty((2, 0))}, "cat and num row counts disagree"),
+    ({"cat": np.empty((0, 1), dtype=np.int32), "num": np.empty((0, 0))}, "dataset has no rows"),
+    ({"dictionaries": ()}, "one value dictionary per categorical column required"),
+    ({"dictionaries": (("a",),)}, "column 'a0' is degenerate; drop it before construction"),
+    ({"cat": np.array([[0], [2], [1]], dtype=np.int32)}, "column 'a0' holds an out-of-dictionary index"),
+])
+def test_dataset_checks_its_invariants(fields, message):
+    d = make_dataset([["a", "b", "a"]])
+    with pytest.raises(DataError, match=f"^{message}$"):
+        dataclasses.replace(d, **fields)
 
 
 def test_dataset_arrays_read_only():
