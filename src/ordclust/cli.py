@@ -163,8 +163,6 @@ def cmd_fit(args) -> int:
     d = _load(args)
     if args.export_distances:
         metric.check_pairwise_size(d.n, sum(d.cardinalities))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     fits = list((cluster.fit_mixed(d, cfg) for cfg in cfgs) if args.mixed else cluster.fit_many(d, cfgs))
     per_seed = [{"seed": cfg.seed, "scores": evaluate.score(d, res.partition, d.labels), "trace": res.trace,
@@ -181,6 +179,8 @@ def cmd_fit(args) -> int:
         "orders_kind": cfgs[0].orders,  # how the orders came about, the word heading them in the report
     }
 
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.txt").write_text("\n".join(_report_lines(run)) + "\n")
     metrics = [[r["seed"], *(getattr(r["scores"], n) for n in SCORES), r["trace"].best_objective,
                 r["trace"].total_inner_iterations, r["trace"].accepted_order_updates] for r in per_seed]
@@ -200,8 +200,6 @@ def cmd_fit(args) -> int:
 
 def cmd_demo_orders(args) -> int:
     d = _load(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if d.labels is None:
         raise DataError("the order demo needs ground-truth labels")
     declared = any(r is not None for r in d.semantic_ranks)
@@ -221,6 +219,8 @@ def cmd_demo_orders(args) -> int:
     ca = {name: [] for name in groups}
     for (name, _), res in zip(jobs, cluster.fit_many(d, [cfg for _, cfg in jobs])):
         ca[name].append(evaluate.clustering_accuracy(res.partition, d.labels))
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "demo_orders.csv", ["method", "index", "ca"],
                [[name, i, x] for name, xs in ca.items() for i, x in enumerate(xs)])
 
@@ -309,10 +309,11 @@ def cmd_bench(args) -> int:
 
 def cmd_ablate(args) -> int:
     d = _load(args)
+    methods = ("main", "mode_dist", "single_update", "hamming")
+    rows = _matrix_rows(args.name, d, args.k, methods, _seed_list(args.seed, args.runs))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    methods = ("main", "mode_dist", "single_update", "hamming")
-    _write_matrix(outdir, _matrix_rows(args.name, d, args.k, methods, _seed_list(args.seed, args.runs)))
+    _write_matrix(outdir, rows)
     return EXIT_OK
 
 

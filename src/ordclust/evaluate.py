@@ -5,6 +5,11 @@ correctly rounded division, so independent implementations of the same
 quantity produce bit-identical floats. Entropy-based scores accumulate their
 per-cell terms with ``math.fsum``, which is order-independent, for the same
 reason.
+
+The accuracy's cluster/label matching is the Hungarian method over Python
+integers (``_max_matching``), O(k^3) steps for a k x k table: the tables hold
+one row per cluster and one column per label, so k is small, and scoring
+imports nothing from ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import Dataset, split_columns
 
@@ -53,19 +57,52 @@ def contingency(pred, truth) -> np.ndarray:
 def clustering_accuracy(pred, truth) -> float:
     """Best one-to-one cluster/label matching accuracy.
 
-    The matching is solved exactly on the (padded square) joint count table,
-    so relabeling the prediction never changes the score.
+    The matching is solved exactly on the joint count table, so relabeling the
+    prediction never changes the score.
     """
     return _accuracy(contingency(pred, truth))
 
 
 def _accuracy(table: np.ndarray) -> float:
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    matched = int(padded[rows, cols].sum())
-    return matched / int(table.sum())
+    wide = table if table.shape[0] <= table.shape[1] else table.T
+    return _max_matching(wide.tolist()) / int(table.sum())
+
+
+def _max_matching(w: list[list[int]]) -> int:
+    """The largest total of ``w[i][j]`` over one-to-one row/column pairs, for a table of
+    integers with no more rows than columns.
+
+    Kuhn-Munkres with potentials (Kuhn 1955, the Hungarian method) on the costs ``-w``:
+    each row joins along a shortest augmenting path under the reduced costs. The steps are
+    O(rows^2 * columns) additions of Python integers, so the optimum is exact.
+    """
+    m = len(w[0])
+    u, v = [0] * len(w), [0] * (m + 1)  # the row and column potentials
+    match = [-1] * (m + 1)  # the row each column holds; column 0 roots the current path
+    columns = range(1, m + 1)
+    for row in range(len(w)):
+        match[0], j0 = row, 0
+        used, way, slack = [False] * (m + 1), [0] * (m + 1), [None] * (m + 1)
+        while match[j0] != -1:
+            used[j0], i = True, match[j0]
+            wi, ui = w[i], u[i]
+            for j in columns:
+                if not used[j]:
+                    cost = -wi[j - 1] - ui - v[j]
+                    if slack[j] is None or cost < slack[j]:
+                        slack[j], way[j] = cost, j0
+            j0 = min((j for j in columns if not used[j]), key=slack.__getitem__)
+            delta = slack[j0]
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+        while j0:  # flip the path back to its root
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    return sum(w[i][j - 1] for j, i in enumerate(match) if j and i != -1)
 
 
 def adjusted_rand_index(pred, truth) -> float:

@@ -132,6 +132,17 @@ def test_demo_orders_without_labels_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: the order demo needs ground-truth labels\n"
 
 
+@pytest.mark.parametrize("command", [["fit"], ["fit", "--mixed"], ["ablate"], ["demo-orders"]], ids=" ".join)
+def test_a_data_error_leaves_no_output_directory(command, tmp_path, capsys):
+    data, schema = tmp_path / "t.csv", tmp_path / "t.schema"
+    data.write_text("a,x\np,1\np,2\np,3\n")  # the one categorical column holds one value; no labels
+    schema.write_text("a,nominal\nx,numerical\n")
+    code = run([*command, "--data", str(data), "--schema", str(schema), "--k", "2", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_an_unexpected_failure_is_a_runtime_error(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")

@@ -32,6 +32,44 @@ def test_accuracy_rectangular_matching():
     assert evaluate.clustering_accuracy([0, 0, 1], [0, 1, 2]) == pytest.approx(2 / 3)
 
 
+def _table_labels(table):
+    """A prediction and truth whose joint count table is ``table``, rows predicted."""
+    rows, cols = np.indices(table.shape)
+    return np.repeat(rows.ravel(), table.ravel()), np.repeat(cols.ravel(), table.ravel())
+
+
+def test_accuracy_equals_the_exhaustive_matching(rng):
+    tables = [rng.integers(0, int(rng.integers(1, 9)), size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+              for _ in range(400)]
+    tables += [np.full((1, m), 3) + np.arange(m) % 2 for m in range(1, 8)]  # one cluster, and its transpose
+    tables += [t.T for t in tables[-7:]]
+    for table in tables:
+        if table.sum() == 0:
+            continue
+        pred, truth = _table_labels(table)
+        assert evaluate.clustering_accuracy(pred, truth) == oracle.brute_force_accuracy(pred, truth), table
+
+
+def test_accuracy_is_exact_on_a_near_uniform_table():
+    # 100k samples in 5 x 5 cells of about 4000 each: many matchings within a few counts of the best
+    g = np.random.default_rng(7)
+    pred, truth = g.integers(0, 5, 100_000), g.integers(0, 5, 100_000)
+    assert evaluate.clustering_accuracy(pred, truth) == oracle.brute_force_accuracy(pred, truth)
+    eye = np.eye(5, dtype=np.int64)
+    table = 4000 + np.roll(eye, 1, axis=1) - eye  # the shifted diagonal wins by one count per cell
+    assert evaluate.clustering_accuracy(*_table_labels(table)) == 20_005 / 100_000
+
+
+def test_the_matching_total_equals_scipys(rng):
+    from scipy.optimize import linear_sum_assignment
+
+    for _ in range(150):
+        rows = int(rng.integers(1, 41))
+        table = rng.integers(0, int(rng.choice([2, 10, 10**6])), size=(rows, int(rng.integers(rows, 41))))
+        r, c = linear_sum_assignment(table, maximize=True)
+        assert evaluate._max_matching(table.tolist()) == int(table[r, c].sum()), table.shape
+
+
 def test_accuracy_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         evaluate.clustering_accuracy([0, 1], [0])

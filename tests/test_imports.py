@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,16 @@ def test_every_imported_name_is_used(path):
 def test_the_check_finds_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os, numpy as np\nfrom .data import a, b\nb(np)\n")
     assert _unused_imports(tree) == ["a (line 3)", "os (line 2)"]
+
+
+def test_importing_ordclust_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter, since this test process loads scipy.optimize as a reference; linalg, special
+    # and fft are the modules scipy.optimize brings in
+    script = ("import sys, ordclust, ordclust.cli, ordclust.fixtures\n"
+              "print(' '.join(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special', 'scipy.fft')"
+              " if m in sys.modules))\n")
+    path = os.pathsep.join([str(Path(ordclust.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
