@@ -35,14 +35,24 @@ def test_the_check_finds_an_unused_import():
     assert _unused_imports(tree) == ["a (line 3)", "os (line 2)"]
 
 
-def test_importing_ordclust_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter, since this test process loads scipy.optimize as a reference; linalg, special
-    # and fft are the modules scipy.optimize brings in
-    script = ("import sys, ordclust, ordclust.cli, ordclust.fixtures\n"
-              "print(' '.join(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special', 'scipy.fft')"
-              " if m in sys.modules))\n")
+def _fresh_python(script: str) -> str:
     path = os.pathsep.join([str(Path(ordclust.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_importing_ordclust_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter, since this test process loads scipy.optimize as a reference; linalg, special
+    # and fft are the modules scipy.optimize brings in
+    loaded = _fresh_python("import sys, ordclust, ordclust.cli, ordclust.fixtures\n"
+                           "print(' '.join(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.special',"
+                           " 'scipy.fft') if m in sys.modules))\n")
+    assert loaded.split() == []
+
+
+def test_the_cli_freezes_what_its_imports_made():
+    frozen, tracked = map(int, _fresh_python("import gc, ordclust.cli\n"
+                                             "print(gc.get_freeze_count(), len(gc.get_objects()))\n").split())
+    assert frozen > 10 * tracked  # a full collection scans only what came after the imports
